@@ -329,9 +329,8 @@ def uniform_cayley_tree(n: int, rng, method: str = "prufer") -> list[tuple[int, 
 
 
 def weighted_cayley_tree(n: int, rng, method: str = "prufer") -> ProperlyWeightedGraph:
-    edges = uniform_cayley_tree(n, rng, method=method)
-    w = rng.random(len(edges))
-    return ProperlyWeightedGraph(n, [(u, v, float(x)) for (u, v), x in zip(edges, w)])
+    ends = np.array(uniform_cayley_tree(n, rng, method=method), dtype=np.int64).reshape(-1, 2)
+    return ProperlyWeightedGraph.from_arrays(n, ends[:, 0], ends[:, 1], rng.random(len(ends)))
 
 
 def percolate_cayley(n: int, t: float, rng):
@@ -386,8 +385,8 @@ def prim_thinned_outdegrees(g: ProperlyWeightedGraph, ordering: PrimOrdering, t:
 
     The tree is rooted at the Prim root; children point away from it.
     """
-    edges = [(u, v) for u, v, _ in g.edges]
-    weight = {(min(u, v), max(u, v)): w for u, v, w in g.edges}
+    edges = list(zip(g.u.tolist(), g.v.tolist()))
+    weight = dict(zip(edges, g.w.tolist()))
     children = rooted_children(edges, g.n, root=ordering.order[0])
     out = []
     for v in ordering.order:

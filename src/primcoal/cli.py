@@ -36,6 +36,7 @@ from .limits import (
     limit_gamma,
 )
 from .multiplicative import (
+    FIELD_N_MAX,
     CriticalWindowParams,
     UniformField,
     augmented_state,
@@ -403,7 +404,7 @@ def cmd_ml_oracle(cfg, outdir):
 def cmd_trace(cfg, outdir):
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["n"]
-    field = UniformField.sample(n, rng) if n <= 4096 else None
+    field = UniformField.sample(n, rng) if n <= FIELD_N_MAX else None
     for lam in cfg["lambdas"]:
         if field is not None:
             params = CriticalWindowParams(n, lam)
@@ -493,6 +494,18 @@ def main(argv=None) -> int:
             if key not in cfg:
                 parser.error(f"--{key} not applicable to {args.command}")
             cfg[key] = val
+    walk_route = args.command == "augmented" or (
+        args.command == "simulate-multiplicative" and cfg["route"] == "walk"
+    )
+    if walk_route and cfg["n"] > FIELD_N_MAX:
+        parser.error(
+            f"--n {cfg['n']} too large for the walk route: its dense uniform field "
+            f"is limited to n <= {FIELD_N_MAX}"
+        )
+    # the manifest lists every file in --out, so a used directory would
+    # report files this run did not write
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        parser.error(f"--out {args.out} is not empty; give a new or empty directory")
 
     os.makedirs(args.out, exist_ok=True)
     verdicts, ok = _HANDLERS[args.command](cfg, args.out)

@@ -3,15 +3,18 @@
 A percolation system is a graph with distinct positive edge weights; its
 time-t state keeps the edges of weight <= t.  Running Prim's algorithm from a
 root linearises the system: every component of every level set is an interval
-of consecutive Prim ranks, so the whole merge history can be tracked with a
-union-find over rank intervals.
+of consecutive Prim ranks, and the interval boundaries at level t are exactly
+the ranks whose Prim attach weight exceeds t.  The whole merge history is
+therefore read off the attach weights, with no replay of the edges.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -26,42 +29,73 @@ class DisconnectedGraphError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
+def _first_repeat(x: np.ndarray):
+    """Some value occurring twice in x, or None (sort-and-diff, no hashing)."""
+    s = np.sort(x)
+    hit = np.flatnonzero(s[1:] == s[:-1])
+    return s[hit[0]] if len(hit) else None
+
+
 class ProperlyWeightedGraph:
     """Graph on vertices 1..n with distinct weights in (0, 1].
 
-    Vertices are 1-based.  Construction rejects self-loops, parallel edges,
-    non-positive or duplicate weights.
+    Vertices are 1-based.  The edges are held as read-only arrays: endpoints
+    `u < v` (int64) and weights `w` (float64), edge k being (u[k], v[k],
+    w[k]).  Construction rejects self-loops, out-of-range vertices, parallel
+    edges, non-positive or duplicate weights.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        norm = []
-        seen_pairs = set()
-        seen_weights = set()
-        for u, v, w in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphError(f"vertex id out of range: ({u}, {v})")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen_pairs:
-                raise GraphError(f"parallel edge ({a}, {b})")
-            if w <= 0.0:
-                raise GraphError(f"non-positive weight {w} on edge ({a}, {b})")
-            if w in seen_weights:
-                raise DuplicateWeightError(f"duplicate weight {w}")
-            seen_pairs.add((a, b))
-            seen_weights.add(w)
-            norm.append((a, b, float(w)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
+        rows = list(edges)
+        u, v, w = zip(*rows) if rows else ((), (), ())
+        self._set_arrays(n, u, v, w)
+
+    @classmethod
+    def from_arrays(cls, n: int, u, v, w) -> "ProperlyWeightedGraph":
+        """Build from endpoint and weight arrays, with the same validation."""
+        g = cls.__new__(cls)
+        g._set_arrays(n, u, v, w)
+        return g
+
+    def _set_arrays(self, n, u, v, w) -> None:
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.array(w, dtype=np.float64)
+        loops = np.flatnonzero(u == v)
+        if len(loops):
+            raise GraphError(f"self-loop at vertex {u[loops[0]]}")
+        bad = np.flatnonzero((u < 1) | (u > n) | (v < 1) | (v > n))
+        if len(bad):
+            raise GraphError(f"vertex id out of range: ({u[bad[0]]}, {v[bad[0]]})")
+        a, b = np.minimum(u, v), np.maximum(u, v)
+        pair = _first_repeat(a * (n + 1) + b)
+        if pair is not None:
+            raise GraphError(f"parallel edge ({pair // (n + 1)}, {pair % (n + 1)})")
+        bad = np.flatnonzero(~(w > 0.0))
+        if len(bad):
+            raise GraphError(
+                f"non-positive weight {w[bad[0]]} on edge ({a[bad[0]]}, {b[bad[0]]})"
+            )
+        dup = _first_repeat(w)
+        if dup is not None:
+            raise DuplicateWeightError(f"duplicate weight {dup}")
+        for arr in (a, b, w):
+            arr.setflags(write=False)
+        self.n, self.u, self.v, self.w = n, a, b, w
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.w)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as (u, v, w) tuples with u < v, in construction order."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """Adjacency lists indexed 0..n (slot 0 unused)."""
@@ -76,7 +110,7 @@ class ProperlyWeightedGraph:
         if self.n <= 1:
             return True
         uf = UnionFind(self.n)
-        for u, v, _ in self.edges:
+        for u, v in zip(self.u.tolist(), self.v.tolist()):
             uf.union(u - 1, v - 1)
         return uf.n_components == 1
 
@@ -98,17 +132,32 @@ class PrimOrdering:
         """Vertex -> Prim rank (1-based)."""
         return {v: i + 1 for i, v in enumerate(self.order)}
 
+    def ranks(self) -> np.ndarray:
+        """Array r with r[v] = Prim rank (1-based) of vertex v; r[0] = 0."""
+        n = len(self.order)
+        order = np.asarray(self.order, dtype=np.int64)
+        if not np.array_equal(np.sort(order), np.arange(1, n + 1)):
+            raise GraphError("ordering is not a permutation of 1..n")
+        r = np.zeros(n + 1, dtype=np.int64)
+        r[order] = np.arange(1, n + 1)
+        return r
+
     def mst_weight(self) -> float:
         return sum(w for w in self.attach_weight if w is not None)
 
 
 def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
-    """Prim order from `root` via a lazy-deletion heap over cut edges.
+    """Prim order from `root`.
 
-    O(m log m).  Raises on a disconnected graph.
+    A complete graph takes a dense O(n^2) path over its weight matrix; any
+    other graph a lazy-deletion heap over cut edges, O(m log m).  Distinct
+    weights make the minimal cut edge unique, so both give the same result.
+    Raises on a disconnected graph.
     """
     if not (1 <= root <= g.n):
         raise GraphError(f"root {root} not in [1, {g.n}]")
+    if g.m == g.n * (g.n - 1) // 2:
+        return _prim_dense(g, root)
     adj = g.adjacency()
     in_tree = [False] * (g.n + 1)
     in_tree[root] = True
@@ -136,6 +185,29 @@ def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
     return PrimOrdering(tuple(order), tuple(attach_weight), tuple(attach_parent))
 
 
+def _prim_dense(g: ProperlyWeightedGraph, root: int) -> PrimOrdering:
+    """Prim on a complete graph: argmin of the frontier distances, row-min update."""
+    n = g.n
+    wm = np.full((n + 1, n + 1), np.inf)
+    wm[g.u, g.v] = g.w
+    wm[g.v, g.u] = g.w
+    wm[:, root] = np.inf  # a column of +inf keeps tree vertices off the frontier
+    dist = wm[root].copy()
+    parent = np.full(n + 1, root, dtype=np.int64)
+    order, attach_weight, attach_parent = [root], [None], [None]
+    for _ in range(n - 1):
+        x = int(dist.argmin())
+        order.append(x)
+        attach_weight.append(dist[x].item())
+        attach_parent.append(parent[x].item())
+        wm[:, x] = np.inf
+        dist[x] = np.inf
+        closer = wm[x] < dist
+        np.copyto(dist, wm[x], where=closer)
+        np.copyto(parent, x, where=closer)
+    return PrimOrdering(tuple(order), tuple(attach_weight), tuple(attach_parent))
+
+
 def prim_order_rescan(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
     """Literal O(n*m) Prim order: rescan every cut edge at every step.
 
@@ -147,9 +219,10 @@ def prim_order_rescan(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
     order = [root]
     attach_weight: list[float | None] = [None]
     attach_parent: list[int | None] = [None]
+    edges = g.edges
     while len(order) < g.n:
         best = None
-        for u, v, w in g.edges:
+        for u, v, w in edges:
             if (u in visited) != (v in visited):
                 if best is None or w < best[0]:
                     inside, outside = (u, v) if u in visited else (v, u)
@@ -202,14 +275,16 @@ def level_components(
     Without an ordering, returns components as frozensets sorted by their
     smallest vertex.  With a PrimOrdering, returns (component, (a, b)) pairs
     where [a, b] is the component's interval of Prim ranks, sorted by a;
-    raises if some component is not a Prim interval.
+    raises if some component is not a Prim interval.  Components come from a
+    union-find over the level edges, independent of the attach weights, so
+    this is the oracle for the interval property.
     """
     if not (0.0 <= t <= 1.0):
         raise GraphError(f"level t={t} outside [0, 1]")
     uf = UnionFind(g.n)
-    for u, v, w in g.edges:
-        if w <= t:
-            uf.union(u - 1, v - 1)
+    keep = g.w <= t
+    for u, v in zip(g.u[keep].tolist(), g.v[keep].tolist()):
+        uf.union(u - 1, v - 1)
     groups: dict[int, list[int]] = {}
     for v in range(1, g.n + 1):
         groups.setdefault(uf.find(v - 1), []).append(v)
@@ -237,88 +312,107 @@ class MergeEvent:
     right: tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ComponentFiltration:
     """Full merge history of a percolation system in Prim-rank coordinates.
 
-    merge_events are chronological; internal_edges lists (time, rank_u,
-    rank_v) for the edges that closed a cycle (they raise a component's
-    excess instead of merging).
+    Rank positions are 0-based here.  attach_weight[r] is the attach weight
+    of the vertex of rank r + 1 (+inf for the root); at level t the
+    components are the rank intervals that start where attach_weight > t.
+    edge_rank[k] is the smaller endpoint rank of edge k and edge_weight[k]
+    its weight; they count each component's edges for its excess.
     """
 
-    n: int
-    ordering: PrimOrdering
-    merge_events: list[MergeEvent] = field(default_factory=list)
-    internal_edges: list[tuple[float, int, int]] = field(default_factory=list)
+    attach_weight: np.ndarray
+    edge_rank: np.ndarray
+    edge_weight: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.attach_weight)
 
     def components_at(self, t: float) -> list[tuple[tuple[int, int], int, int]]:
         """State at level t: list of (rank interval, size, excess)."""
-        uf = UnionFind(self.n)
-        edge_count = [0] * self.n
-        lo = list(range(self.n))
-        hi = list(range(self.n))
-        for ev in self.merge_events:
-            if ev.time > t:
-                break
-            ra = uf.find(ev.left[0] - 1)
-            rb = uf.find(ev.right[0] - 1)
-            merged_lo = min(lo[ra], lo[rb])
-            merged_hi = max(hi[ra], hi[rb])
-            edges = edge_count[ra] + edge_count[rb] + 1
-            uf.union(ra, rb)
-            root = uf.find(ra)
-            lo[root], hi[root] = merged_lo, merged_hi
-            edge_count[root] = edges
-        for time, ru, rv in self.internal_edges:
-            if time <= t:
-                edge_count[uf.find(ru - 1)] += 1
-        out = []
-        seen = set()
-        for r in range(self.n):
-            root = uf.find(r)
-            if root in seen:
-                continue
-            seen.add(root)
-            size = uf.size[root]
-            excess = edge_count[root] - size + 1
-            out.append(((lo[root] + 1, hi[root] + 1), size, excess))
-        out.sort()
-        return out
+        split = self.attach_weight > t
+        starts = np.flatnonzero(split)
+        sizes = np.diff(np.append(starts, self.n))
+        comp_of_rank = np.cumsum(split) - 1
+        keep = self.edge_weight <= t
+        edges = np.bincount(comp_of_rank[self.edge_rank[keep]], minlength=len(starts))
+        excess = edges - sizes + 1
+        return [
+            ((a + 1, a + size), size, exc)
+            for a, size, exc in zip(starts.tolist(), sizes.tolist(), excess.tolist())
+        ]
+
+    @property
+    def merge_events(self) -> list[MergeEvent]:
+        """Chronological merges: at attach_weight[r] the interval ending at
+        rank r - 1 fuses with the one starting at rank r (0-based)."""
+        start_of = list(range(self.n))  # start_of[e]: start of the interval ending at e
+        end_of = list(range(self.n))  # end_of[s]: end of the interval starting at s
+        events = []
+        for r in (np.argsort(self.attach_weight[1:]) + 1).tolist():
+            a, b = start_of[r - 1], end_of[r]
+            events.append(MergeEvent(float(self.attach_weight[r]), (a + 1, r), (r + 1, b + 1)))
+            end_of[a], start_of[b] = b, a
+        return events
+
+
+def _range_max(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(x[lo[k]..hi[k]]) for every k (lo <= hi), by a sparse table."""
+    table = [x]  # table[j][i] = max(x[i : i + 2**j]), clipped at the end of x
+    while 2 ** len(table) <= len(x):
+        half = 2 ** (len(table) - 1)
+        prev = table[-1]
+        nxt = prev.copy()
+        np.maximum(prev[:-half], prev[half:], out=nxt[:-half])
+        table.append(nxt)
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(length)), exact
+    table = np.stack(table)
+    return np.maximum(table[level, lo], table[level, hi - 2**level + 1])
 
 
 def component_filtration(
     g: ProperlyWeightedGraph, ordering: PrimOrdering
 ) -> ComponentFiltration:
-    """Replay all edges in weight order through a union-find on Prim ranks.
+    """Merge filtration of g read off the attach weights of its Prim order.
 
-    Every merge event must join adjacent rank intervals (the Prim-interval
-    property); a violation raises GraphError.
+    The ordering is checked to be g's Prim order: each attach edge is an
+    edge of g with the recorded weight whose parent has the lower rank, and
+    every edge joining ranks a < b weighs at least the largest attach weight
+    on ranks a+1..b.  Together these make every component of every level
+    graph a rank interval whose merges join adjacent intervals; a violation
+    raises GraphError.
     """
-    rank = ordering.rank()
-    filt = ComponentFiltration(n=g.n, ordering=ordering)
-    uf = UnionFind(g.n)
-    lo = list(range(g.n))
-    hi = list(range(g.n))
-    for u, v, w in sorted(g.edges, key=lambda e: e[2]):
-        ra = uf.find(rank[u] - 1)
-        rb = uf.find(rank[v] - 1)
-        if ra == rb:
-            filt.internal_edges.append((w, rank[u], rank[v]))
-            continue
-        ia = (lo[ra] + 1, hi[ra] + 1)
-        ib = (lo[rb] + 1, hi[rb] + 1)
-        left, right = (ia, ib) if ia[0] < ib[0] else (ib, ia)
-        if left[1] + 1 != right[0]:
-            raise GraphError(
-                f"merge of non-adjacent Prim intervals {left} and {right} at t={w}"
-            )
-        merged_lo = min(lo[ra], lo[rb])
-        merged_hi = max(hi[ra], hi[rb])
-        uf.union(ra, rb)
-        root = uf.find(ra)
-        lo[root], hi[root] = merged_lo, merged_hi
-        filt.merge_events.append(MergeEvent(w, left, right))
-    return filt
+    n = g.n
+    if len(ordering.order) != n:
+        raise GraphError(f"ordering has {len(ordering.order)} vertices, graph has {n}")
+    if g.m < n - 1:
+        raise GraphError(f"{g.m} edges cannot connect {n} vertices")
+    rank = ordering.ranks() - 1  # 0-based
+    aw = np.array((np.inf,) + ordering.attach_weight[1:], dtype=np.float64)
+    child = np.asarray(ordering.order[1:], dtype=np.int64)
+    parent = np.asarray(ordering.attach_parent[1:], dtype=np.int64)
+    by_weight = np.argsort(g.w)
+    e = by_weight[np.searchsorted(g.w[by_weight], aw[1:]).clip(max=g.m - 1)]
+    if not (
+        np.array_equal(g.w[e], aw[1:])
+        and np.array_equal(g.u[e], np.minimum(child, parent))
+        and np.array_equal(g.v[e], np.maximum(child, parent))
+        and (rank[parent] < np.arange(1, n)).all()
+    ):
+        raise GraphError("ordering's attach edges are not edges of g at their weights")
+    a = np.minimum(rank[g.u], rank[g.v])
+    b = np.maximum(rank[g.u], rank[g.v])
+    bad = np.flatnonzero(g.w < _range_max(aw, a + 1, b))
+    if len(bad):
+        k = bad[0]
+        raise GraphError(
+            f"edge between Prim ranks {a[k] + 1} and {b[k] + 1} at t={g.w[k]} "
+            "merges non-adjacent Prim intervals"
+        )
+    return ComponentFiltration(attach_weight=aw, edge_rank=a, edge_weight=g.w)
 
 
 def mst_weight_kruskal(g: ProperlyWeightedGraph) -> float:
@@ -336,23 +430,20 @@ def mst_weight_kruskal(g: ProperlyWeightedGraph) -> float:
 def random_complete_graph(n, rng) -> ProperlyWeightedGraph:
     """Dense K_n with i.i.d. uniform (0, 1] weights.
 
-    Materialising K_n is refused for n > 4096; use the sparse sampler in
-    `primcoal.multiplicative` for larger graphs.
+    Edges are listed in row-major order (1,2), (1,3), ..., (n-1,n); a draw
+    with a zero or repeated weight is redrawn whole.  Materialising K_n is
+    refused for n > 4096; use the sparse sampler in `primcoal.multiplicative`
+    for larger graphs.
     """
     if n > 4096:
         raise GraphError("dense K_n refused for n > 4096; use the sparse sampler")
-    m = n * (n - 1) // 2
+    u, v = np.triu_indices(n, k=1)
     while True:
-        w = rng.random(m)
-        if len(set(w.tolist())) == m and (w > 0).all():
-            break
-    edges = []
-    k = 0
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            edges.append((u, v, float(w[k])))
-            k += 1
-    return ProperlyWeightedGraph(n, edges)
+        w = rng.random(n * (n - 1) // 2)
+        try:
+            return ProperlyWeightedGraph.from_arrays(n, u + 1, v + 1, w)
+        except GraphError:
+            continue
 
 
 def write_edge_list(g: ProperlyWeightedGraph, path) -> None:

@@ -26,7 +26,7 @@ from .walks import (
     walk_component_sizes,
 )
 
-_FIELD_N_MAX = 4096
+FIELD_N_MAX = 4096
 
 
 def p_lambda(n: int, lam: float) -> float:
@@ -60,8 +60,8 @@ class UniformField:
     """
 
     def __init__(self, n: int, matrix: np.ndarray):
-        if n > _FIELD_N_MAX:
-            raise ValueError(f"dense uniform field limited to n <= {_FIELD_N_MAX}")
+        if n > FIELD_N_MAX:
+            raise ValueError(f"dense uniform field limited to n <= {FIELD_N_MAX}")
         if matrix.shape != (n + 1, n + 1):
             raise ValueError("field matrix must be (n+1) x (n+1)")
         self.n = n
@@ -69,8 +69,8 @@ class UniformField:
 
     @classmethod
     def sample(cls, n: int, rng) -> "UniformField":
-        if n > _FIELD_N_MAX:
-            raise ValueError(f"dense uniform field limited to n <= {_FIELD_N_MAX}")
+        if n > FIELD_N_MAX:
+            raise ValueError(f"dense uniform field limited to n <= {FIELD_N_MAX}")
         m = rng.random((n + 1, n + 1))
         return cls(n, m)
 
@@ -95,12 +95,11 @@ def reorder_field_from_graph(
     n = g.n
     if g.m != n * (n - 1) // 2:
         raise ValueError("field reordering requires a complete graph")
-    rank = ordering.rank()
+    rank = ordering.ranks()
+    a, b = rank[g.u], rank[g.v]
     wr = np.full((n + 1, n + 1), np.inf)
-    for u, v, w in g.edges:
-        a, b = rank[u], rank[v]
-        wr[a, b] = w
-        wr[b, a] = w
+    wr[a, b] = g.w
+    wr[b, a] = g.w
     out = np.full((n + 1, n + 1), np.nan)
     out[1, 2:] = wr[1, 2:]
     # entry[k] = min over already-explored rows j of wr[j, k]

@@ -171,19 +171,16 @@ def explore(
     """
     n = g.n
     if isinstance(order, PrimOrdering):
-        rank = order.rank()
-        key = [0] * (n + 1)
-        for v, r in rank.items():
-            key[v] = r
+        key = order.ranks().tolist()
     elif order == "labels":
         key = list(range(n + 1))
     else:
         raise ValueError(f"unknown order spec {order!r}")
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v, w in g.edges:
-        if w <= t:
-            adj[u].append(v)
-            adj[v].append(u)
+    keep = g.w <= t
+    for u, v in zip(g.u[keep].tolist(), g.v[keep].tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
     visited = [False] * (n + 1)
     unvisited = set(range(1, n + 1))
     frontier: set[int] = set()

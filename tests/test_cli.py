@@ -97,6 +97,39 @@ class TestConfigHandling:
             run(["compare-orders", "--n", "5", "--out", str(tmp_path / "x")])
 
 
+class TestWalkRouteSize:
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate-multiplicative", "--route", "walk"], ["augmented"]],
+        ids=["simulate-multiplicative", "augmented"],
+    )
+    def test_oversize_n_refused_early(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit):
+            run(argv + ["--n", "5000", "--out", str(out)])
+        assert "4096" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutDirectory:
+    def test_existing_empty_out_accepted(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert run(["compare-orders", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["compare_orders.json"]
+
+    def test_nonempty_out_refused(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "stale.csv").write_text("keep me\n")
+        with pytest.raises(SystemExit):
+            run(["compare-orders", "--out", str(out)])
+        assert "not empty" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["stale.csv"]
+        assert (out / "stale.csv").read_text() == "keep me\n"
+
+
 class TestLimitCompare:
     def test_small_additive_run(self, tmp_path):
         out = tmp_path / "run"

@@ -5,6 +5,7 @@ from primcoal.graphs import (
     DisconnectedGraphError,
     DuplicateWeightError,
     GraphError,
+    PrimOrdering,
     ProperlyWeightedGraph,
     component_filtration,
     level_components,
@@ -15,12 +16,26 @@ from primcoal.graphs import (
     read_edge_list,
     write_edge_list,
 )
+from primcoal.additive import weighted_cayley_tree
 
 
 def path_graph(weights):
     return ProperlyWeightedGraph(
         len(weights) + 1, [(i + 1, i + 2, w) for i, w in enumerate(weights)]
     )
+
+
+def sparse_connected_graph(n, extra, rng):
+    """Weighted Cayley tree on n vertices plus `extra` random non-tree edges."""
+    tree = weighted_cayley_tree(n, rng)
+    edges = list(tree.edges)
+    pairs = {(u, v) for u, v, _ in edges}
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False).tolist())
+        if (u, v) not in pairs:
+            pairs.add((u, v))
+            edges.append((u, v, float(rng.random())))
+    return ProperlyWeightedGraph(n, edges)
 
 
 class TestConstruction:
@@ -57,10 +72,14 @@ class TestPrimOrder:
         assert prim_order(g).order == (1, 2, 3, 4, 5)
 
     def test_matches_rescan_oracle(self, rng):
+        # complete graphs take the dense path, sparse ones the heap path
+        graphs = [random_complete_graph(int(rng.integers(2, 20)), rng) for _ in range(200)]
         for _ in range(200):
-            n = int(rng.integers(2, 20))
-            g = random_complete_graph(n, rng)
-            root = int(rng.integers(1, n + 1))
+            n = int(rng.integers(4, 40))
+            graphs.append(sparse_connected_graph(n, int(rng.integers(0, n - 1)), rng))
+            assert graphs[-1].m < n * (n - 1) // 2
+        for g in graphs:
+            root = int(rng.integers(1, g.n + 1))
             fast = prim_order(g, root)
             slow = prim_order_rescan(g, root)
             assert fast.order == slow.order
@@ -139,6 +158,36 @@ class TestFiltration:
         for ev in filt.merge_events:
             assert ev.left[1] + 1 == ev.right[0]
         assert len(filt.merge_events) == g.n - 1
+
+    def test_rejects_label_order_when_prim_differs(self, rng):
+        # label order with each vertex attached by its lightest edge to an
+        # earlier label: the attach edges are edges of g, the order is not Prim
+        rejected = 0
+        for _ in range(20):
+            n = int(rng.integers(4, 12))
+            g = random_complete_graph(n, rng)
+            if prim_order(g).order == tuple(range(1, n + 1)):
+                continue
+            w = {(u, v): wt for u, v, wt in g.edges}
+            parents = [min(range(1, i), key=lambda j: w[(j, i)]) for i in range(2, n + 1)]
+            labels = PrimOrdering(
+                tuple(range(1, n + 1)),
+                (None,) + tuple(w[(p, i)] for i, p in enumerate(parents, start=2)),
+                (None,) + tuple(parents),
+            )
+            with pytest.raises(GraphError):
+                component_filtration(g, labels)
+            rejected += 1
+        assert rejected > 0
+
+    def test_rejects_attach_edges_not_in_graph(self):
+        g = path_graph([0.1, 0.2, 0.3])
+        assert component_filtration(g, prim_order(g)).components_at(1.0) == [((1, 4), 4, 0)]
+        not_an_edge = PrimOrdering((1, 2, 3, 4), (None, 0.1, 0.2, 0.3), (None, 1, 1, 3))
+        wrong_weight = PrimOrdering((1, 2, 3, 4), (None, 0.1, 0.25, 0.3), (None, 1, 2, 3))
+        for ordering in (not_an_edge, wrong_weight):
+            with pytest.raises(GraphError):
+                component_filtration(g, ordering)
 
 
 def test_edge_list_roundtrip(tmp_path, rng):
