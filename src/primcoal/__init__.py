@@ -68,6 +68,7 @@ from .multiplicative import (
     graph_route,
     p_lambda,
     reorder_field_from_graph,
+    replicate_rows,
     sample_graph_outcomes,
     sample_walk_outcomes,
     sparse_z_trace,
@@ -98,6 +99,7 @@ from .oracles import (
     ks_statistic,
     ks_threshold,
     ks_two_sample,
+    row_counts,
     tv_distance,
     tv_two_sample,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ProperlyWeightedGraph, PrimOrdering, prim_order
-from .states import MassVector
+from .states import MassVector, MergeHistory
 from .walks import (
     DEFAULT_CONVENTION,
     LatticePath,
@@ -206,67 +206,49 @@ def park(n: int, m: int, rng=None, choices=None) -> ParkingConfiguration:
 # Pitman's forest process
 
 
-@dataclass(frozen=True)
-class ForestMerge:
-    time: float
-    tree_i: int
-    tree_j: int
-    endpoint_i: int
-    endpoint_j: int
-
-
-@dataclass
-class ForestProcess:
+class ForestProcess(MergeHistory):
     """Merge history of the forest process on n labelled vertices.
 
     With m trees remaining the next merge fires at rate m - 1, and the pair
     (t_i, t_j) is chosen with probability (|t_i| + |t_j|) / (n (m - 1)).
+    Only tree sizes are tracked: slot k starts as the singleton tree of
+    vertex k + 1, so values0 is all ones.
     """
 
-    n: int
-    merges: list[ForestMerge]
+    merges = property(MergeHistory.records)
 
-    def tree_sizes_at(self, s: float) -> list[int]:
-        sizes = {v: 1 for v in range(1, self.n + 1)}
-        from .graphs import UnionFind
-
-        uf = UnionFind(self.n)
-        for ev in self.merges:
-            if ev.time > s:
-                break
-            uf.union(ev.endpoint_i - 1, ev.endpoint_j - 1)
-        roots: dict[int, int] = {}
-        for v in range(self.n):
-            r = uf.find(v)
-            roots[r] = roots.get(r, 0) + 1
-        return sorted(roots.values(), reverse=True)
-
-    def merge_count_at(self, s: float) -> int:
-        return sum(1 for ev in self.merges if ev.time <= s)
+    def tree_sizes_at(self, s: float):
+        """Tree sizes at time s, non-increasing: a list for one run, (reps, n)
+        rows padded with zeros for a batch."""
+        sizes = self.values_at(s)
+        return sizes.tolist() if sizes.ndim == 1 else sizes
 
 
-def pitman_forest(n: int, rng) -> ForestProcess:
+def pitman_forest(n: int, rng, reps: int | None = None) -> ForestProcess:
+    """Forest process on n vertices run to a single tree; `reps` independent
+    runs at once when given (see ForestProcess)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    trees: list[list[int]] = [[v] for v in range(1, n + 1)]
-    merges: list[ForestMerge] = []
-    time = 0.0
-    while len(trees) > 1:
-        m = len(trees)
-        time += rng.exponential(1.0 / (m - 1))
-        sizes = np.array([len(t) for t in trees], dtype=float)
+    sizes0 = np.ones(n if reps is None else (reps, n), dtype=np.int64)
+    sizes = np.atleast_2d(sizes0).copy()
+    batch = len(sizes)
+    rows = np.arange(batch)
+    clock = np.zeros(batch)
+    times = np.empty((batch, n - 1))
+    pairs = np.empty((2, batch, n - 1), dtype=np.int64)
+    for k in range(n - 1):
+        m = n - k
+        clock += rng.exponential(size=batch) / (m - 1)
         # P{pair {i,j}} = (s_i+s_j)/(n(m-1)): draw i by size, j uniform other
-        i = int(rng.choice(m, p=sizes / n))
-        j = int(rng.integers(m - 1))
-        if j >= i:
-            j += 1
-        a = int(trees[i][rng.integers(len(trees[i]))])
-        b = int(trees[j][rng.integers(len(trees[j]))])
-        merges.append(ForestMerge(time, i, j, a, b))
-        lo, hi = (i, j) if i < j else (j, i)
-        trees[lo] = trees[lo] + trees[hi]
-        del trees[hi]
-    return ForestProcess(n, merges)
+        i = (np.cumsum(sizes, axis=1) <= rng.random(batch)[:, None] * n).sum(axis=1)
+        other = sizes > 0
+        other[rows, i] = False
+        j = (np.cumsum(other, axis=1) <= rng.integers(m - 1, size=batch)[:, None]).sum(axis=1)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        times[:, k], pairs[0, :, k], pairs[1, :, k] = clock, lo, hi
+        sizes[rows, lo] += sizes[rows, hi]
+        sizes[rows, hi] = 0
+    return ForestProcess(times, *pairs, sizes0)
 
 
 # ---------------------------------------------------------------------------

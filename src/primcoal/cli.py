@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -44,18 +45,15 @@ from .multiplicative import (
     graph_route,
     p_lambda,
     reorder_field_from_graph,
-    sample_graph_outcomes,
-    sample_walk_outcomes,
+    replicate_rows,
     sparse_z_trace,
     surplus_field,
     z_walk,
 )
 from .oracles import (
-    cayley_outdegree_law,
-    conditioned_walk_law,
-    empirical_counts,
     enumerate_weight_orders,
     ks_two_sample,
+    row_counts,
     tv_two_sample,
 )
 from .states import d_U
@@ -342,8 +340,10 @@ def _limit_add_brownian(args):
 
 def cmd_limit_compare(cfg, outdir):
     reps = cfg["replicates"]
-    seeds_d = _replicate_seeds(cfg["seed"], reps)
-    seeds_c = _replicate_seeds(cfg["seed"] + 1, reps)
+    # one child stream per side, so no run shares a stream with another seed
+    discrete_ss, brownian_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    seeds_d = discrete_ss.spawn(reps)
+    seeds_c = brownian_ss.spawn(reps)
     if cfg["kind"] == "multiplicative":
         discrete = _run_replicates(
             _limit_mult_rep, [(s, cfg["n"], cfg["lam"]) for s in seeds_d], cfg["workers"]
@@ -376,25 +376,36 @@ def cmd_limit_compare(cfg, outdir):
     return [verdict], verdict.passed
 
 
+# replicates per ml-oracle batch; larger batches gain no speed, only memory
+ORACLE_BLOCK = 1024
+
+
+def _block_counts(sample, reps: int) -> Counter:
+    """Count the distinct rows of sample(b) over blocks of b <= ORACLE_BLOCK."""
+    counts = Counter()
+    for k in range(0, reps, ORACLE_BLOCK):
+        counts.update(row_counts(sample(min(ORACLE_BLOCK, reps - k))))
+    return counts
+
+
 def cmd_ml_oracle(cfg, outdir):
-    n, reps = cfg["n"], cfg["replicates"]
+    n, reps, lam, s_obs = cfg["n"], cfg["replicates"], cfg["lam"], cfg["s_obs"]
     rng = np.random.default_rng(cfg["seed"])
-    p = p_lambda(n, cfg["lam"])
-    ml_mult = empirical_counts(
-        tuple(int(x) for x in ml_multiplicative_sizes(n, p, rng)) for _ in range(reps)
+    p = p_lambda(n, lam)
+
+    def graph_sizes(b):
+        rep, sizes, _ = graph_route(n, [lam], rng, reps=b)[0]
+        return replicate_rows(rep, sizes, b, n)
+
+    ml_mult = _block_counts(
+        lambda b: ml_multiplicative_sizes(n, p, rng, reps=b).astype(np.int64), reps
     )
-    graph = empirical_counts(
-        tuple(int(x) for x in graph_route(n, [cfg["lam"]], rng)[0][0]) for _ in range(reps)
-    )
+    graph = _block_counts(graph_sizes, reps)
     v1 = tv_two_sample(ml_mult, graph, cfg["tv"], "ML multiplicative vs graph route")
-    s_obs = cfg["s_obs"]
-    ml_add = empirical_counts(
-        tuple(int(round(x * n)) for x in ml_additive_sizes(n, s_obs, rng))
-        for _ in range(reps)
+    ml_add = _block_counts(
+        lambda b: np.rint(ml_additive_sizes(n, s_obs, rng, reps=b) * n).astype(np.int64), reps
     )
-    forest = empirical_counts(
-        tuple(pitman_forest(n, rng).tree_sizes_at(s_obs)) for _ in range(reps)
-    )
+    forest = _block_counts(lambda b: pitman_forest(n, rng, reps=b).tree_sizes_at(s_obs), reps)
     v2 = tv_two_sample(ml_add, forest, cfg["tv"], "ML additive vs forest process")
     with open(os.path.join(outdir, "verdicts.json"), "w") as fh:
         fh.write(v1.to_json() + "\n" + v2.to_json() + "\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MassVector
+from .states import MassVector, MergeHistory
 from .walks import LatticePath, psi
 
 
@@ -140,98 +140,83 @@ def export_grid_path(path: GridPath, out) -> None:
 # Marcus-Lushnikov finite-rate coalescent
 
 
-def additive_kernel(a: float, b: float) -> float:
-    return a + b
+_KERNELS = {"additive": np.add, "multiplicative": np.multiply}
 
 
-def multiplicative_kernel(a: float, b: float) -> float:
-    return a * b
+class MLTrajectory(MergeHistory):
+    """Merge history of Marcus-Lushnikov runs; values0 are the initial masses."""
 
-
-_KERNELS = {"additive": additive_kernel, "multiplicative": multiplicative_kernel}
-
-
-@dataclass(frozen=True)
-class MLEvent:
-    time: float
-    i: int
-    j: int
-
-
-@dataclass
-class MLTrajectory:
-    masses0: np.ndarray
-    events: list[MLEvent]
-
-    def masses_at(self, s: float) -> np.ndarray:
-        blocks = [float(x) for x in self.masses0]
-        for ev in self.events:
-            if ev.time > s:
-                break
-            lo, hi = (ev.i, ev.j) if ev.i < ev.j else (ev.j, ev.i)
-            blocks[lo] += blocks[hi]
-            del blocks[hi]
-        return np.sort(np.asarray(blocks))[::-1]
+    events = property(MergeHistory.records)
+    masses_at = MergeHistory.values_at
 
 
 def marcus_lushnikov(masses, kernel, rng, t_max: float, n_norm: float | None = None) -> MLTrajectory:
-    """Event-driven Marcus-Lushnikov process.
+    """Event-driven Marcus-Lushnikov process, for one run or a batch.
 
-    Blocks i, j merge at rate K(x_i, x_j) / n_norm; `kernel` is "additive",
-    "multiplicative" or a callable.  Exact event-by-event simulation: total
-    rate, exponential waiting time, pair chosen by its rate share.  Cost is
-    O(blocks^2) per event, fine for the small systems used as oracles.
+    `masses` is (m0,) for one run or (reps, m0) for independent runs, all
+    positive.  Blocks i, j merge at rate K(x_i, x_j) / n_norm; `kernel` is
+    "additive", "multiplicative" or a callable on arrays (a scalar result
+    broadcasts).  Exact event-by-event simulation in which every live
+    replicate makes one event per round: total rate, exponential waiting
+    time, pair chosen by its rate share.  A replicate freezes once its
+    clock passes t_max or its total rate is 0.  A round costs O(reps m0^2);
+    there are at most m0 - 1 rounds.
     """
     if isinstance(kernel, str):
         kernel = _KERNELS[kernel]
     masses0 = np.asarray(masses, dtype=float)
+    if masses0.ndim not in (1, 2) or (masses0 <= 0).any():
+        raise ValueError("masses must be a positive (m0,) or (reps, m0) array")
+    blocks = np.atleast_2d(masses0).copy()
+    reps, m0 = blocks.shape
     if n_norm is None:
-        n_norm = float(len(masses0))
-    blocks = masses0.tolist()
-    events: list[MLEvent] = []
-    time = 0.0
-    while len(blocks) > 1:
-        m = len(blocks)
-        rates = np.array(
-            [kernel(blocks[i], blocks[j]) / n_norm for i in range(m) for j in range(i + 1, m)]
-        )
-        total = rates.sum()
-        if total <= 0:
-            break
-        time += rng.exponential(1.0 / total)
-        if time > t_max:
-            break
-        flat = int(rng.choice(len(rates), p=rates / total))
-        # invert the (i, j), i < j enumeration
-        i = 0
-        offset = flat
-        while offset >= m - 1 - i:
-            offset -= m - 1 - i
-            i += 1
-        j = i + 1 + offset
-        events.append(MLEvent(time, i, j))
-        blocks[i] += blocks[j]
-        del blocks[j]
-    return MLTrajectory(masses0, events)
+        n_norm = float(m0)
+    iu, ju = np.triu_indices(m0, 1)
+    clock = np.zeros(reps)
+    times = np.full((reps, max(m0 - 1, 0)), np.inf)
+    pairs = np.zeros((2,) + times.shape, dtype=np.int64)
+    live = np.arange(reps)
+    for k in range(times.shape[1]):
+        # a merged-away slot holds mass 0 and is dead
+        b = blocks[live]
+        rates = np.where((b[:, iu] > 0) & (b[:, ju] > 0), kernel(b[:, iu], b[:, ju]) / n_norm, 0.0)
+        cum = np.cumsum(rates, axis=1)
+        keep = cum[:, -1] > 0
+        live, cum = live[keep], cum[keep]
+        clock[live] += rng.exponential(size=len(live)) / cum[:, -1]
+        keep = clock[live] <= t_max
+        live, cum = live[keep], cum[keep]
+        # the first pair whose cumulative rate exceeds a uniform share of the
+        # total has positive rate
+        share = rng.random(len(live)) * cum[:, -1]
+        pick = np.minimum((cum <= share[:, None]).sum(axis=1), len(iu) - 1)
+        i, j = iu[pick], ju[pick]
+        times[live, k] = clock[live]
+        pairs[:, live, k] = i, j
+        blocks[live, i] += blocks[live, j]
+        blocks[live, j] = 0.0
+    return MLTrajectory(times, *pairs, masses0)
 
 
-def ml_multiplicative_sizes(n: int, p: float, rng) -> np.ndarray:
+def ml_multiplicative_sizes(n: int, p: float, rng, reps: int | None = None) -> np.ndarray:
     """Unit masses, multiplicative kernel, run to tau = -ln(1 - p).
 
     At that horizon the partition law coincides with the components of the
-    Erdos-Renyi graph G(n, p).
+    Erdos-Renyi graph G(n, p).  `reps` runs give (reps, n) padded rows.
     """
     if not (0.0 <= p < 1.0):
         raise ValueError("p must lie in [0, 1)")
     tau = -np.log1p(-p)
     # per-pair clock rate x_i * x_j with unit masses: each vertex pair is an
     # independent rate-1 clock, so by time tau an edge exists w.p. 1 - e^{-tau}
-    traj = marcus_lushnikov(np.ones(n), "multiplicative", rng, t_max=tau, n_norm=1.0)
+    masses = np.ones(n if reps is None else (reps, n))
+    traj = marcus_lushnikov(masses, "multiplicative", rng, t_max=tau, n_norm=1.0)
     return traj.masses_at(tau)
 
 
-def ml_additive_sizes(n: int, s: float, rng) -> np.ndarray:
+def ml_additive_sizes(n: int, s: float, rng, reps: int | None = None) -> np.ndarray:
     """Masses 1/n, additive kernel, observed at time s; matches the forest
-    process tree sizes (reported in units of 1/n)."""
-    traj = marcus_lushnikov(np.full(n, 1.0 / n), "additive", rng, t_max=s, n_norm=1.0)
+    process tree sizes (reported in units of 1/n).  `reps` as above."""
+    masses = np.full(n if reps is None else (reps, n), 1.0 / n)
+    traj = marcus_lushnikov(masses, "additive", rng, t_max=s, n_norm=1.0)
     return traj.masses_at(s)

@@ -17,6 +17,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import ProperlyWeightedGraph, PrimOrdering
+from .oracles import row_counts
 from .states import AugmentedState, MassVector
 from .walks import (
     DEFAULT_CONVENTION,
@@ -230,31 +231,42 @@ def _decode_edge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def sample_edge_weights(n: int, p_max: float, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges of G(n, p_max) with i.i.d. uniform(0, p_max] marks.
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """np.unique of non-negative keys by sort-and-diff (numpy 2.4 hashes, slower)."""
+    s = np.sort(keys)
+    return s[np.diff(s, prepend=-1) != 0]
 
-    Returns 0-based endpoint arrays (u, v) and weights sorted increasingly;
-    the level set {w <= p} is exactly G(n, p) for any p <= p_max, coupled
-    monotonically across p.  Memory stays O(#edges), never O(n^2).
+
+def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
+    """Edges of `reps` copies of G(n, p_max) with i.i.d. uniform(0, p_max] marks.
+
+    Copy r sits on the 0-based vertices r n .. r n + n - 1.  Returns endpoint
+    arrays (u, v) and weights, grouped by copy and sorted increasingly in
+    each; the level set {w <= p} is exactly G(n, p) for any p <= p_max,
+    coupled monotonically across p.  Memory stays O(#edges), never O(n^2).
     """
     if not (0.0 < p_max <= 1.0):
         raise ValueError("p_max must lie in (0, 1]")
     ne = n * (n - 1) // 2
-    m = int(rng.binomial(ne, p_max))
-    # distinct uniform edge indices; resample collisions until all distinct
-    idx = np.unique(rng.integers(0, ne, size=m))
-    while len(idx) < m:
-        extra = rng.integers(0, ne, size=m - len(idx))
-        idx = np.unique(np.concatenate([idx, extra]))
-    u, v = _decode_edge_indices(idx.astype(np.int64))
-    w = rng.random(m) * p_max
-    order = np.argsort(w, kind="stable")
-    return u[order], v[order], w[order]
+    base = np.arange(reps, dtype=np.int64) * ne
+    m = rng.binomial(ne, p_max, size=reps)
+    # distinct keys rep * ne + edge index; redraw each copy's collisions
+    # until it has m distinct edges
+    key = _sorted_distinct(np.repeat(base, m) + rng.integers(0, ne, size=m.sum()))
+    short = m - np.bincount(key // ne, minlength=reps)
+    while short.any():
+        extra = np.repeat(base, short) + rng.integers(0, ne, size=short.sum())
+        key = _sorted_distinct(np.concatenate([key, extra]))
+        short = m - np.bincount(key // ne, minlength=reps)
+    rep, idx = np.divmod(key, ne)
+    u, v = _decode_edge_indices(idx)
+    w = rng.random(len(key)) * p_max
+    order = np.lexsort((w, rep))
+    offset = rep[order] * n
+    return u[order] + offset, v[order] + offset, w[order]
 
 
-def graph_route(
-    n: int, lambdas, rng, p_max: float | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def graph_route(n: int, lambdas, rng, p_max: float | None = None, reps: int | None = None):
     """Component sizes and excesses of G(n, p_lambda) on a coupled grid.
 
     One edge-weight realisation serves every lambda in `lambdas` (monotone
@@ -262,25 +274,44 @@ def graph_route(
     (sizes, excess) with sizes sorted non-increasing and excess = edges -
     size + 1 aligned to it; ties in size break by component discovery id so
     reruns are deterministic.
+
+    With `reps` given, `reps` independent realisations run as one
+    block-diagonal graph and each lambda gives (rep, sizes, excess) over
+    the components of all of them, grouped by increasing rep and ordered as
+    above within each.  reps=None is the batch of one with rep dropped.
     """
-    lambdas = list(lambdas)
     ps = [p_lambda(n, lam) for lam in lambdas]
     if p_max is None:
         p_max = max(ps)
-    u, v, w = sample_edge_weights(n, p_max, rng)
+    batch = 1 if reps is None else reps
+    u, v, w = sample_edge_weights(n, p_max, rng, batch)
+    vertex_rep = np.arange(batch * n) // n
     out = []
     for p in ps:
-        k = int(np.searchsorted(w, p, side="right"))
+        keep = w <= p
+        ku, kv = u[keep], v[keep]
         adj = coo_matrix(
-            (np.ones(k, dtype=np.int8), (u[:k], v[:k])), shape=(n, n)
+            (np.ones(len(ku), dtype=np.int8), (ku, kv)), shape=(batch * n, batch * n)
         )
         ncomp, labels = connected_components(adj, directed=False)
         sizes = np.bincount(labels, minlength=ncomp)
-        edge_counts = np.bincount(labels[u[:k]], minlength=ncomp)
-        excess = edge_counts - sizes + 1
-        order = np.lexsort((np.arange(ncomp), -sizes))
-        out.append((sizes[order], excess[order]))
+        excess = np.bincount(labels[ku], minlength=ncomp) - sizes + 1
+        # labels are discovery ids: they follow each component's lowest vertex
+        rep = np.empty(ncomp, dtype=np.int64)
+        rep[labels] = vertex_rep
+        order = np.lexsort((np.arange(ncomp), -sizes, rep))
+        found = (rep[order], sizes[order], excess[order])
+        out.append(found[1:] if reps is None else found)
     return out
+
+
+def replicate_rows(rep: np.ndarray, values: np.ndarray, reps: int, width: int) -> np.ndarray:
+    """Rows (reps, width, ...) holding replicate r's values, grouped by
+    increasing rep, in order from rows[r, 0]; the rest is 0."""
+    pos = np.arange(len(rep)) - np.searchsorted(rep, rep)
+    rows = np.zeros((reps, width) + values.shape[1:], dtype=values.dtype)
+    rows[rep, pos] = values
+    return rows
 
 
 def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
@@ -306,12 +337,21 @@ def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
 # Small-n replicate samplers (outcome distributions for two-sample tests)
 
 
-def _outcome_key(pairs: list[tuple[int, int]]) -> tuple:
-    return tuple(sorted(pairs, key=lambda p: (-p[0], p[1])))
+def _outcome_counts(rep, sizes, extra, reps: int, n: int) -> dict[tuple, int]:
+    """Count dict of the per-replicate multisets {(size, extra)}.
+
+    Components come as flat arrays grouped by increasing rep.  A key lists
+    a replicate's pairs by decreasing size, then extra, as the flat tuple
+    (size_1, extra_1, size_2, extra_2, ...) padded with zeros to length 2n.
+    """
+    order = np.lexsort((extra, -sizes, rep))
+    pairs = np.stack([sizes[order], extra[order]], axis=1)
+    return row_counts(replicate_rows(rep[order], pairs, reps, n).reshape(reps, 2 * n))
 
 
 def sample_walk_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:
-    """Empirical law of the multiset {(size, surplus)} under the walk route.
+    """Empirical law of the multiset {(size, surplus)} under the walk route,
+    keyed as in _outcome_counts.
 
     Vectorised over replicates; intended for small n (memory is reps * n^2).
     """
@@ -330,71 +370,16 @@ def sample_walk_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]
         skipped = (k[None, : n + 1] > i) & (k[None, : n + 1] <= lo[:, None])
         s[:, i] = (hit & skipped).sum(axis=1)
         z[:, i] = zprev + x - (zprev > 0)
-    counts: dict[tuple, int] = {}
-    for r in range(reps):
-        zr = z[r]
-        zeros = np.flatnonzero(zr == 0)
-        pairs = []
-        for a, b in zip(zeros[:-1], zeros[1:]):
-            pairs.append((int(b - a), int(s[r, a + 1 : b + 1].sum())))
-        key = _outcome_key(pairs)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _component_table(n: int):
-    """For each edge-subset mask of K_n: (sorted component (size, excess))."""
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    m = len(pairs)
-    table = []
-    from .graphs import UnionFind
-
-    for mask in range(1 << m):
-        uf = UnionFind(n)
-        for e in range(m):
-            if mask >> e & 1:
-                uf.union(*pairs[e])
-        comp: dict[int, list[int]] = {}
-        for v in range(n):
-            comp.setdefault(uf.find(v), [0, 0])[0] += 1
-        for e in range(m):
-            if mask >> e & 1:
-                comp[uf.find(pairs[e][0])][1] += 1
-        out = _outcome_key([(c, edges - c + 1) for c, edges in comp.values()])
-        table.append(out)
-    return table
+    # step i belongs to the component opened at the last zero of Z before it
+    comp = np.arange(reps)[:, None] * n + np.cumsum(z[:, :n] == 0, axis=1) - 1
+    sizes = np.bincount(comp.ravel(), minlength=reps * n)
+    surplus = np.bincount(comp.ravel(), weights=s[:, 1:].ravel(), minlength=reps * n)
+    found = np.flatnonzero(sizes)
+    return _outcome_counts(found // n, sizes[found], surplus[found].astype(np.int64), reps, n)
 
 
 def sample_graph_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:
-    """Empirical law of {(size, excess)} components of G(n, p_lambda).
-
-    For n <= 6 all 2^C(n,2) edge subsets are tabulated once and replicates
-    reduce to a masked lookup; larger n falls back to per-replicate scans.
-    """
-    t = p_lambda(n, lam)
-    m = n * (n - 1) // 2
-    counts: dict[tuple, int] = {}
-    if n <= 6:
-        table = _component_table(n)
-        bits = rng.random((reps, m)) <= t
-        masks = bits @ (1 << np.arange(m, dtype=np.int64))
-        for mask in masks:
-            key = table[int(mask)]
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    from .graphs import UnionFind
-
-    for _ in range(reps):
-        keep = rng.random(m) <= t
-        uf = UnionFind(n)
-        for e in np.flatnonzero(keep):
-            uf.union(*pairs[e])
-        comp: dict[int, list[int]] = {}
-        for v in range(n):
-            comp.setdefault(uf.find(v), [0, 0])[0] += 1
-        for e in np.flatnonzero(keep):
-            comp[uf.find(pairs[e][0])][1] += 1
-        key = _outcome_key([(c, k - c + 1) for c, k in comp.values()])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Empirical law of the multiset {(size, excess)} of the components of
+    G(n, p_lambda), keyed as in _outcome_counts, from the batched graph route."""
+    rep, sizes, excess = graph_route(n, [lam], rng, reps=reps)[0]
+    return _outcome_counts(rep, sizes, excess, reps, n)

@@ -177,3 +177,9 @@ def empirical_counts(samples) -> dict:
     for s in samples:
         counts[s] = counts.get(s, 0) + 1
     return counts
+
+
+def row_counts(rows) -> dict:
+    """Count dict of the distinct rows of a 2-d array, keyed by row tuples."""
+    keys, counts = np.unique(np.asarray(rows), axis=0, return_counts=True)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))

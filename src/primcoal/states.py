@@ -81,3 +81,38 @@ def d_U(a: AugmentedState, b: AugmentedState) -> float:
     sa[: len(a.masses)] = a.surpluses
     sb[: len(b.masses)] = b.surpluses
     return float(np.sqrt(((xa - xb) ** 2).sum()) + np.abs(xa * sa - xb * sb).sum())
+
+
+@dataclass(frozen=True)
+class MergeHistory:
+    """Merges of one coalescent run, or of a batch, on fixed block slots.
+
+    values0 holds the positive initial block values, (slots,) for one run
+    and (reps, slots) for a batch.  Merge k of replicate r adds slot j[r, k]
+    into slot i[r, k] < j[r, k] at time times[r, k] and empties slot j;
+    times is inf where replicate r made no k-th merge.
+    """
+
+    times: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    values0: np.ndarray
+
+    def records(self) -> np.recarray:
+        """The merges made, as records (rep, time, i, j) by replicate, then time."""
+        rep, k = np.nonzero(np.isfinite(self.times))
+        return np.rec.fromarrays(
+            (rep, self.times[rep, k], self.i[rep, k], self.j[rep, k]), names="rep,time,i,j"
+        )
+
+    def values_at(self, s: float) -> np.ndarray:
+        """Block values at time s, sorted non-increasing: the live blocks of
+        one run, or (reps, slots) rows padded with zeros for a batch."""
+        out = np.atleast_2d(self.values0).copy()
+        for k in range(self.times.shape[1]):
+            r = np.flatnonzero(self.times[:, k] <= s)
+            i, j = self.i[r, k], self.j[r, k]
+            out[r, i] += out[r, j]
+            out[r, j] = 0
+        out = -np.sort(-out, axis=1)
+        return out if self.values0.ndim == 2 else out[0][out[0] > 0]

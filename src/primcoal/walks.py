@@ -131,22 +131,15 @@ def excursions_above_min(
     vals = f.values
     if vals[0] != 0:
         raise ValueError("path must start at 0")
-    boundaries = [0]
-    cur = vals[0]
-    for k in range(1, len(vals)):
-        if vals[k] <= cur - conv.beta:
-            boundaries.append(k)
-            cur = vals[k]
-        elif vals[k] < cur:
-            cur = vals[k]
-    keep_unit = conv.beta > 0
-    intervals = [
-        (a, b)
-        for a, b in zip(boundaries[:-1], boundaries[1:])
-        if keep_unit or b - a >= 2
-    ]
+    # index k closes an excursion when vals[k] <= min(vals[:k]) - beta
+    runmin = np.minimum.accumulate(vals)
+    boundaries = np.concatenate(([0], 1 + np.flatnonzero(vals[1:] <= runmin[:-1] - conv.beta)))
+    a, b = boundaries[:-1], boundaries[1:]
+    if not conv.beta > 0:  # unit gaps are no excursion under beta = 0
+        a, b = a[b - a >= 2], b[b - a >= 2]
+    intervals = list(zip(a.tolist(), b.tolist()))
     if boundaries[-1] != len(vals) - 1:
-        intervals.append((boundaries[-1], len(vals) - 1))
+        intervals.append((int(boundaries[-1]), len(vals) - 1))
     return ExcursionSet(tuple(intervals), conv)
 
 

@@ -40,6 +40,7 @@ from primcoal.multiplicative import (
     graph_route,
     p_lambda,
     reorder_field_from_graph,
+    replicate_rows,
     sample_graph_outcomes,
     sample_walk_outcomes,
     sparse_z_trace,
@@ -49,9 +50,9 @@ from primcoal.multiplicative import (
 from primcoal.oracles import (
     cayley_outdegree_law,
     conditioned_walk_law,
-    empirical_counts,
     enumerate_weight_orders,
     ks_statistic,
+    row_counts,
     tv_distance,
 )
 from primcoal.walks import (
@@ -245,21 +246,15 @@ def test_criterion_09_kernel_oracles_tv():
     n, reps, lam = 6, 100000, 0.0
     rng = np.random.default_rng(SEED + 9)
     p = p_lambda(n, lam)
-    ml_mult = empirical_counts(
-        tuple(int(x) for x in ml_multiplicative_sizes(n, p, rng)) for _ in range(reps)
-    )
-    graph = empirical_counts(
-        tuple(int(x) for x in graph_route(n, [lam], rng)[0][0]) for _ in range(reps)
-    )
+    ml_mult = row_counts(ml_multiplicative_sizes(n, p, rng, reps=reps).astype(np.int64))
+    rep, sizes, _ = graph_route(n, [lam], rng, reps=reps)[0]
+    graph = row_counts(replicate_rows(rep, sizes, reps, n))
     tv_mult = tv_distance(ml_mult, graph)
     s_obs = 0.5
-    ml_add = empirical_counts(
-        tuple(int(round(x * n)) for x in ml_additive_sizes(n, s_obs, rng))
-        for _ in range(reps)
+    ml_add = row_counts(
+        np.rint(ml_additive_sizes(n, s_obs, rng, reps=reps) * n).astype(np.int64)
     )
-    forest = empirical_counts(
-        tuple(pitman_forest(n, rng).tree_sizes_at(s_obs)) for _ in range(reps)
-    )
+    forest = row_counts(pitman_forest(n, rng, reps=reps).tree_sizes_at(s_obs))
     tv_add = tv_distance(ml_add, forest)
     ok = tv_mult < 0.02 and tv_add < 0.02
     report(9, "kernel oracles", ok, f"TV mult={tv_mult:.4f}, TV add={tv_add:.4f}")

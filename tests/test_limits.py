@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,8 @@ from primcoal.limits import (
     simulate_excursion,
     simulate_parabolic,
 )
-from primcoal.multiplicative import graph_route, p_lambda
-from primcoal.oracles import empirical_counts, tv_distance
+from primcoal.multiplicative import graph_route, p_lambda, replicate_rows
+from primcoal.oracles import row_counts, tv_distance
 from primcoal.walks import psi
 
 
@@ -119,27 +122,77 @@ class TestMarcusLushnikov:
         # ML with unit masses run to -ln(1-p) is G(n,p) in law
         n, reps, lam = 5, 20000, 0.5
         p = p_lambda(n, lam)
-        ml = empirical_counts(
-            tuple(int(x) for x in ml_multiplicative_sizes(n, p, rng))
-            for _ in range(reps)
-        )
-        graph = empirical_counts(
-            tuple(int(x) for x in graph_route(n, [lam], rng)[0][0])
-            for _ in range(reps)
-        )
+        ml = row_counts(ml_multiplicative_sizes(n, p, rng, reps=reps).astype(np.int64))
+        rep, sizes, _ = graph_route(n, [lam], rng, reps=reps)[0]
+        graph = row_counts(replicate_rows(rep, sizes, reps, n))
         assert tv_distance(ml, graph) < 0.025
 
     def test_additive_matches_forest_process(self, rng):
         n, reps, s_obs = 5, 20000, 0.7
-        ml = empirical_counts(
-            tuple(int(round(x * n)) for x in ml_additive_sizes(n, s_obs, rng))
-            for _ in range(reps)
-        )
-        forest = empirical_counts(
-            tuple(pitman_forest(n, rng).tree_sizes_at(s_obs)) for _ in range(reps)
-        )
+        ml = row_counts(np.rint(ml_additive_sizes(n, s_obs, rng, reps=reps) * n).astype(np.int64))
+        forest = row_counts(pitman_forest(n, rng, reps=reps).tree_sizes_at(s_obs))
         assert tv_distance(ml, forest) < 0.025
+
+    def test_batch_rows_conserve_mass(self, rng):
+        masses = rng.random((50, 6)) + 0.1
+        traj = marcus_lushnikov(masses, "additive", rng, t_max=0.8)
+        for s in (0.0, 0.3, 0.8):
+            rows = traj.masses_at(s)
+            assert rows.shape == (50, 6)
+            assert rows.sum(axis=1) == pytest.approx(masses.sum(axis=1))
+            assert (np.diff(rows, axis=1) <= 0).all()
+        assert (traj.events.time <= 0.8).all()
+
+    def test_rejects_non_positive_masses(self, rng):
+        with pytest.raises(ValueError):
+            marcus_lushnikov([1.0, 0.0, 2.0], "additive", rng, t_max=1.0)
 
     def test_p_validation(self, rng):
         with pytest.raises(ValueError):
             ml_multiplicative_sizes(4, 1.0, rng)
+
+
+def _exact_test(rows, law, reps):
+    """Every observed outcome is in the support and every frequency lies
+    within 5 standard errors of its exact probability."""
+    counts = row_counts(rows)
+    assert set(counts) <= set(law)
+    for key, prob in law.items():
+        prob = float(prob)
+        freq = counts.get(key, 0) / reps
+        assert abs(freq - prob) <= 5 * np.sqrt(prob * (1 - prob) / reps) + 1e-12, key
+
+
+class TestExactSmallLaws:
+    """The batched oracles against laws computed without sampling."""
+
+    def test_multiplicative_n4_matches_enumerated_gnp(self, rng):
+        # the law of the component sizes of G(4, p), from all 64 edge subsets
+        n, lam, reps = 4, 0.5, 20000
+        p = p_lambda(n, lam)
+        pf = Fraction(p)
+        pairs = list(itertools.combinations(range(n), 2))
+        law = {}
+        for mask in range(1 << len(pairs)):
+            label = list(range(n))
+            kept = 0
+            for e, (a, b) in enumerate(pairs):
+                if mask >> e & 1:
+                    kept += 1
+                    old, new = label[b], label[a]
+                    label = [new if x == old else x for x in label]
+            sizes = sorted((label.count(x) for x in set(label)), reverse=True)
+            key = tuple(sizes + [0] * (n - len(sizes)))
+            law[key] = law.get(key, 0) + pf**kept * (1 - pf) ** (len(pairs) - kept)
+        assert sum(law.values()) == 1
+        _exact_test(ml_multiplicative_sizes(n, p, rng, reps=reps).astype(np.int64), law, reps)
+        rep, sizes, _ = graph_route(n, [lam], rng, reps=reps)[0]
+        _exact_test(replicate_rows(rep, sizes, reps, n), law, reps)
+
+    def test_additive_n3_matches_closed_form(self, rng):
+        n, s, reps = 3, 0.5, 20000
+        e1, e2 = np.exp(-s), np.exp(-2 * s)
+        law = {(1, 1, 1): e2, (2, 1, 0): 2 * e1 - 2 * e2, (3, 0, 0): 1 - 2 * e1 + e2}
+        ml = np.rint(ml_additive_sizes(n, s, rng, reps=reps) * n).astype(np.int64)
+        _exact_test(ml, law, reps)
+        _exact_test(pitman_forest(n, rng, reps=reps).tree_sizes_at(s), law, reps)

@@ -14,6 +14,7 @@ from primcoal.multiplicative import (
     graph_route,
     p_lambda,
     reorder_field_from_graph,
+    replicate_rows,
     sample_edge_weights,
     sample_graph_outcomes,
     sample_walk_outcomes,
@@ -23,7 +24,7 @@ from primcoal.multiplicative import (
     y_times,
     z_walk,
 )
-from primcoal.oracles import empirical_counts, ks_two_sample, tv_distance
+from primcoal.oracles import empirical_counts, ks_two_sample, row_counts, tv_distance
 from primcoal.walks import LatticePath, psi, walk_component_sizes
 
 
@@ -182,19 +183,36 @@ class TestGraphRoute:
     def test_matches_dense_construction_in_law(self, rng):
         # sparse coupled sampler vs the dense i.i.d.-weights level graph
         n, reps = 6, 30000
-        sparse = empirical_counts(
-            tuple(graph_route(n, [0.0], rng)[0][0].tolist()) for _ in range(reps)
-        )
+        rep, sizes, _ = graph_route(n, [0.0], rng, reps=reps)[0]
+        sparse = row_counts(replicate_rows(rep, sizes, reps, n))
         from primcoal.graphs import level_components
 
         dense = []
         t = p_lambda(n, 0.0)
         for _ in range(reps):
             g = random_complete_graph(n, rng)
-            dense.append(
-                tuple(sorted((len(c) for c in level_components(g, t)), reverse=True))
-            )
+            found = sorted((len(c) for c in level_components(g, t)), reverse=True)
+            dense.append(tuple(found + [0] * (n - len(found))))
         assert tv_distance(sparse, empirical_counts(dense)) < 0.025
+
+    def test_batch_of_one_draws_are_stable(self):
+        # recorded before graph_route had a replicate axis: the batch of one
+        # still makes exactly the same draws
+        rng = np.random.default_rng(20240607)
+        got = [(s.tolist(), e.tolist()) for s, e in graph_route(50, [-1.0, 0.0, 1.5], rng)]
+        assert got == [
+            ([5, 3, 3] + [2] * 6 + [1] * 27, [0] * 36),
+            ([8, 6, 6, 3] + [2] * 4 + [1] * 19, [0] * 27),
+            ([30, 3, 2] + [1] * 15, [1] + [0] * 17),
+        ]
+
+    def test_batch_components_partition_each_replicate(self, rng):
+        n, reps = 40, 300
+        for rep, sizes, excess in graph_route(n, [-1.0, 0.0, 1.0], rng, reps=reps):
+            assert (np.diff(rep) >= 0).all()
+            assert np.array_equal(np.bincount(rep, weights=sizes, minlength=reps), np.full(reps, n))
+            assert (np.diff(sizes)[np.diff(rep) == 0] <= 0).all()
+            assert (excess >= 0).all()
 
 
 class TestWalkRoute:

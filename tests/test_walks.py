@@ -71,6 +71,24 @@ class TestExcursionsAboveZero:
             excursions_above_zero(LatticePath([0, -1]))
 
 
+def _literal_scan(vals, beta):
+    """Above-minimum excursion intervals by a plain scan: the reference."""
+    boundaries = [0]
+    cur = vals[0]
+    for k in range(1, len(vals)):
+        if vals[k] <= cur - beta:
+            boundaries.append(k)
+            cur = vals[k]
+        elif vals[k] < cur:
+            cur = vals[k]
+    intervals = [
+        (a, b) for a, b in zip(boundaries[:-1], boundaries[1:]) if beta > 0 or b - a >= 2
+    ]
+    if boundaries[-1] != len(vals) - 1:
+        intervals.append((boundaries[-1], len(vals) - 1))
+    return tuple(intervals)
+
+
 class TestExcursionsAboveMin:
     def test_ladder_convention_keeps_unit_descents(self):
         # strict descents of a pure down-drift: n unit excursions
@@ -106,6 +124,19 @@ class TestExcursionsAboveMin:
             assert a == pos and b > a
             pos = b
         assert pos == len(f) - 1
+
+    def test_matches_literal_scan(self, rng):
+        # the vectorised scan against the plain loop it replaced, on integer
+        # and float walks under the three conventions
+        mismatches = 0
+        for trial in range(4000):
+            size = int(rng.integers(1, 120))
+            steps = rng.integers(-2, 3, size=size) if trial % 2 else rng.normal(0.0, 1.0, size=size)
+            f = LatticePath(np.concatenate([[0], np.cumsum(steps)]))
+            for beta in (1.0, 0.0, 0.5):
+                got = excursions_above_min(f, ExcursionConvention(beta=beta)).intervals
+                mismatches += got != _literal_scan(f.values, beta)
+        assert mismatches == 0
 
     def test_convention_validation(self):
         with pytest.raises(ValueError):
