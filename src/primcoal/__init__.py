@@ -53,7 +53,6 @@ from .additive import (
     rejection_sample_conditioned_walk,
     retention_level,
     sample_conditioned_walk,
-    thin,
     time_change_W,
     uniform_cayley_tree,
     weighted_cayley_tree,
@@ -99,6 +98,7 @@ from .oracles import (
     ks_statistic,
     ks_threshold,
     ks_two_sample,
+    label_order_probability,
     row_counts,
     tv_distance,
     tv_two_sample,

@@ -106,10 +106,6 @@ class ThinnedWalkFamily:
         return LatticePath(vals)
 
 
-def thin(family: ThinnedWalkFamily, t: float) -> LatticePath:
-    return family.path(t)
-
-
 def retention_level(n: int, lam: float) -> float:
     """t = 1 - lambda / sqrt(n); lambda must stay within [0, sqrt(n)]."""
     if lam < 0 or lam > np.sqrt(n):

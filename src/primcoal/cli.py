@@ -53,6 +53,7 @@ from .multiplicative import (
 from .oracles import (
     enumerate_weight_orders,
     ks_two_sample,
+    label_order_probability,
     row_counts,
     tv_two_sample,
 )
@@ -133,31 +134,39 @@ def cmd_simulate_additive(cfg, outdir):
     return [], True
 
 
+def _state_row(lam, st, top) -> list:
+    """lambda, then the top masses and surpluses of state st (0 past its end)."""
+    return (
+        [lam]
+        + [st.masses[i] for i in range(top)]
+        + [int(st.surpluses[i]) if i < len(st.surpluses) else 0 for i in range(top)]
+    )
+
+
+def _state_header(top) -> list[str]:
+    return ["lambda"] + [f"gamma_{i+1}" for i in range(top)] + [f"s_{i+1}" for i in range(top)]
+
+
+def _field_states(n, lambdas, rng):
+    """(lambda, walk-route augmented state) along lambdas, read off one uniform field."""
+    field = UniformField.sample(n, rng)
+    for lam in lambdas:
+        params = CriticalWindowParams(n, lam)
+        z, _ = z_walk(params, field)
+        yield lam, augmented_state(n, component_surpluses(z, surplus_field(params, z, field)))
+
+
 def _multiplicative_rep(args):
     seed, n, lambdas, top, route = args
     rng = np.random.default_rng(seed)
-    rows = []
     if route == "graph":
-        for lam, (sizes, excess) in zip(lambdas, graph_route(n, lambdas, rng)):
-            st = augmented_state(n, list(zip(sizes.tolist(), excess.tolist())))
-            rows.append(
-                [lam]
-                + [st.masses[i] for i in range(top)]
-                + [int(st.surpluses[i]) if i < len(st.surpluses) else 0 for i in range(top)]
-            )
+        states = (
+            (lam, augmented_state(n, list(zip(sizes.tolist(), excess.tolist()))))
+            for lam, (sizes, excess) in zip(lambdas, graph_route(n, lambdas, rng))
+        )
     else:
-        field = UniformField.sample(n, rng)
-        for lam in lambdas:
-            params = CriticalWindowParams(n, lam)
-            z, _ = z_walk(params, field)
-            s = surplus_field(params, z, field)
-            st = augmented_state(n, component_surpluses(z, s))
-            rows.append(
-                [lam]
-                + [st.masses[i] for i in range(top)]
-                + [int(st.surpluses[i]) if i < len(st.surpluses) else 0 for i in range(top)]
-            )
-    return rows
+        states = _field_states(n, lambdas, rng)
+    return [_state_row(lam, st, top) for lam, st in states]
 
 
 def cmd_simulate_multiplicative(cfg, outdir):
@@ -168,11 +177,7 @@ def cmd_simulate_multiplicative(cfg, outdir):
     for r, rep_rows in enumerate(per_rep):
         for row in rep_rows:
             rows.append([r] + row)
-    header = (
-        ["replicate", "lambda"]
-        + [f"gamma_{i+1}" for i in range(cfg["top"])]
-        + [f"s_{i+1}" for i in range(cfg["top"])]
-    )
+    header = ["replicate"] + _state_header(cfg["top"])
     _write_rows(os.path.join(outdir, "gamma_times.csv"), header, rows)
     return [], True
 
@@ -182,28 +187,12 @@ def cmd_augmented(cfg, outdir):
     seeds = _replicate_seeds(cfg["seed"], cfg["replicates"])
     rows = []
     for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        field = UniformField.sample(cfg["n"], rng)
         prev = None
-        for lam in cfg["lambdas"]:
-            params = CriticalWindowParams(cfg["n"], lam)
-            z, _ = z_walk(params, field)
-            s = surplus_field(params, z, field)
-            st = augmented_state(cfg["n"], component_surpluses(z, s))
+        for lam, st in _field_states(cfg["n"], cfg["lambdas"], np.random.default_rng(seed)):
             step = d_U(prev, st) if prev is not None else 0.0
             prev = st
-            rows.append(
-                [r, lam]
-                + [st.masses[i] for i in range(cfg["top"])]
-                + [int(st.surpluses[i]) if i < len(st.surpluses) else 0 for i in range(cfg["top"])]
-                + [step]
-            )
-    header = (
-        ["replicate", "lambda"]
-        + [f"gamma_{i+1}" for i in range(cfg["top"])]
-        + [f"s_{i+1}" for i in range(cfg["top"])]
-        + ["d_U_from_prev"]
-    )
+            rows.append([r] + _state_row(lam, st, cfg["top"]) + [step])
+    header = ["replicate"] + _state_header(cfg["top"]) + ["d_U_from_prev"]
     _write_rows(os.path.join(outdir, "augmented.csv"), header, rows)
     return [], True
 
@@ -226,33 +215,7 @@ def cmd_compare_orders(cfg, outdir):
         return prim_order(gp, root=1).order == (1, 3, 4, 2)
 
     prim_prob = enumerate_weight_orders(g, prim_visits_1342)
-    # label-order exploration never depends on weights: count relabellings
-    # of {2,3,4} that make BFS-from-1 in label order visit the image of
-    # (1,3,4,2)
-    import itertools
-
-    base_adj = {1: {2, 3, 4}, 2: {1}, 3: {1, 4}, 4: {1, 3}}
-    hits = 0
-    for perm in itertools.permutations((2, 3, 4)):
-        relabel = {1: 1, 2: perm[0], 3: perm[1], 4: perm[2]}
-        adj = {relabel[v]: {relabel[x] for x in nb} for v, nb in base_adj.items()}
-        order = [1]
-        frontier = sorted(adj[1])
-        seen = {1}
-        while frontier:
-            v = frontier.pop(0)
-            if v in seen:
-                continue
-            seen.add(v)
-            order.append(v)
-            for x in sorted(adj[v]):
-                if x not in seen and x not in frontier:
-                    frontier.append(x)
-            frontier.sort()
-        target = [relabel[v] for v in (1, 3, 4, 2)]
-        if order == target:
-            hits += 1
-    label_prob = Fraction(hits, 6)
+    label_prob = label_order_probability(g, (1, 3, 4, 2))
     result = {
         "prim_probability": str(prim_prob),
         "label_probability": str(label_prob),
@@ -417,24 +380,19 @@ def cmd_trace(cfg, outdir):
     n = cfg["n"]
     field = UniformField.sample(n, rng) if n <= FIELD_N_MAX else None
     for lam in cfg["lambdas"]:
-        if field is not None:
-            params = CriticalWindowParams(n, lam)
-            _, y = z_walk(params, field)
-            yv = y.values
-        else:
-            z = sparse_z_trace(n, lam, rng)
-            yv = None
         tag = f"{lam:+.3f}".replace("+", "p").replace("-", "m").replace(".", "_")
         path = os.path.join(outdir, f"trace_lambda_{tag}.csv")
-        if yv is not None:
-            scaled = yv / n ** (1.0 / 3.0)
+        if field is not None:
+            _, y = z_walk(CriticalWindowParams(n, lam), field)
+            scaled = y.values / n ** (1.0 / 3.0)
             refl = psi(LatticePath(scaled)).values
             rows = [
-                [k / n ** (2.0 / 3.0), scaled[k], refl[k]] for k in range(len(scaled))
+                [k / n ** (2.0 / 3.0), a, b]
+                for k, (a, b) in enumerate(zip(scaled.tolist(), refl.tolist()))
             ]
             _write_rows(path, ["x", "y_scaled", "psi_y_scaled"], rows)
         else:
-            rows = [[k, int(z[k])] for k in range(len(z))]
+            rows = [[k, v] for k, v in enumerate(sparse_z_trace(n, lam, rng).tolist())]
             _write_rows(path, ["index", "z"], rows)
     return [], True
 

@@ -2,10 +2,11 @@
 
 Percolation on the complete graph at p = 1/n + lambda/n^{4/3} is simulated
 two ways.  The graph route samples edges directly and reads off component
-sizes and excess; the walk route runs the neighbourhood-size recursion on a
-triangular field of uniforms, with the surplus counted on the fly.  The
-field reordering extracted from a concrete weighted graph makes the two
-routes agree realisation by realisation, not just in law.
+sizes and excess; the walk route runs one exploration recursion that counts
+new vertices and surplus together, fed either by a triangular field of
+uniforms or, in O(n) memory, by binomial and hypergeometric draws of the
+same counts.  The field reordering extracted from a concrete weighted graph
+makes the two routes agree realisation by realisation, not just in law.
 """
 
 from __future__ import annotations
@@ -115,6 +116,52 @@ def reorder_field_from_graph(
     return UniformField(n, out)
 
 
+def _explore(n: int, totals: np.ndarray, split):
+    """The exploration recursion: (Z, X, S) over steps 1..len(totals).
+
+    Step i of a walk on n vertices reads row i of a triangular array:
+    T(i) hits among its n - i later slots, the first m = (Z(i-1) - 1)_+ of
+    which are held by the frontier.  split(i, m, t) gives S(i), the hits
+    among those m (called only when t > 0 and m > 0); X(i) = T(i) - S(i)
+    vertices are new.  Steps run in blocks of n, and Z is 0 at the end of
+    every block, so a batch of walks is one flat walk: flat step k + 1 is
+    step i = k mod n + 1 of its block and reads totals[k].  Returns Z, X and
+    S with a leading 0 at step 0.
+    """
+    zs, ss = [0], [0]
+    z = 0
+    for k, t in enumerate(totals.tolist()):
+        m = z - 1 if z > 1 else 0
+        s = int(split(k % n + 1, m, t)) if t and m else 0
+        z += t - s - (z > 0)
+        zs.append(z)
+        ss.append(s)
+    s = np.array(ss, dtype=np.int64)
+    return np.array(zs, dtype=np.int64), np.append(0, totals) - s, s
+
+
+def _field_walk(params: CriticalWindowParams, field: UniformField):
+    """The recursion on a uniform field: slot k of row i is U(i, k) <= p."""
+    n, p = params.n, params.p
+    if field.n != n:
+        raise ValueError("field size does not match parameters")
+    u = field.matrix
+    totals = np.array([np.count_nonzero(u[i, i + 1 :] <= p) for i in range(1, n + 1)])
+    return _explore(n, totals, lambda i, m, t: np.count_nonzero(u[i, i + 1 : i + m + 1] <= p))
+
+
+def _sparse_walk(n: int, p: float, reps: int, rng):
+    """`reps` field walks as one flat walk, without the field.
+
+    Every T(i) ~ Bin(n - i, p) is drawn in one call, and S(i) is
+    hypergeometric: row i is untouched by the steps before it, so given T(i)
+    its hits fill a uniform T(i)-subset of its n - i slots.  Exact in law,
+    O(n reps) memory.
+    """
+    totals = rng.binomial(np.tile(np.arange(n - 1, -1, -1), reps), p)
+    return _explore(n, totals, lambda i, m, t: rng.hypergeometric(m, n - i - m, t))
+
+
 def z_walk(params: CriticalWindowParams, field: UniformField):
     """Walk-route exploration on a uniform field.
 
@@ -127,29 +174,18 @@ def z_walk(params: CriticalWindowParams, field: UniformField):
     its drift unit at a restart while Z also picks up the restart vertex.
     Every step of Z is >= -1, also checked.
     """
-    n, t = params.n, params.p
-    if field.n != n:
-        raise ValueError("field size does not match parameters")
-    u = field.matrix
-    z = np.zeros(n + 2, dtype=int)
-    y = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        lo = i + max(z[i - 1] - 1, 0)
-        x = int((u[i, lo + 1 : n + 1] <= t).sum())
-        y[i] = y[i - 1] + x - 1
-        z[i] = z[i - 1] + x - (1 if z[i - 1] > 0 else 0)
-    zp = LatticePath(z)
-    yp = LatticePath(y)
-    if not np.array_equal(np.maximum(z[: n + 1] - 1, 0), psi(yp).values):
+    z, x, _ = _field_walk(params, field)
+    y = LatticePath(np.concatenate([[0], np.cumsum(x[1:] - 1)]))
+    if not np.array_equal(np.maximum(z - 1, 0), psi(y).values):
         raise AssertionError("Psi Y must equal max(Z - 1, 0) pointwise")
-    if (np.diff(z[: n + 1]) < -1).any():
+    if (np.diff(z) < -1).any():
         raise AssertionError("Z steps must be >= -1")
-    ladder = excursions_above_min(yp, DEFAULT_CONVENTION)
-    z_zeros = np.flatnonzero(z[: n + 1] == 0)
+    ladder = excursions_above_min(y, DEFAULT_CONVENTION)
+    z_zeros = np.flatnonzero(z == 0)
     z_intervals = tuple(zip(z_zeros[:-1].tolist(), z_zeros[1:].tolist()))
     if ladder.intervals != z_intervals:
         raise AssertionError("ladder intervals of Y must match zero gaps of Z")
-    return zp, yp
+    return LatticePath(np.append(z, 0)), y
 
 
 def surplus_field(params: CriticalWindowParams, z: LatticePath, field: UniformField) -> np.ndarray:
@@ -157,35 +193,25 @@ def surplus_field(params: CriticalWindowParams, z: LatticePath, field: UniformFi
 
     S(i) counts k with U(i, k) <= p and i < k <= i + (Z(i-1) - 1)_+; summing
     S over a component's interval gives that component's surplus (its number
-    of independent cycles).
+    of independent cycles).  z must be this field's walk at p.
     """
-    n, t = params.n, params.p
-    u = field.matrix
-    zv = z.values
-    s = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        hi = i + max(int(zv[i - 1]) - 1, 0)
-        s[i] = int((u[i, i + 1 : hi + 1] <= t).sum())
+    zf, _, s = _field_walk(params, field)
+    if not np.array_equal(z.values[: params.n + 1], zf):
+        raise ValueError("z is not the walk of this field at p")
     return s
 
 
 def component_surpluses(z: LatticePath, s: np.ndarray) -> list[tuple[int, int]]:
     """(size, surplus) per component in exploration order."""
     sizes = walk_component_sizes(z)
-    out = []
-    pos = 0
-    for size in sizes:
-        out.append((size, int(s[pos + 1 : pos + size + 1].sum())))
-        pos += size
-    return out
+    starts = np.cumsum([0] + sizes[:-1])
+    return list(zip(sizes, np.add.reduceat(s[1:], starts).tolist()))
 
 
 def walk_route(params: CriticalWindowParams, rng) -> list[tuple[int, int]]:
     """Sample one walk-route realisation: (size, surplus) per component."""
-    field = UniformField.sample(params.n, rng)
-    z, _ = z_walk(params, field)
-    s = surplus_field(params, z, field)
-    return component_surpluses(z, s)
+    z, _, s = _sparse_walk(params.n, params.p, 1, rng)
+    return component_surpluses(LatticePath(np.append(z, 0)), s)
 
 
 def gamma_times(n: int, sizes) -> MassVector:
@@ -317,20 +343,12 @@ def replicate_rows(rep: np.ndarray, values: np.ndarray, reps: int, width: int) -
 def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
     """Walk-route Z(0..n+1) without materialising the uniform field.
 
-    Each step draws X(i) ~ Binomial(#unseen vertices beyond the frontier, p)
-    directly, which is the marginal of the field-based recursion.  O(n)
-    memory, O(n) binomial draws.
+    The sparse recursion of `_sparse_walk`: O(n) memory, one vectorised
+    binomial draw, and a hypergeometric draw for each step that has both
+    hits and skipped slots.
     """
-    t = p_lambda(n, lam)
-    z = np.zeros(n + 2, dtype=np.int64)
-    zprev = 0
-    binom = rng.binomial
-    for i in range(1, n + 1):
-        avail = n - i - max(zprev - 1, 0)
-        x = binom(avail, t) if avail > 0 else 0
-        zprev = zprev + x - (1 if zprev > 0 else 0)
-        z[i] = zprev
-    return z
+    z, _, _ = _sparse_walk(n, p_lambda(n, lam), 1, rng)
+    return np.append(z, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +369,14 @@ def _outcome_counts(rep, sizes, extra, reps: int, n: int) -> dict[tuple, int]:
 
 def sample_walk_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:
     """Empirical law of the multiset {(size, surplus)} under the walk route,
-    keyed as in _outcome_counts.
-
-    Vectorised over replicates; intended for small n (memory is reps * n^2).
-    """
-    t = p_lambda(n, lam)
-    u = rng.random((reps, n + 1, n + 1))
-    k = np.arange(n + 2)
-    z = np.zeros((reps, n + 1), dtype=np.int64)
-    s = np.zeros((reps, n + 1), dtype=np.int64)
-    for i in range(1, n + 1):
-        zprev = z[:, i - 1]
-        lo = i + np.maximum(zprev - 1, 0)
-        ui = u[:, i, :]
-        hit = ui <= t
-        beyond = (k[None, : n + 1] > lo[:, None]) & (k[None, : n + 1] > i)
-        x = (hit & beyond).sum(axis=1)
-        skipped = (k[None, : n + 1] > i) & (k[None, : n + 1] <= lo[:, None])
-        s[:, i] = (hit & skipped).sum(axis=1)
-        z[:, i] = zprev + x - (zprev > 0)
-    # step i belongs to the component opened at the last zero of Z before it
-    comp = np.arange(reps)[:, None] * n + np.cumsum(z[:, :n] == 0, axis=1) - 1
-    sizes = np.bincount(comp.ravel(), minlength=reps * n)
-    surplus = np.bincount(comp.ravel(), weights=s[:, 1:].ravel(), minlength=reps * n)
-    found = np.flatnonzero(sizes)
-    return _outcome_counts(found // n, sizes[found], surplus[found].astype(np.int64), reps, n)
+    keyed as in _outcome_counts, from one flat batch of sparse walks."""
+    z, _, s = _sparse_walk(n, p_lambda(n, lam), reps, rng)
+    # step k belongs to the component opened at the last zero of Z before it
+    opens = z[:-1] == 0
+    comp = np.cumsum(opens) - 1
+    sizes = np.bincount(comp)
+    surplus = np.bincount(comp, weights=s[1:]).astype(np.int64)
+    return _outcome_counts(np.flatnonzero(opens) // n, sizes, surplus, reps, n)
 
 
 def sample_graph_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:

@@ -107,6 +107,35 @@ def enumerate_weight_orders(g: ProperlyWeightedGraph, predicate) -> Fraction:
     return Fraction(hits, total)
 
 
+def label_order_probability(g: ProperlyWeightedGraph, target) -> Fraction:
+    """P{label-order exploration of g from target[0] visits target} over the
+    uniform relabellings of the other vertices.
+
+    The exploration visits the smallest label among the discovered vertices
+    and never reads the weights; target is a visit order in g's own labels.
+    """
+    root = target[0]
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for a, b, _ in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    others = [v for v in adj if v != root]
+    hits = total = 0
+    for perm in itertools.permutations(others):
+        relabel = {root: root, **dict(zip(others, perm))}
+        nbrs = {relabel[v]: {relabel[x] for x in nb} for v, nb in adj.items()}
+        order, seen, found = [root], {root}, set(nbrs[root])
+        while found:
+            v = min(found)
+            found.remove(v)
+            seen.add(v)
+            order.append(v)
+            found |= nbrs[v] - seen
+        hits += order == [relabel[v] for v in target]
+        total += 1
+    return Fraction(hits, total)
+
+
 def all_cayley_trees(n: int):
     """All n^{n-2} labelled trees on 1..n as edge lists (n <= 5)."""
     if n > 5:

@@ -52,6 +52,7 @@ from primcoal.oracles import (
     conditioned_walk_law,
     enumerate_weight_orders,
     ks_statistic,
+    label_order_probability,
     row_counts,
     tv_distance,
 )
@@ -132,26 +133,9 @@ def test_criterion_03_exploration_order_probabilities():
     prim_prob = enumerate_weight_orders(
         g, lambda gp: prim_order(gp, root=1).order == (1, 3, 4, 2)
     )
-    # label-order BFS depends only on the labelling; count the relabellings
-    # of the three non-root vertices that realise the image of (1,3,4,2)
-    import itertools
-
-    base_adj = {1: {2, 3, 4}, 2: {1}, 3: {1, 4}, 4: {1, 3}}
-    hits = 0
-    for perm in itertools.permutations((2, 3, 4)):
-        relabel = {1: 1, 2: perm[0], 3: perm[1], 4: perm[2]}
-        adj = {relabel[v]: {relabel[x] for x in nb} for v, nb in base_adj.items()}
-        order, seen, queue = [1], {1}, sorted(adj[1])
-        while queue:
-            v = queue.pop(0)
-            if v in seen:
-                continue
-            seen.add(v)
-            order.append(v)
-            queue = sorted(set(queue) | {x for x in adj[v] if x not in seen})
-        if order == [relabel[v] for v in (1, 3, 4, 2)]:
-            hits += 1
-    label_prob = Fraction(hits, 6)
+    # label-order exploration depends only on the labelling: its probability
+    # is over the relabellings of the three non-root vertices
+    label_prob = label_order_probability(g, (1, 3, 4, 2))
     ok = prim_prob == Fraction(1, 4) and label_prob == Fraction(1, 6)
     report(3, "prim 1/4 vs label 1/6", ok, f"prim={prim_prob}, label={label_prob}")
     assert prim_prob == Fraction(1, 4)

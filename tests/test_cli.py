@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from primcoal.cli import main
@@ -66,6 +67,16 @@ class TestSimulate:
         files = sorted(p.name for p in out.iterdir())
         assert sum(name.startswith("trace_lambda_") for name in files) == 3
 
+
+    def test_trace_above_field_limit_writes_sparse_walk(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["trace", "--n", "5000", "--lambdas=0", "--out", str(out)]) == 0
+        lines = (out / "trace_lambda_p0_000.csv").read_text().splitlines()
+        assert lines[0] == "index,z"
+        rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+        assert [k for k, _ in rows] == list(range(5002))
+        z = np.array([v for _, v in rows])
+        assert z[0] == 0 and (z >= 0).all() and (np.diff(z) >= -1).all()
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

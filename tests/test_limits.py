@@ -17,7 +17,7 @@ from primcoal.limits import (
     simulate_excursion,
     simulate_parabolic,
 )
-from primcoal.multiplicative import graph_route, p_lambda, replicate_rows
+from primcoal.multiplicative import graph_route, p_lambda, replicate_rows, sample_walk_outcomes
 from primcoal.oracles import row_counts, tv_distance
 from primcoal.walks import psi
 
@@ -152,15 +152,41 @@ class TestMarcusLushnikov:
             ml_multiplicative_sizes(4, 1.0, rng)
 
 
-def _exact_test(rows, law, reps):
+def _exact_test(counts, law, reps):
     """Every observed outcome is in the support and every frequency lies
     within 5 standard errors of its exact probability."""
-    counts = row_counts(rows)
     assert set(counts) <= set(law)
     for key, prob in law.items():
         prob = float(prob)
         freq = counts.get(key, 0) / reps
         assert abs(freq - prob) <= 5 * np.sqrt(prob * (1 - prob) / reps) + 1e-12, key
+
+
+def _gnp_laws(n, pf):
+    """Exact laws of G(n, p) from all its edge subsets: the sorted component
+    sizes, and the (size, excess) pairs keyed as sample_walk_outcomes keys
+    them (by decreasing size, then excess, flat and padded to 2n)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    size_law, pair_law = {}, {}
+    for mask in range(1 << len(pairs)):
+        kept = [e for e in range(len(pairs)) if mask >> e & 1]
+        label = list(range(n))
+        for e in kept:
+            a, b = pairs[e]
+            old, new = label[b], label[a]
+            label = [new if x == old else x for x in label]
+        comps = []
+        for c in set(label):
+            size = label.count(c)
+            edges = sum(label[pairs[e][0]] == c for e in kept)
+            comps.append((size, edges - size + 1))
+        comps.sort(key=lambda sc: (-sc[0], sc[1]))
+        prob = pf ** len(kept) * (1 - pf) ** (len(pairs) - len(kept))
+        size_key = tuple([size for size, _ in comps] + [0] * (n - len(comps)))
+        pair_key = tuple(itertools.chain(*comps)) + (0,) * (2 * (n - len(comps)))
+        size_law[size_key] = size_law.get(size_key, 0) + prob
+        pair_law[pair_key] = pair_law.get(pair_key, 0) + prob
+    return size_law, pair_law
 
 
 class TestExactSmallLaws:
@@ -170,29 +196,24 @@ class TestExactSmallLaws:
         # the law of the component sizes of G(4, p), from all 64 edge subsets
         n, lam, reps = 4, 0.5, 20000
         p = p_lambda(n, lam)
-        pf = Fraction(p)
-        pairs = list(itertools.combinations(range(n), 2))
-        law = {}
-        for mask in range(1 << len(pairs)):
-            label = list(range(n))
-            kept = 0
-            for e, (a, b) in enumerate(pairs):
-                if mask >> e & 1:
-                    kept += 1
-                    old, new = label[b], label[a]
-                    label = [new if x == old else x for x in label]
-            sizes = sorted((label.count(x) for x in set(label)), reverse=True)
-            key = tuple(sizes + [0] * (n - len(sizes)))
-            law[key] = law.get(key, 0) + pf**kept * (1 - pf) ** (len(pairs) - kept)
+        law, _ = _gnp_laws(n, Fraction(p))
         assert sum(law.values()) == 1
-        _exact_test(ml_multiplicative_sizes(n, p, rng, reps=reps).astype(np.int64), law, reps)
+        ml = ml_multiplicative_sizes(n, p, rng, reps=reps).astype(np.int64)
+        _exact_test(row_counts(ml), law, reps)
         rep, sizes, _ = graph_route(n, [lam], rng, reps=reps)[0]
-        _exact_test(replicate_rows(rep, sizes, reps, n), law, reps)
+        _exact_test(row_counts(replicate_rows(rep, sizes, reps, n)), law, reps)
+
+    def test_walk_route_n4_matches_enumerated_size_excess(self, rng):
+        # the walk's per-component surplus has the law of the graph's excess
+        n, lam, reps = 4, 0.5, 20000
+        _, law = _gnp_laws(n, Fraction(p_lambda(n, lam)))
+        assert sum(law.values()) == 1
+        _exact_test(sample_walk_outcomes(n, lam, reps, rng), law, reps)
 
     def test_additive_n3_matches_closed_form(self, rng):
         n, s, reps = 3, 0.5, 20000
         e1, e2 = np.exp(-s), np.exp(-2 * s)
         law = {(1, 1, 1): e2, (2, 1, 0): 2 * e1 - 2 * e2, (3, 0, 0): 1 - 2 * e1 + e2}
         ml = np.rint(ml_additive_sizes(n, s, rng, reps=reps) * n).astype(np.int64)
-        _exact_test(ml, law, reps)
-        _exact_test(pitman_forest(n, rng, reps=reps).tree_sizes_at(s), law, reps)
+        _exact_test(row_counts(ml), law, reps)
+        _exact_test(row_counts(pitman_forest(n, rng, reps=reps).tree_sizes_at(s)), law, reps)

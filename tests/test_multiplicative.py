@@ -8,6 +8,7 @@ from primcoal.multiplicative import (
     CriticalWindowParams,
     UniformField,
     _decode_edge_indices,
+    _sparse_walk,
     augmented_state,
     component_surpluses,
     gamma_times,
@@ -73,6 +74,50 @@ class TestZWalk:
     def test_field_size_mismatch(self, rng):
         with pytest.raises(ValueError):
             z_walk(CriticalWindowParams(5, 0.0), UniformField.sample(6, rng))
+
+
+def _literal_field_walk(n, p, u):
+    """Reference walk: Z, Y and S read straight off the field, step by step."""
+    z = np.zeros(n + 2, dtype=np.int64)
+    y = np.zeros(n + 1, dtype=np.int64)
+    s = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        lo = i + max(z[i - 1] - 1, 0)
+        x = int((u[i, lo + 1 : n + 1] <= p).sum())
+        s[i] = int((u[i, i + 1 : lo + 1] <= p).sum())
+        y[i] = y[i - 1] + x - 1
+        z[i] = z[i - 1] + x - (1 if z[i - 1] > 0 else 0)
+    return z, y, s
+
+
+class TestFieldRecursion:
+    def _check(self, params, field):
+        z, y = z_walk(params, field)
+        want_z, want_y, want_s = _literal_field_walk(params.n, params.p, field.matrix)
+        assert np.array_equal(z.values, want_z)
+        assert np.array_equal(y.values, want_y)
+        assert np.array_equal(surplus_field(params, z, field), want_s)
+
+    def test_matches_literal_loop_on_raw_fields(self, rng):
+        for n in [int(k) for k in rng.integers(3, 150, size=150)] + [1024]:
+            c = float(rng.uniform(-0.9, 2.0))
+            self._check(CriticalWindowParams(n, c * n ** (1.0 / 3.0)), UniformField.sample(n, rng))
+
+    def test_matches_literal_loop_on_reordered_fields(self, rng):
+        for _ in range(150):
+            n = int(rng.integers(3, 150))
+            g = random_complete_graph(n, rng)
+            field = reorder_field_from_graph(g, prim_order(g))
+            c = float(rng.uniform(-0.9, 2.0))
+            self._check(CriticalWindowParams(n, c * n ** (1.0 / 3.0)), field)
+
+    def test_surplus_refuses_another_fields_walk(self, rng):
+        n = 200
+        params = CriticalWindowParams(n, 1.0)
+        a, b = UniformField.sample(n, rng), UniformField.sample(n, rng)
+        z, _ = z_walk(params, a)
+        with pytest.raises(ValueError):
+            surplus_field(params, z, b)
 
 
 class TestUniformField:
@@ -254,6 +299,23 @@ class TestScalingHelpers:
             [5 / 4, 2 / 4, 1 / 4]
         )
         assert st_.surpluses.tolist() == [0, 1, 0]
+
+
+class TestSparseWalk:
+    def test_flat_batch_closes_every_block(self, rng):
+        n, reps = 37, 400
+        z, x, s = _sparse_walk(n, p_lambda(n, 1.0), reps, rng)
+        assert len(z) == len(x) == len(s) == n * reps + 1
+        assert (z[::n] == 0).all()
+        assert (z >= 0).all() and (np.diff(z) >= -1).all()
+        assert (x >= 0).all() and (s >= 0).all()
+
+    def test_outcomes_partition_each_replicate(self, rng):
+        n, reps = 9, 3000
+        counts = sample_walk_outcomes(n, 1.0, reps, rng)
+        assert sum(counts.values()) == reps
+        for key in counts:
+            assert sum(key[::2]) == n
 
 
 class TestSparseTrace:
