@@ -95,6 +95,7 @@ def _write_manifest(outdir: str, config: dict, extra: dict | None = None) -> Non
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
+    """Write a CSV of header and rows, a sized sequence (a list, not a bare zip)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -153,7 +154,8 @@ def _field_states(n, lambdas, rng):
     for lam in lambdas:
         params = CriticalWindowParams(n, lam)
         z, _ = z_walk(params, field)
-        yield lam, augmented_state(n, component_surpluses(z, surplus_field(params, z, field)))
+        sizes, surpluses = zip(*component_surpluses(z, surplus_field(params, z, field)))
+        yield lam, augmented_state(n, sizes, surpluses)
 
 
 def _multiplicative_rep(args):
@@ -161,7 +163,7 @@ def _multiplicative_rep(args):
     rng = np.random.default_rng(seed)
     if route == "graph":
         states = (
-            (lam, augmented_state(n, list(zip(sizes.tolist(), excess.tolist()))))
+            (lam, augmented_state(n, sizes, excess))
             for lam, (sizes, excess) in zip(lambdas, graph_route(n, lambdas, rng))
         )
     else:
@@ -386,14 +388,12 @@ def cmd_trace(cfg, outdir):
             _, y = z_walk(CriticalWindowParams(n, lam), field)
             scaled = y.values / n ** (1.0 / 3.0)
             refl = psi(LatticePath(scaled)).values
-            rows = [
-                [k / n ** (2.0 / 3.0), a, b]
-                for k, (a, b) in enumerate(zip(scaled.tolist(), refl.tolist()))
-            ]
+            x = np.arange(len(scaled)) / n ** (2.0 / 3.0)
+            rows = list(zip(x.tolist(), scaled.tolist(), refl.tolist()))
             _write_rows(path, ["x", "y_scaled", "psi_y_scaled"], rows)
         else:
-            rows = [[k, v] for k, v in enumerate(sparse_z_trace(n, lam, rng).tolist())]
-            _write_rows(path, ["index", "z"], rows)
+            z = sparse_z_trace(n, lam, rng)
+            _write_rows(path, ["index", "z"], list(zip(range(len(z)), z.tolist())))
     return [], True
 
 
@@ -463,6 +463,9 @@ def main(argv=None) -> int:
             if key not in cfg:
                 parser.error(f"--{key} not applicable to {args.command}")
             cfg[key] = val
+    for key in ("n", "replicates"):
+        if key in cfg and cfg[key] < 1:
+            parser.error(f"--{key} must be at least 1, got {cfg[key]}")
     walk_route = args.command == "augmented" or (
         args.command == "simulate-multiplicative" and cfg["route"] == "walk"
     )

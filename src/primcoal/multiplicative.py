@@ -3,10 +3,12 @@
 Percolation on the complete graph at p = 1/n + lambda/n^{4/3} is simulated
 two ways.  The graph route samples edges directly and reads off component
 sizes and excess; the walk route runs one exploration recursion that counts
-new vertices and surplus together, fed either by a triangular field of
-uniforms or, in O(n) memory, by binomial and hypergeometric draws of the
-same counts.  The field reordering extracted from a concrete weighted graph
-makes the two routes agree realisation by realisation, not just in law.
+new vertices and surplus together.  The recursion is a fixed point over the
+positions of the hits in each row of a triangular array, solved with whole-
+array reflections; the hits come either from a field of uniforms or, in
+O(n) memory, from binomial row counts and uniform slot subsets.  The field
+reordering extracted from a concrete weighted graph makes the two routes
+agree realisation by realisation, not just in law.
 """
 
 from __future__ import annotations
@@ -116,50 +118,99 @@ def reorder_field_from_graph(
     return UniformField(n, out)
 
 
-def _explore(n: int, totals: np.ndarray, split):
+def _frontier(n: int, x: np.ndarray) -> np.ndarray:
+    """m(i) = (Z(i-1) - 1)_+ of walks on n vertices with new-vertex counts x.
+
+    x[0] = 0 leads, then one block of n steps per walk.  Z is the Lindley
+    walk Z(i) = X(i) + (Z(i-1) - 1)_+, so (Z - 1)_+ is the reflection Psi Y
+    of Y = cumsum(X - 1) above its running minimum (Y(0) = 0 included),
+    restarted in each block.  m is that reflection shifted one step, and
+    Z = X + m.
+    """
+    c = np.cumsum(x[1:].reshape(-1, n) - 1, axis=1)
+    m = np.zeros_like(c)
+    m[:, 1:] = (c - np.minimum(np.minimum.accumulate(c, axis=1), 0))[:, :-1]
+    return np.append(0, m)
+
+
+def _explore(n: int, totals: np.ndarray, step: np.ndarray, pos: np.ndarray):
     """The exploration recursion: (Z, X, S) over steps 1..len(totals).
 
-    Step i of a walk on n vertices reads row i of a triangular array:
-    T(i) hits among its n - i later slots, the first m = (Z(i-1) - 1)_+ of
-    which are held by the frontier.  split(i, m, t) gives S(i), the hits
-    among those m (called only when t > 0 and m > 0); X(i) = T(i) - S(i)
-    vertices are new.  Steps run in blocks of n, and Z is 0 at the end of
-    every block, so a batch of walks is one flat walk: flat step k + 1 is
-    step i = k mod n + 1 of its block and reads totals[k].  Returns Z, X and
-    S with a leading 0 at step 0.
+    Step i reads row i of a triangular array: totals[i - 1] = T(i) hits, and
+    the hit j with step[j] = i sits at slot pos[j] of the row.  The first
+    m(i) = (Z(i-1) - 1)_+ slots are held by the frontier, so S(i) counts the
+    hits at slots below m(i), and X(i) = T(i) - S(i) vertices are new.  A
+    batch of walks on n vertices is one flat walk: Z is 0 at the end of each
+    block of n steps, and each block is reflected on its own.
+
+    S(i) depends only on the steps before i, so S is the fixed point of
+    S -> #{j : step_j = i, pos_j < m(i)} with m from X = T - S: from S = 0,
+    each round settles at least one more step, and the first unchanged
+    round is exact.  Returns Z, X and S with a leading 0 at step 0.
     """
-    zs, ss = [0], [0]
-    z = 0
-    for k, t in enumerate(totals.tolist()):
-        m = z - 1 if z > 1 else 0
-        s = int(split(k % n + 1, m, t)) if t and m else 0
-        z += t - s - (z > 0)
-        zs.append(z)
-        ss.append(s)
-    s = np.array(ss, dtype=np.int64)
-    return np.array(zs, dtype=np.int64), np.append(0, totals) - s, s
+    t = np.append(0, totals)
+    s = np.zeros_like(t)
+    while True:
+        x = t - s
+        m = _frontier(n, x)
+        s_next = np.bincount(step[pos < m[step]], minlength=len(t))
+        if np.array_equal(s_next, s):
+            return x + m, x, s
+        s = s_next
 
 
 def _field_walk(params: CriticalWindowParams, field: UniformField):
-    """The recursion on a uniform field: slot k of row i is U(i, k) <= p."""
+    """The recursion on a uniform field: slot k of row i is U(i, k) <= p.
+
+    S = 0 gives the largest frontier (Z is monotone in X), so only the band
+    of each row under it can hold frontier hits; that band is read with one
+    gather.
+    """
     n, p = params.n, params.p
     if field.n != n:
         raise ValueError("field size does not match parameters")
     u = field.matrix
     totals = np.array([np.count_nonzero(u[i, i + 1 :] <= p) for i in range(1, n + 1)])
-    return _explore(n, totals, lambda i, m, t: np.count_nonzero(u[i, i + 1 : i + m + 1] <= p))
+    width = np.minimum(_frontier(n, np.append(0, totals))[1:], np.arange(n - 1, -1, -1))
+    step = np.repeat(np.arange(1, n + 1), width)
+    pos = np.arange(len(step)) - np.repeat(np.cumsum(width) - width, width)
+    hit = u[step, step + 1 + pos] <= p
+    return _explore(n, totals, step[hit], pos[hit])
+
+
+def _uniform_slots(totals: np.ndarray, widths: np.ndarray, rng):
+    """Row k gets a uniform totals[k]-subset of its widths[k] slots.
+
+    One uniform slot per hit, then repeats dropped by sort-and-diff (numpy
+    2.4's hashing np.unique is slower) and the shortfall redrawn until every
+    row has totals[k] distinct slots.  Returns (row, slot) of every hit,
+    sorted by row, then slot.
+    """
+    rows = np.arange(len(totals))
+    base = int(widths.max(initial=1))
+    key = np.empty(0, dtype=np.int64)
+    short = totals
+    while short.any():
+        row = np.repeat(rows, short)
+        key = np.sort(np.concatenate([key, row * base + rng.integers(0, widths[row])]))
+        key = key[np.diff(key, prepend=-1) != 0]
+        short = totals - np.bincount(key // base, minlength=len(totals))
+    return np.divmod(key, base)
 
 
 def _sparse_walk(n: int, p: float, reps: int, rng):
     """`reps` field walks as one flat walk, without the field.
 
-    Every T(i) ~ Bin(n - i, p) is drawn in one call, and S(i) is
-    hypergeometric: row i is untouched by the steps before it, so given T(i)
-    its hits fill a uniform T(i)-subset of its n - i slots.  Exact in law,
+    Every T(i) ~ Bin(n - i, p) is drawn in one call, then the positions of
+    the hits: row i is untouched by the steps before it, so given T(i) its
+    hits fill a uniform T(i)-subset of its n - i slots, and S(i) is
+    Hypergeometric(m, n - i - m, T(i)) as on the field.  Exact in law,
     O(n reps) memory.
     """
-    totals = rng.binomial(np.tile(np.arange(n - 1, -1, -1), reps), p)
-    return _explore(n, totals, lambda i, m, t: rng.hypergeometric(m, n - i - m, t))
+    widths = np.tile(np.arange(n - 1, -1, -1), reps)
+    totals = rng.binomial(widths, p)
+    row, slot = _uniform_slots(totals, widths, rng)
+    return _explore(n, totals, row + 1, slot)
 
 
 def z_walk(params: CriticalWindowParams, field: UniformField):
@@ -209,7 +260,8 @@ def component_surpluses(z: LatticePath, s: np.ndarray) -> list[tuple[int, int]]:
 
 
 def walk_route(params: CriticalWindowParams, rng) -> list[tuple[int, int]]:
-    """Sample one walk-route realisation: (size, surplus) per component."""
+    """Sample one walk-route realisation: (size, surplus) per component,
+    from the sparse hit positions of `_sparse_walk` (any n, O(n) memory)."""
     z, _, s = _sparse_walk(params.n, params.p, 1, rng)
     return component_surpluses(LatticePath(np.append(z, 0)), s)
 
@@ -226,12 +278,12 @@ def y_times(params: CriticalWindowParams, field: UniformField) -> LatticePath:
     return LatticePath(y.values / n ** (1.0 / 3.0), x_step=n ** (-2.0 / 3.0))
 
 
-def augmented_state(n: int, pairs: list[tuple[int, int]]) -> AugmentedState:
-    """Rescaled (mass, surplus) state from (size, surplus) pairs."""
-    pairs = sorted(pairs, key=lambda p: (-p[0], p[1]))
-    sizes = np.array([p[0] for p in pairs], dtype=float)
-    surps = [p[1] for p in pairs]
-    return AugmentedState(MassVector(sizes / n ** (2.0 / 3.0), norm="l2"), surps)
+def augmented_state(n: int, sizes, surpluses) -> AugmentedState:
+    """Rescaled (mass, surplus) state from aligned component sizes and
+    surpluses, ordered by decreasing size, then increasing surplus."""
+    sizes, surpluses = np.asarray(sizes), np.asarray(surpluses)
+    order = np.lexsort((surpluses, -sizes))
+    return AugmentedState(MassVector(sizes[order] / n ** (2.0 / 3.0), norm="l2"), surpluses[order])
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +309,6 @@ def _decode_edge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """np.unique of non-negative keys by sort-and-diff (numpy 2.4 hashes, slower)."""
-    s = np.sort(keys)
-    return s[np.diff(s, prepend=-1) != 0]
-
-
 def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
     """Edges of `reps` copies of G(n, p_max) with i.i.d. uniform(0, p_max] marks.
 
@@ -274,19 +320,9 @@ def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
     if not (0.0 < p_max <= 1.0):
         raise ValueError("p_max must lie in (0, 1]")
     ne = n * (n - 1) // 2
-    base = np.arange(reps, dtype=np.int64) * ne
-    m = rng.binomial(ne, p_max, size=reps)
-    # distinct keys rep * ne + edge index; redraw each copy's collisions
-    # until it has m distinct edges
-    key = _sorted_distinct(np.repeat(base, m) + rng.integers(0, ne, size=m.sum()))
-    short = m - np.bincount(key // ne, minlength=reps)
-    while short.any():
-        extra = np.repeat(base, short) + rng.integers(0, ne, size=short.sum())
-        key = _sorted_distinct(np.concatenate([key, extra]))
-        short = m - np.bincount(key // ne, minlength=reps)
-    rep, idx = np.divmod(key, ne)
+    rep, idx = _uniform_slots(rng.binomial(ne, p_max, size=reps), np.full(reps, ne), rng)
     u, v = _decode_edge_indices(idx)
-    w = rng.random(len(key)) * p_max
+    w = rng.random(len(idx)) * p_max
     order = np.lexsort((w, rep))
     offset = rep[order] * n
     return u[order] + offset, v[order] + offset, w[order]
@@ -344,8 +380,8 @@ def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
     """Walk-route Z(0..n+1) without materialising the uniform field.
 
     The sparse recursion of `_sparse_walk`: O(n) memory, one vectorised
-    binomial draw, and a hypergeometric draw for each step that has both
-    hits and skipped slots.
+    binomial draw of the row counts, one uniform slot per hit (plus redraws
+    of repeated slots), and a few whole-array rounds of the fixed point.
     """
     z, _, _ = _sparse_walk(n, p_lambda(n, lam), 1, rng)
     return np.append(z, 0)

@@ -87,6 +87,19 @@ class TestDeterminism:
         for name in ("gamma_times.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_sparse_trace_rerun_byte_identical(self, tmp_path):
+        # above the field limit, so the walk comes from the sparse hit draws
+        args = ["trace", "--n", "5000", "--lambdas=0,1", "--seed", "7"]
+        runs = []
+        for k, workers in enumerate(["1", "1", "2", "2"]):
+            out = tmp_path / f"run{k}"
+            assert run(args + ["--workers", workers, "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(runs[0]) == [
+            "manifest.json", "trace_lambda_p0_000.csv", "trace_lambda_p1_000.csv"
+        ]
+        assert all(r == runs[0] for r in runs[1:])
+
 
 class TestConfigHandling:
     def test_config_file_overrides_defaults(self, tmp_path):
@@ -120,6 +133,32 @@ class TestWalkRouteSize:
             run(argv + ["--n", "5000", "--out", str(out)])
         assert "4096" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSizeFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["trace", "--n", "0"], "--n"),
+            (["simulate-multiplicative", "--n", "0"], "--n"),
+            (["limit-compare", "--replicates", "0"], "--replicates"),
+            (["simulate-additive", "--replicates", "-3"], "--replicates"),
+        ],
+        ids=["trace-n", "simulate-multiplicative-n", "limit-compare-replicates", "negative"],
+    )
+    def test_below_one_refused_early(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_accepted(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["simulate-multiplicative", "--n", "1", "--replicates", "1", "--out", str(out)]) == 0
+        lines = (out / "gamma_times.csv").read_text().splitlines()
+        assert len(lines) == 2
 
 
 class TestOutDirectory:

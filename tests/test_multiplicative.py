@@ -8,7 +8,9 @@ from primcoal.multiplicative import (
     CriticalWindowParams,
     UniformField,
     _decode_edge_indices,
+    _explore,
     _sparse_walk,
+    _uniform_slots,
     augmented_state,
     component_surpluses,
     gamma_times,
@@ -102,6 +104,12 @@ class TestFieldRecursion:
         for n in [int(k) for k in rng.integers(3, 150, size=150)] + [1024]:
             c = float(rng.uniform(-0.9, 2.0))
             self._check(CriticalWindowParams(n, c * n ** (1.0 / 3.0)), UniformField.sample(n, rng))
+
+    def test_matches_literal_loop_on_supercritical_fields(self, rng):
+        # far above the window, where the frontier covers most of each row
+        for n in [int(k) for k in rng.integers(20, 300, size=40)]:
+            lam = min(float(rng.uniform(5.0, 40.0)), (1 - 1 / n) * n ** (4.0 / 3.0))
+            self._check(CriticalWindowParams(n, lam), UniformField.sample(n, rng))
 
     def test_matches_literal_loop_on_reordered_fields(self, rng):
         for _ in range(150):
@@ -294,11 +302,81 @@ class TestScalingHelpers:
         assert len(yt) == n + 1
 
     def test_augmented_state_sorting(self):
-        st_ = augmented_state(8, [(2, 1), (5, 0), (1, 0)])
+        st_ = augmented_state(8, np.array([2, 5, 1]), np.array([1, 0, 0]))
         assert st_.masses.values.tolist() == pytest.approx(
             [5 / 4, 2 / 4, 1 / 4]
         )
         assert st_.surpluses.tolist() == [0, 1, 0]
+
+    def test_augmented_state_ties_by_ascending_surplus(self):
+        st_ = augmented_state(8, [3, 1, 3, 3, 1], [2, 1, 0, 1, 0])
+        assert st_.masses.values.tolist() == pytest.approx([3 / 4] * 3 + [1 / 4] * 2)
+        assert st_.surpluses.tolist() == [0, 1, 2, 0, 1]
+
+
+def _literal_explore(totals, step, pos):
+    """Reference recursion: one step at a time over the given hit positions."""
+    slots = [[] for _ in range(len(totals) + 1)]
+    for i, q in zip(step.tolist(), pos.tolist()):
+        slots[i].append(q)
+    z = np.zeros(len(totals) + 1, dtype=np.int64)
+    s = np.zeros(len(totals) + 1, dtype=np.int64)
+    for i in range(1, len(totals) + 1):
+        m = max(z[i - 1] - 1, 0)
+        s[i] = sum(q < m for q in slots[i])
+        z[i] = z[i - 1] + totals[i - 1] - s[i] - (z[i - 1] > 0)
+    return z, s
+
+
+def _given_slots(n, reps, p, rng):
+    """Totals and distinct hit positions of `reps` flat rows, drawn row by row."""
+    widths = np.tile(np.arange(n - 1, -1, -1), reps)
+    totals = rng.binomial(widths, p)
+    step = np.repeat(np.arange(1, len(widths) + 1), totals)
+    pos = np.concatenate(
+        [rng.choice(w, size=t, replace=False) for w, t in zip(widths, totals)]
+    )
+    return totals, step, pos.astype(np.int64)
+
+
+class TestExploreFixedPoint:
+    @pytest.mark.parametrize(
+        "n_range, c_range",
+        [((2, 120), (-1.0, 2.0)), ((200, 400), (20.0, 40.0))],
+        ids=["window", "supercritical"],
+    )
+    def test_matches_literal_loop(self, rng, n_range, c_range):
+        for _ in range(25):
+            n, reps = int(rng.integers(*n_range)), int(rng.integers(1, 4))
+            lam = min(float(rng.uniform(*c_range)), (1 - 1 / n) * n ** (4.0 / 3.0))
+            totals, step, pos = _given_slots(n, reps, p_lambda(n, lam), rng)
+            z, x, s = _explore(n, totals, step, pos)
+            want_z, want_s = _literal_explore(totals, step, pos)
+            assert np.array_equal(z, want_z)
+            assert np.array_equal(s, want_s)
+            assert np.array_equal(x, np.append(0, totals) - want_s)
+            assert (z[::n] == 0).all()
+
+    def test_uniform_slots_are_distinct_and_counted(self, rng):
+        # dense rows (p near 1) force many collisions and redraws
+        for n, p in [(50, 0.9), (300, 0.02), (40, 1.0)]:
+            widths = np.tile(np.arange(n - 1, -1, -1), 3)
+            totals = rng.binomial(widths, p)
+            row, slot = _uniform_slots(totals, widths, rng)
+            assert np.array_equal(np.bincount(row, minlength=len(totals)), totals)
+            assert ((0 <= slot) & (slot < widths[row])).all()
+            assert len(set(zip(row.tolist(), slot.tolist()))) == len(row)
+
+    def test_uniform_slots_pick_uniform_subsets(self, rng):
+        # 2 of 4 slots: each of the 6 pairs has probability 1/6
+        reps = 30000
+        row, slot = _uniform_slots(np.full(reps, 2), np.full(reps, 4), rng)
+        order = np.lexsort((slot, row))
+        pair = slot[order].reshape(reps, 2)
+        counts = np.bincount(4 * pair[:, 0] + pair[:, 1], minlength=16)
+        expect, sd = reps / 6, np.sqrt(reps * (1 / 6) * (5 / 6))
+        assert counts[[1, 2, 3, 6, 7, 11]] == pytest.approx(np.full(6, expect), abs=5 * sd)
+        assert counts.sum() == reps
 
 
 class TestSparseWalk:
