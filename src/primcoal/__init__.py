@@ -20,8 +20,6 @@ from .graphs import (
     prim_order,
     prim_order_rescan,
     random_complete_graph,
-    read_edge_list,
-    write_edge_list,
 )
 from .states import AugmentedState, MassVector, d_U
 from .walks import (
@@ -60,6 +58,7 @@ from .additive import (
 )
 from .multiplicative import (
     CriticalWindowParams,
+    SparseField,
     UniformField,
     augmented_state,
     component_surpluses,

@@ -37,16 +37,14 @@ from .limits import (
     limit_gamma,
 )
 from .multiplicative import (
-    FIELD_N_MAX,
     CriticalWindowParams,
-    UniformField,
+    SparseField,
     augmented_state,
     component_surpluses,
     graph_route,
     p_lambda,
     reorder_field_from_graph,
     replicate_rows,
-    sparse_z_trace,
     surplus_field,
     z_walk,
 )
@@ -58,7 +56,7 @@ from .oracles import (
     tv_two_sample,
 )
 from .states import d_U
-from .walks import LatticePath, explore, psi, walk_component_sizes
+from .walks import LatticePath, explore, walk_component_sizes
 
 
 def _replicate_seeds(master: int, count: int) -> list[np.random.SeedSequence]:
@@ -148,13 +146,18 @@ def _state_header(top) -> list[str]:
     return ["lambda"] + [f"gamma_{i+1}" for i in range(top)] + [f"s_{i+1}" for i in range(top)]
 
 
+def _coupled_field(n, lambdas, rng):
+    """One sparse field at the largest p_lambda, and p_lambda at each lambda."""
+    ps = [p_lambda(n, lam) for lam in lambdas]
+    return SparseField.sample(n, max(ps), rng), ps
+
+
 def _field_states(n, lambdas, rng):
-    """(lambda, walk-route augmented state) along lambdas, read off one uniform field."""
-    field = UniformField.sample(n, rng)
-    for lam in lambdas:
-        params = CriticalWindowParams(n, lam)
-        z, _ = z_walk(params, field)
-        sizes, surpluses = zip(*component_surpluses(z, surplus_field(params, z, field)))
+    """(lambda, walk-route augmented state) along lambdas, read off one coupled field."""
+    field, ps = _coupled_field(n, lambdas, rng)
+    for lam, p in zip(lambdas, ps):
+        z, _, s = field.walk(p)
+        sizes, surpluses = zip(*component_surpluses(LatticePath(np.append(z, 0)), s))
         yield lam, augmented_state(n, sizes, surpluses)
 
 
@@ -378,22 +381,14 @@ def cmd_ml_oracle(cfg, outdir):
 
 
 def cmd_trace(cfg, outdir):
-    rng = np.random.default_rng(cfg["seed"])
-    n = cfg["n"]
-    field = UniformField.sample(n, rng) if n <= FIELD_N_MAX else None
-    for lam in cfg["lambdas"]:
+    """Z(0..n+1) at each lambda, walked on one coupled sparse field."""
+    field, ps = _coupled_field(cfg["n"], cfg["lambdas"], np.random.default_rng(cfg["seed"]))
+    for lam, p in zip(cfg["lambdas"], ps):
         tag = f"{lam:+.3f}".replace("+", "p").replace("-", "m").replace(".", "_")
-        path = os.path.join(outdir, f"trace_lambda_{tag}.csv")
-        if field is not None:
-            _, y = z_walk(CriticalWindowParams(n, lam), field)
-            scaled = y.values / n ** (1.0 / 3.0)
-            refl = psi(LatticePath(scaled)).values
-            x = np.arange(len(scaled)) / n ** (2.0 / 3.0)
-            rows = list(zip(x.tolist(), scaled.tolist(), refl.tolist()))
-            _write_rows(path, ["x", "y_scaled", "psi_y_scaled"], rows)
-        else:
-            z = sparse_z_trace(n, lam, rng)
-            _write_rows(path, ["index", "z"], list(zip(range(len(z)), z.tolist())))
+        z = np.append(field.walk(p)[0], 0).tolist()
+        _write_rows(
+            os.path.join(outdir, f"trace_lambda_{tag}.csv"), ["index", "z"], list(enumerate(z))
+        )
     return [], True
 
 
@@ -416,6 +411,9 @@ _DEFAULTS = {
     "ml-oracle": {"n": 6, "lam": 0.0, "s_obs": 0.5, "tv": 0.02},
     "trace": {"n": 1000, "lambdas": [-1.0, 0.0, 1.0]},
 }
+
+# the commands whose lambdas set a critical-window edge probability p_lambda
+_WINDOW_COMMANDS = ("simulate-multiplicative", "augmented", "trace", "limit-compare", "ml-oracle")
 
 _HANDLERS = {
     "simulate-additive": cmd_simulate_additive,
@@ -466,14 +464,16 @@ def main(argv=None) -> int:
     for key in ("n", "replicates"):
         if key in cfg and cfg[key] < 1:
             parser.error(f"--{key} must be at least 1, got {cfg[key]}")
-    walk_route = args.command == "augmented" or (
-        args.command == "simulate-multiplicative" and cfg["route"] == "walk"
-    )
-    if walk_route and cfg["n"] > FIELD_N_MAX:
-        parser.error(
-            f"--n {cfg['n']} too large for the walk route: its dense uniform field "
-            f"is limited to n <= {FIELD_N_MAX}"
-        )
+    if args.command in _WINDOW_COMMANDS and cfg.get("kind", "multiplicative") == "multiplicative":
+        key = "lambdas" if "lambdas" in cfg else "lam"
+        lambdas = cfg[key] if key == "lambdas" else [cfg[key]]
+        if not lambdas:
+            parser.error("--lambdas must list at least one lambda")
+        for lam in lambdas:
+            try:
+                p_lambda(cfg["n"], lam)
+            except ValueError as exc:
+                parser.error(f"--{key}: {exc}")
     # the manifest lists every file in --out, so a used directory would
     # report files this run did not write
     if os.path.isdir(args.out) and os.listdir(args.out):

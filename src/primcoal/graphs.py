@@ -444,22 +444,3 @@ def random_complete_graph(n, rng) -> ProperlyWeightedGraph:
             return ProperlyWeightedGraph.from_arrays(n, u + 1, v + 1, w)
         except GraphError:
             continue
-
-
-def write_edge_list(g: ProperlyWeightedGraph, path) -> None:
-    """Serialise as 'n m' header plus one 'u v w' line per edge."""
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v, w in g.edges:
-            fh.write(f"{u} {v} {w!r}\n")
-
-
-def read_edge_list(path) -> ProperlyWeightedGraph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for _ in range(m):
-            parts = fh.readline().split()
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return ProperlyWeightedGraph(n, edges)

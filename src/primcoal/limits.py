@@ -10,7 +10,6 @@ coalescent with pluggable collision kernel.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,17 +122,6 @@ def limit_surplus(path: GridPath, rng, margin: float = 0.5) -> list[tuple[float,
         out.append(((b - a) * path.dx, int(inside.sum())))
     out.sort(key=lambda p: (-p[0], p[1]))
     return out
-
-
-def export_grid_path(path: GridPath, out) -> None:
-    """CSV with columns x, value, psi_value."""
-    reflected = psi(path).values
-    xs = path.grid()
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value", "psi_value"])
-        for x, v, pv in zip(xs, path.values, reflected):
-            writer.writerow([f"{x:.6f}", repr(float(v)), repr(float(pv))])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ two ways.  The graph route samples edges directly and reads off component
 sizes and excess; the walk route runs one exploration recursion that counts
 new vertices and surplus together.  The recursion is a fixed point over the
 positions of the hits in each row of a triangular array, solved with whole-
-array reflections; the hits come either from a field of uniforms or, in
-O(n) memory, from binomial row counts and uniform slot subsets.  The field
-reordering extracted from a concrete weighted graph makes the two routes
-agree realisation by realisation, not just in law.
+array reflections.  A field is held as its hits below some p_max, each with
+a uniform mark, so one O(n) draw of binomial row counts and uniform slot
+subsets couples the walks at every p <= p_max, as the dense field of
+uniforms does.  The field reordering extracted from a concrete weighted
+graph makes the two routes agree realisation by realisation, not just in
+law.
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ class UniformField:
         if not (1 <= i < k <= self.n):
             raise IndexError("field defined for 1 <= i < k <= n")
         return float(self.matrix[i, k])
+
+    def hits(self, p_max: float) -> "SparseField":
+        """The entries U(i, k) <= p_max, as the sparse field they make."""
+        i, k = np.divmod(np.flatnonzero(self.matrix <= p_max), self.n + 1)
+        upper = (0 < i) & (i < k)
+        i, k = i[upper], k[upper]
+        return SparseField(self.n, 1, p_max, i, k - i - 1, self.matrix[i, k])
 
 
 def reorder_field_from_graph(
@@ -159,25 +168,6 @@ def _explore(n: int, totals: np.ndarray, step: np.ndarray, pos: np.ndarray):
         s = s_next
 
 
-def _field_walk(params: CriticalWindowParams, field: UniformField):
-    """The recursion on a uniform field: slot k of row i is U(i, k) <= p.
-
-    S = 0 gives the largest frontier (Z is monotone in X), so only the band
-    of each row under it can hold frontier hits; that band is read with one
-    gather.
-    """
-    n, p = params.n, params.p
-    if field.n != n:
-        raise ValueError("field size does not match parameters")
-    u = field.matrix
-    totals = np.array([np.count_nonzero(u[i, i + 1 :] <= p) for i in range(1, n + 1)])
-    width = np.minimum(_frontier(n, np.append(0, totals))[1:], np.arange(n - 1, -1, -1))
-    step = np.repeat(np.arange(1, n + 1), width)
-    pos = np.arange(len(step)) - np.repeat(np.cumsum(width) - width, width)
-    hit = u[step, step + 1 + pos] <= p
-    return _explore(n, totals, step[hit], pos[hit])
-
-
 def _uniform_slots(totals: np.ndarray, widths: np.ndarray, rng):
     """Row k gets a uniform totals[k]-subset of its widths[k] slots.
 
@@ -198,19 +188,49 @@ def _uniform_slots(totals: np.ndarray, widths: np.ndarray, rng):
     return np.divmod(key, base)
 
 
-def _sparse_walk(n: int, p: float, reps: int, rng):
-    """`reps` field walks as one flat walk, without the field.
+@dataclass(frozen=True)
+class SparseField:
+    """A field held as its hits: the entries <= p_max of `reps` triangular
+    arrays on n vertices, laid end to end as one flat array of n reps rows.
 
-    Every T(i) ~ Bin(n - i, p) is drawn in one call, then the positions of
-    the hits: row i is untouched by the steps before it, so given T(i) its
-    hits fill a uniform T(i)-subset of its n - i slots, and S(i) is
-    Hypergeometric(m, n - i - m, T(i)) as on the field.  Exact in law,
-    O(n reps) memory.
+    Hit j sits in row step[j] (1-based; row i of replicate r is r n + i), at
+    slot slot[j] of that row's n - i slots, and carries the field's uniform
+    mark[j] in (0, p_max].  The hits with mark <= p are the field at p, so
+    one field couples the walks at every p <= p_max.
     """
-    widths = np.tile(np.arange(n - 1, -1, -1), reps)
-    totals = rng.binomial(widths, p)
-    row, slot = _uniform_slots(totals, widths, rng)
-    return _explore(n, totals, row + 1, slot)
+
+    n: int
+    reps: int
+    p_max: float
+    step: np.ndarray
+    slot: np.ndarray
+    mark: np.ndarray
+
+    @classmethod
+    def sample(cls, n: int, p_max: float, rng, reps: int = 1) -> "SparseField":
+        """Every T(i) ~ Bin(n - i, p_max) in one call, then the slots: row i
+        is untouched by the steps before it, so given T(i) its hits fill a
+        uniform T(i)-subset of its n - i slots, and S(i) is
+        Hypergeometric(m, n - i - m, T(i)) as on the dense field.  Then one
+        uniform mark per hit.  Exact in law, O(n reps) memory."""
+        widths = np.tile(np.arange(n - 1, -1, -1), reps)
+        row, slot = _uniform_slots(rng.binomial(widths, p_max), widths, rng)
+        return cls(n, reps, p_max, row + 1, slot, p_max * (1.0 - rng.random(len(row))))
+
+    def walk(self, p: float):
+        """(Z, X, S) of the flat walk at p <= p_max, as `_explore` returns them."""
+        if not p <= self.p_max:
+            raise ValueError(f"p = {p} above the field's p_max = {self.p_max}")
+        keep = self.mark <= p
+        step = self.step[keep]
+        totals = np.bincount(step, minlength=self.n * self.reps + 1)[1:]
+        return _explore(self.n, totals, step, self.slot[keep])
+
+
+def _field_hits(params: CriticalWindowParams, field: UniformField) -> SparseField:
+    if field.n != params.n:
+        raise ValueError("field size does not match parameters")
+    return field.hits(params.p)
 
 
 def z_walk(params: CriticalWindowParams, field: UniformField):
@@ -225,7 +245,7 @@ def z_walk(params: CriticalWindowParams, field: UniformField):
     its drift unit at a restart while Z also picks up the restart vertex.
     Every step of Z is >= -1, also checked.
     """
-    z, x, _ = _field_walk(params, field)
+    z, x, _ = _field_hits(params, field).walk(params.p)
     y = LatticePath(np.concatenate([[0], np.cumsum(x[1:] - 1)]))
     if not np.array_equal(np.maximum(z - 1, 0), psi(y).values):
         raise AssertionError("Psi Y must equal max(Z - 1, 0) pointwise")
@@ -244,10 +264,17 @@ def surplus_field(params: CriticalWindowParams, z: LatticePath, field: UniformFi
 
     S(i) counts k with U(i, k) <= p and i < k <= i + (Z(i-1) - 1)_+; summing
     S over a component's interval gives that component's surplus (its number
-    of independent cycles).  z must be this field's walk at p.
+    of independent cycles).  S is read off z in one pass, with m(i) =
+    (z(i-1) - 1)_+, and z must be this field's walk at p: by induction from
+    Z(0) = 0, it is exactly when Z = T - S + m at every step.
     """
-    zf, _, s = _field_walk(params, field)
-    if not np.array_equal(z.values[: params.n + 1], zf):
+    hits = _field_hits(params, field)
+    z = z.values[: params.n + 1]
+    if len(z) != params.n + 1:
+        raise ValueError("z is shorter than the walk of this field")
+    m = np.append(0, np.maximum(z[:-1] - 1, 0))
+    s = np.bincount(hits.step[hits.slot < m[hits.step]], minlength=len(z))
+    if not np.array_equal(z, np.bincount(hits.step, minlength=len(z)) - s + m):
         raise ValueError("z is not the walk of this field at p")
     return s
 
@@ -261,8 +288,8 @@ def component_surpluses(z: LatticePath, s: np.ndarray) -> list[tuple[int, int]]:
 
 def walk_route(params: CriticalWindowParams, rng) -> list[tuple[int, int]]:
     """Sample one walk-route realisation: (size, surplus) per component,
-    from the sparse hit positions of `_sparse_walk` (any n, O(n) memory)."""
-    z, _, s = _sparse_walk(params.n, params.p, 1, rng)
+    from a sparse field at p (any n, O(n) memory)."""
+    z, _, s = SparseField.sample(params.n, params.p, rng).walk(params.p)
     return component_surpluses(LatticePath(np.append(z, 0)), s)
 
 
@@ -377,14 +404,13 @@ def replicate_rows(rep: np.ndarray, values: np.ndarray, reps: int, width: int) -
 
 
 def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
-    """Walk-route Z(0..n+1) without materialising the uniform field.
-
-    The sparse recursion of `_sparse_walk`: O(n) memory, one vectorised
-    binomial draw of the row counts, one uniform slot per hit (plus redraws
-    of repeated slots), and a few whole-array rounds of the fixed point.
+    """Walk-route Z(0..n+1) of a sparse field at p_lambda: O(n) memory, one
+    vectorised binomial draw of the row counts, one uniform slot per hit
+    (plus redraws of repeated slots), and a few whole-array rounds of the
+    fixed point.
     """
-    z, _, _ = _sparse_walk(n, p_lambda(n, lam), 1, rng)
-    return np.append(z, 0)
+    p = p_lambda(n, lam)
+    return np.append(SparseField.sample(n, p, rng).walk(p)[0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +432,8 @@ def _outcome_counts(rep, sizes, extra, reps: int, n: int) -> dict[tuple, int]:
 def sample_walk_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:
     """Empirical law of the multiset {(size, surplus)} under the walk route,
     keyed as in _outcome_counts, from one flat batch of sparse walks."""
-    z, _, s = _sparse_walk(n, p_lambda(n, lam), reps, rng)
+    p = p_lambda(n, lam)
+    z, _, s = SparseField.sample(n, p, rng, reps).walk(p)
     # step k belongs to the component opened at the last zero of Z before it
     opens = z[:-1] == 0
     comp = np.cumsum(opens) - 1

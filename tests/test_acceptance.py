@@ -35,6 +35,7 @@ from primcoal.limits import (
 )
 from primcoal.multiplicative import (
     CriticalWindowParams,
+    SparseField,
     component_surpluses,
     gamma_times,
     graph_route,
@@ -263,9 +264,29 @@ def test_criterion_10_monotone_coupling():
                 if len(prev) > k and (cur[-1] < prev[k:] - 1e-12).any():
                     violations += 1
             prev = cur
-    ok = violations == 0
-    report(10, "monotone coupling in lambda", ok, f"200 realisations x 11 lambdas, {violations} violations")
+    # the walk route on one sparse field: a slot holds one hit, so raising the
+    # frontier from m to m' loses at most m' - m new vertices and Z only
+    # grows; its zeros nest, so the partition at a larger lambda coarsens
+    walk_violations = 0
+    for _ in range(30):
+        n = int(rng.integers(100, 1000))
+        field = SparseField.sample(n, p_lambda(n, 2.0), rng, reps=100)
+        prev = None
+        for lam in lambdas:
+            z = field.walk(p_lambda(n, lam))[0]
+            if prev is not None:
+                walk_violations += int((z < prev).any() or ((z == 0) & (prev != 0)).any())
+            prev = z
+    ok = violations == 0 and walk_violations == 0
+    report(
+        10,
+        "monotone coupling in lambda",
+        ok,
+        f"graph route 200 realisations x 11 lambdas, {violations} violations; "
+        f"walk route 3000 fields x 11 lambdas, {walk_violations} violations",
+    )
     assert violations == 0
+    assert walk_violations == 0
 
 
 def test_criterion_11_performance():

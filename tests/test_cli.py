@@ -65,8 +65,16 @@ class TestSimulate:
         out = tmp_path / "run"
         assert run(["trace", "--n", "100", "--out", str(out)]) == 0
         files = sorted(p.name for p in out.iterdir())
-        assert sum(name.startswith("trace_lambda_") for name in files) == 3
-
+        assert files == [
+            "manifest.json", "trace_lambda_m1_000.csv", "trace_lambda_p0_000.csv", "trace_lambda_p1_000.csv"
+        ]
+        walks = []
+        for name in files[1:]:
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == "index,z"
+            walks.append(np.array([int(line.split(",")[1]) for line in lines[1:]]))
+        # one coupled field: Z only grows with lambda
+        assert (walks[0] <= walks[1]).all() and (walks[1] <= walks[2]).all()
 
     def test_trace_above_field_limit_writes_sparse_walk(self, tmp_path):
         out = tmp_path / "run"
@@ -80,15 +88,17 @@ class TestSimulate:
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = ["simulate-multiplicative", "--n", "150", "--replicates", "3", "--seed", "11"]
-        assert run(args + ["--out", str(a)]) == 0
-        assert run(args + ["--out", str(b), "--workers", "2"]) == 0
-        for name in ("gamma_times.csv", "manifest.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        for route in ("graph", "walk"):
+            a, b = tmp_path / f"{route}_a", tmp_path / f"{route}_b"
+            args = ["simulate-multiplicative", "--n", "150", "--replicates", "3", "--seed", "11"]
+            args += ["--route", route, "--lambdas=-1,0,1"]
+            assert run(args + ["--out", str(a)]) == 0
+            assert run(args + ["--out", str(b), "--workers", "2"]) == 0
+            for name in ("gamma_times.csv", "manifest.json"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_sparse_trace_rerun_byte_identical(self, tmp_path):
-        # above the field limit, so the walk comes from the sparse hit draws
+        # two lambdas walked on one sparse field
         args = ["trace", "--n", "5000", "--lambdas=0,1", "--seed", "7"]
         runs = []
         for k, workers in enumerate(["1", "1", "2", "2"]):
@@ -123,16 +133,19 @@ class TestConfigHandling:
 
 class TestWalkRouteSize:
     @pytest.mark.parametrize(
-        "argv",
-        [["simulate-multiplicative", "--route", "walk"], ["augmented"]],
+        "argv, output",
+        [
+            (["simulate-multiplicative", "--route", "walk"], "gamma_times.csv"),
+            (["augmented"], "augmented.csv"),
+        ],
         ids=["simulate-multiplicative", "augmented"],
     )
-    def test_oversize_n_refused_early(self, tmp_path, capsys, argv):
+    def test_large_n_runs(self, tmp_path, argv, output):
+        # above the 4096 cap of a dense field: the walk route reads a sparse one
         out = tmp_path / "run"
-        with pytest.raises(SystemExit):
-            run(argv + ["--n", "5000", "--out", str(out)])
-        assert "4096" in capsys.readouterr().err
-        assert not out.exists()
+        args = ["--n", "5000", "--lambdas=-1,0,1", "--replicates", "2", "--out", str(out)]
+        assert run(argv + args) == 0
+        assert len((out / output).read_text().splitlines()) == 1 + 2 * 3
 
 
 class TestSizeFlags:
@@ -152,6 +165,26 @@ class TestSizeFlags:
             run(argv + ["--out", str(out)])
         assert exc.value.code == 2
         assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate-multiplicative", "--n", "4", "--lambdas", "10"], "--lambdas: p_lambda"),
+            (["trace", "--n", "8", "--lambdas=-5"], "--lambdas: p_lambda"),
+            (["augmented", "--n", "8", "--lambdas=0,30"], "--lambdas: p_lambda"),
+            (["limit-compare", "--n", "8", "--lam", "30"], "--lam: p_lambda"),
+            (["ml-oracle", "--lam=-9"], "--lam: p_lambda"),
+            (["trace", "--lambdas="], "--lambdas must list at least one lambda"),
+        ],
+        ids=["simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty"],
+    )
+    def test_lambda_outside_window_refused_early(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_accepted(self, tmp_path):

@@ -13,8 +13,6 @@ from primcoal.graphs import (
     prim_order,
     prim_order_rescan,
     random_complete_graph,
-    read_edge_list,
-    write_edge_list,
 )
 from primcoal.additive import weighted_cayley_tree
 
@@ -188,14 +186,6 @@ class TestFiltration:
         for ordering in (not_an_edge, wrong_weight):
             with pytest.raises(GraphError):
                 component_filtration(g, ordering)
-
-
-def test_edge_list_roundtrip(tmp_path, rng):
-    g = random_complete_graph(7, rng)
-    path = tmp_path / "g.txt"
-    write_edge_list(g, path)
-    g2 = read_edge_list(path)
-    assert g2.n == g.n and g2.edges == g.edges
 
 
 def test_random_complete_refuses_huge(rng):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from primcoal.graphs import component_filtration, prim_order, random_complete_graph
 from primcoal.multiplicative import (
     CriticalWindowParams,
+    SparseField,
     UniformField,
     _decode_edge_indices,
     _explore,
-    _sparse_walk,
     _uniform_slots,
     augmented_state,
     component_surpluses,
@@ -28,7 +28,7 @@ from primcoal.multiplicative import (
     z_walk,
 )
 from primcoal.oracles import empirical_counts, ks_two_sample, row_counts, tv_distance
-from primcoal.walks import LatticePath, psi, walk_component_sizes
+from primcoal.walks import walk_component_sizes
 
 
 class TestPLambda:
@@ -99,6 +99,14 @@ class TestFieldRecursion:
         assert np.array_equal(z.values, want_z)
         assert np.array_equal(y.values, want_y)
         assert np.array_equal(surplus_field(params, z, field), want_s)
+        # the hits below a larger p_max walk to the literal loop at every p <= p_max
+        hits = field.hits(min(2.0 * params.p, 1.0))
+        for p in (params.p / 3, params.p, min(1.5 * params.p, 1.0)):
+            z, x, s = hits.walk(p)
+            want_z, want_y, want_s = _literal_field_walk(params.n, p, field.matrix)
+            assert np.array_equal(z, want_z[:-1])
+            assert np.array_equal(x[1:], np.diff(want_y) + 1)
+            assert np.array_equal(s, want_s)
 
     def test_matches_literal_loop_on_raw_fields(self, rng):
         for n in [int(k) for k in rng.integers(3, 150, size=150)] + [1024]:
@@ -283,6 +291,25 @@ class TestWalkRoute:
             if max(sizes) <= 2:
                 assert all(s == 0 for _, s in pairs)
 
+    def test_draws_are_stable(self):
+        # recorded when every walk drew its hits without marks: a field draws
+        # its marks after its hits, so the walk at p_max makes the same draws
+        pairs = walk_route(CriticalWindowParams(40, 3.0), np.random.default_rng(2024))
+        assert pairs == [(23, 3), (3, 0), (2, 0)] + [(1, 0)] * 4 + [(2, 0)] + [(1, 0)] * 3 + [
+            (2, 0), (1, 0)
+        ]
+        assert sample_walk_outcomes(4, 0.5, 30, np.random.default_rng(2025)) == {
+            (1, 0, 1, 0, 1, 0, 1, 0): 2,
+            (2, 0, 1, 0, 1, 0, 0, 0): 6,
+            (2, 0, 2, 0, 0, 0, 0, 0): 1,
+            (3, 0, 1, 0, 0, 0, 0, 0): 7,
+            (3, 1, 1, 0, 0, 0, 0, 0): 2,
+            (4, 0, 0, 0, 0, 0, 0, 0): 6,
+            (4, 1, 0, 0, 0, 0, 0, 0): 6,
+        }
+        z = sparse_z_trace(30, 1.0, np.random.default_rng(2026))
+        assert z.tolist() == [0, 0, 1, 1, 1, 1, 2, 3, 2, 2, 1, 3, 4, 4, 4, 4, 4, 3, 2, 1] + [0] * 12
+
     def test_walk_vs_graph_outcomes_small_tv(self, rng):
         counts_w = sample_walk_outcomes(5, 0.5, 20000, rng)
         counts_g = sample_graph_outcomes(5, 0.5, 20000, rng)
@@ -382,11 +409,16 @@ class TestExploreFixedPoint:
 class TestSparseWalk:
     def test_flat_batch_closes_every_block(self, rng):
         n, reps = 37, 400
-        z, x, s = _sparse_walk(n, p_lambda(n, 1.0), reps, rng)
-        assert len(z) == len(x) == len(s) == n * reps + 1
-        assert (z[::n] == 0).all()
-        assert (z >= 0).all() and (np.diff(z) >= -1).all()
-        assert (x >= 0).all() and (s >= 0).all()
+        field = SparseField.sample(n, p_lambda(n, 2.0), rng, reps)
+        assert ((0 < field.mark) & (field.mark <= field.p_max)).all()
+        for lam in (-1.0, 1.0, 2.0):
+            z, x, s = field.walk(p_lambda(n, lam))
+            assert len(z) == len(x) == len(s) == n * reps + 1
+            assert (z[::n] == 0).all()
+            assert (z >= 0).all() and (np.diff(z) >= -1).all()
+            assert (x >= 0).all() and (s >= 0).all()
+        with pytest.raises(ValueError):
+            field.walk(p_lambda(n, 3.0))
 
     def test_outcomes_partition_each_replicate(self, rng):
         n, reps = 9, 3000
@@ -404,16 +436,21 @@ class TestSparseTrace:
         assert (np.diff(z[:-1]) >= -1).all()
 
     def test_matches_field_walk_in_law(self, rng):
-        # largest-component KS between the O(n)-memory trace and the dense
-        # field recursion
+        # largest component and total surplus at lambda 0: sparse fields drawn
+        # at p and at p_lambda(n, 2) against the dense field recursion
         n, reps = 60, 3000
-        a = []
-        for _ in range(reps):
-            z = sparse_z_trace(n, 0.0, rng)
-            a.append(max(walk_component_sizes(LatticePath(z))))
-        b = []
         params = CriticalWindowParams(n, 0.0)
+        dense_largest, dense_surplus = [], []
         for _ in range(reps):
-            z, _ = z_walk(params, UniformField.sample(n, rng))
-            b.append(max(walk_component_sizes(z)))
-        assert ks_two_sample(a, b, "sparse vs dense walk route").passed
+            field = UniformField.sample(n, rng)
+            z, _ = z_walk(params, field)
+            dense_largest.append(max(walk_component_sizes(z)))
+            dense_surplus.append(surplus_field(params, z, field).sum())
+        for p_max in (params.p, p_lambda(n, 2.0)):
+            z, _, s = SparseField.sample(n, p_max, rng, reps).walk(params.p)
+            opens = z[:-1] == 0
+            largest = np.zeros(reps, dtype=np.int64)
+            np.maximum.at(largest, np.flatnonzero(opens) // n, np.bincount(np.cumsum(opens) - 1))
+            surplus = s[1:].reshape(reps, n).sum(axis=1)
+            assert ks_two_sample(largest, dense_largest, f"largest, p_max {p_max:.4f}").passed
+            assert ks_two_sample(surplus, dense_surplus, f"surplus, p_max {p_max:.4f}").passed
