@@ -11,7 +11,6 @@ produce byte-identical outputs regardless of --workers.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -26,6 +25,7 @@ from .additive import (
     ThinnedWalkFamily,
     gamma_plus,
     pitman_forest,
+    retention_level,
     sample_conditioned_walk,
 )
 from .graphs import component_filtration, prim_order, random_complete_graph
@@ -93,11 +93,16 @@ def _write_manifest(outdir: str, config: dict, extra: dict | None = None) -> Non
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
-    """Write a CSV of header and rows, a sized sequence (a list, not a bare zip)."""
+    """Write a CSV of header and rows of numbers only (ints and floats, no
+    strings or None), in csv.writer's bytes.  rows is a sized sequence: a
+    2-d integer array or a list of equal-length rows, not a bare zip."""
+    if isinstance(rows, np.ndarray):
+        flat = rows.ravel().tolist()
+    else:
+        flat = [x for row in rows for x in row]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.write((",".join(["%s"] * len(header)) + "\r\n") * len(rows) % tuple(flat))
 
 
 def _float_list(text: str) -> list[float]:
@@ -384,12 +389,19 @@ def cmd_trace(cfg, outdir):
     """Z(0..n+1) at each lambda, walked on one coupled sparse field."""
     field, ps = _coupled_field(cfg["n"], cfg["lambdas"], np.random.default_rng(cfg["seed"]))
     for lam, p in zip(cfg["lambdas"], ps):
-        tag = f"{lam:+.3f}".replace("+", "p").replace("-", "m").replace(".", "_")
-        z = np.append(field.walk(p)[0], 0).tolist()
+        z = np.append(field.walk(p)[0], 0)
         _write_rows(
-            os.path.join(outdir, f"trace_lambda_{tag}.csv"), ["index", "z"], list(enumerate(z))
+            os.path.join(outdir, _trace_name(lam)),
+            ["index", "z"],
+            np.column_stack((np.arange(len(z)), z)),
         )
     return [], True
+
+
+def _trace_name(lam: float) -> str:
+    """Output file of the trace at lambda; lambdas equal to 3 decimals share it."""
+    tag = f"{lam:+.3f}".replace("+", "p").replace("-", "m").replace(".", "_")
+    return f"trace_lambda_{tag}.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +423,6 @@ _DEFAULTS = {
     "ml-oracle": {"n": 6, "lam": 0.0, "s_obs": 0.5, "tv": 0.02},
     "trace": {"n": 1000, "lambdas": [-1.0, 0.0, 1.0]},
 }
-
-# the commands whose lambdas set a critical-window edge probability p_lambda
-_WINDOW_COMMANDS = ("simulate-multiplicative", "augmented", "trace", "limit-compare", "ml-oracle")
 
 _HANDLERS = {
     "simulate-additive": cmd_simulate_additive,
@@ -464,16 +473,24 @@ def main(argv=None) -> int:
     for key in ("n", "replicates"):
         if key in cfg and cfg[key] < 1:
             parser.error(f"--{key} must be at least 1, got {cfg[key]}")
-    if args.command in _WINDOW_COMMANDS and cfg.get("kind", "multiplicative") == "multiplicative":
+    if "lambdas" in cfg or "lam" in cfg:
         key = "lambdas" if "lambdas" in cfg else "lam"
         lambdas = cfg[key] if key == "lambdas" else [cfg[key]]
         if not lambdas:
             parser.error("--lambdas must list at least one lambda")
+        additive = args.command == "simulate-additive" or cfg.get("kind") == "additive"
         for lam in lambdas:
             try:
-                p_lambda(cfg["n"], lam)
+                (retention_level if additive else p_lambda)(cfg["n"], lam)
             except ValueError as exc:
                 parser.error(f"--{key}: {exc}")
+        if args.command == "trace":
+            seen = {}
+            for lam in lambdas:
+                name = _trace_name(lam)
+                if name in seen:
+                    parser.error(f"--lambdas: {seen[name]} and {lam} both write {name}")
+                seen[name] = lam
     # the manifest lists every file in --out, so a used directory would
     # report files this run did not write
     if os.path.isdir(args.out) and os.listdir(args.out):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import ProperlyWeightedGraph, PrimOrdering
@@ -340,19 +340,18 @@ def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
     """Edges of `reps` copies of G(n, p_max) with i.i.d. uniform(0, p_max] marks.
 
     Copy r sits on the 0-based vertices r n .. r n + n - 1.  Returns endpoint
-    arrays (u, v) and weights, grouped by copy and sorted increasingly in
-    each; the level set {w <= p} is exactly G(n, p) for any p <= p_max,
-    coupled monotonically across p.  Memory stays O(#edges), never O(n^2).
+    arrays (u, v) with u > v, sorted by u, then v (so grouped by copy), and
+    the weights aligned to them; the level set {w <= p} is exactly G(n, p)
+    for any p <= p_max, coupled monotonically across p.  Memory stays
+    O(#edges), never O(n^2).
     """
     if not (0.0 < p_max <= 1.0):
         raise ValueError("p_max must lie in (0, 1]")
     ne = n * (n - 1) // 2
     rep, idx = _uniform_slots(rng.binomial(ne, p_max, size=reps), np.full(reps, ne), rng)
     u, v = _decode_edge_indices(idx)
-    w = rng.random(len(idx)) * p_max
-    order = np.lexsort((w, rep))
-    offset = rep[order] * n
-    return u[order] + offset, v[order] + offset, w[order]
+    offset = rep * n
+    return u + offset, v + offset, rng.random(len(idx)) * p_max
 
 
 def graph_route(n: int, lambdas, rng, p_max: float | None = None, reps: int | None = None):
@@ -379,9 +378,9 @@ def graph_route(n: int, lambdas, rng, p_max: float | None = None, reps: int | No
     for p in ps:
         keep = w <= p
         ku, kv = u[keep], v[keep]
-        adj = coo_matrix(
-            (np.ones(len(ku), dtype=np.int8), (ku, kv)), shape=(batch * n, batch * n)
-        )
+        # a subset of edges sorted by (u, v) is already canonical CSR
+        indptr = np.append(0, np.cumsum(np.bincount(ku, minlength=batch * n)))
+        adj = csr_matrix((np.ones(len(kv)), kv, indptr), shape=(batch * n, batch * n))
         ncomp, labels = connected_components(adj, directed=False)
         sizes = np.bincount(labels, minlength=ncomp)
         excess = np.bincount(labels[ku], minlength=ncomp) - sizes + 1

@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from primcoal.cli import main
+from primcoal.cli import _write_rows, main
+from primcoal.multiplicative import sparse_z_trace
 
 
 def run(args):
@@ -85,6 +88,41 @@ class TestSimulate:
         assert [k for k, _ in rows] == list(range(5002))
         z = np.array([v for _, v in rows])
         assert z[0] == 0 and (z >= 0).all() and (np.diff(z) >= -1).all()
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestWriteRows:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, -3, 7], [12, 0, -1]],
+            [[1, -0.0, 1e-300], [2, 1e16, float("nan")], [-3, float("inf"), 0.1 + 0.2]],
+            np.arange(-6, 14, dtype=np.int64).reshape(10, 2),
+            [],
+        ],
+        ids=["ints", "floats", "int64-array", "empty"],
+    )
+    def test_matches_csv_writer(self, tmp_path, rows):
+        header = ["a", "b", "c"][: 2 if isinstance(rows, np.ndarray) else 3]
+        path = tmp_path / "rows.csv"
+        _write_rows(str(path), header, rows)
+        expected = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        assert path.read_bytes() == _csv_writer_bytes(header, expected)
+
+    def test_trace_matches_csv_writer(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["trace", "--n", "5000", "--lambdas=0", "--seed", "5", "--out", str(out)]) == 0
+        z = sparse_z_trace(5000, 0.0, np.random.default_rng(5)).tolist()
+        expected = _csv_writer_bytes(["index", "z"], list(enumerate(z)))
+        assert (out / "trace_lambda_p0_000.csv").read_bytes() == expected
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
@@ -176,8 +214,24 @@ class TestSizeFlags:
             (["limit-compare", "--n", "8", "--lam", "30"], "--lam: p_lambda"),
             (["ml-oracle", "--lam=-9"], "--lam: p_lambda"),
             (["trace", "--lambdas="], "--lambdas must list at least one lambda"),
+            (
+                ["limit-compare", "--kind", "additive", "--n", "500", "--lam", "30"],
+                "--lam: lambda=30.0 outside [0, sqrt(n)]",
+            ),
+            (
+                ["simulate-additive", "--n", "100", "--lambdas", "20"],
+                "--lambdas: lambda=20.0 outside [0, sqrt(n)]",
+            ),
+            (
+                ["trace", "--n", "50", "--lambdas=0.0001,0.0002"],
+                "--lambdas: 0.0001 and 0.0002 both write trace_lambda_p0_000.csv",
+            ),
+            (["trace", "--n", "50", "--lambdas=1,1"], "--lambdas: 1.0 and 1.0 both write"),
         ],
-        ids=["simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty"],
+        ids=[
+            "simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty",
+            "limit-compare-additive", "simulate-additive", "trace-same-file", "trace-repeat",
+        ],
     )
     def test_lambda_outside_window_refused_early(self, tmp_path, capsys, argv, message):
         out = tmp_path / "run"

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primcoal.graphs import component_filtration, prim_order, random_complete_graph
+from primcoal.graphs import (
+    ProperlyWeightedGraph,
+    component_filtration,
+    level_components,
+    prim_order,
+    random_complete_graph,
+)
 from primcoal.multiplicative import (
     CriticalWindowParams,
     SparseField,
@@ -198,7 +204,8 @@ class TestSparseSampling:
 
     def test_sample_edge_weights_sorted_and_valid(self, rng):
         u, v, w = sample_edge_weights(100, 0.1, rng)
-        assert (np.diff(w) >= 0).all()
+        # sorted by endpoints: u, then v
+        assert (np.diff(u * 100 + v) > 0).all()
         assert (w <= 0.1).all() and (w > 0).all()
         assert (u > v).all() and (u < 100).all()
         pairs = set(zip(u.tolist(), v.tolist()))
@@ -266,6 +273,33 @@ class TestGraphRoute:
             ([8, 6, 6, 3] + [2] * 4 + [1] * 19, [0] * 27),
             ([30, 3, 2] + [1] * 15, [1] + [0] * 17),
         ]
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("reps", [None, 3])
+    def test_matches_union_find_on_same_edges(self, n, reps):
+        # the same seed gives the same edges to the union-find oracle
+        lambdas = [-2.0, 0.0, 1.5, 4.0]
+        ps = [p_lambda(n, lam) for lam in lambdas]
+        found = graph_route(n, lambdas, np.random.default_rng(17), reps=reps)
+        batch = 1 if reps is None else reps
+        u, v, w = sample_edge_weights(n, max(ps), np.random.default_rng(17), batch)
+        for p, got in zip(ps, found):
+            if reps is None:
+                got = (np.zeros(len(got[0]), dtype=np.int64),) + got
+            rep, sizes, excess = got
+            for r in range(batch):
+                mine = u // n == r
+                g = ProperlyWeightedGraph.from_arrays(
+                    n, u[mine] - r * n + 1, v[mine] - r * n + 1, w[mine]
+                )
+                level = g.w <= p
+                pairs = []
+                for comp in level_components(g, p):
+                    inside = np.isin(g.u[level], list(comp))
+                    pairs.append((len(comp), int(inside.sum()) - len(comp) + 1))
+                ours = rep == r
+                assert sorted(zip(sizes[ours].tolist(), excess[ours].tolist())) == sorted(pairs)
+                assert sizes[ours].tolist() == sorted((s for s, _ in pairs), reverse=True)
 
     def test_batch_components_partition_each_replicate(self, rng):
         n, reps = 40, 300
