@@ -327,7 +327,7 @@ def cmd_limit_compare(cfg, outdir):
             cfg["workers"],
         )
         desc = "largest multiplicative mass vs largest parabolic excursion"
-    elif cfg["kind"] == "additive":
+    else:
         discrete = _run_replicates(
             _limit_add_rep, [(s, cfg["n"], cfg["lam"]) for s in seeds_d], cfg["workers"]
         )
@@ -335,8 +335,6 @@ def cmd_limit_compare(cfg, outdir):
             _limit_add_brownian, [(s, cfg["lam"], cfg["dx"]) for s in seeds_c], cfg["workers"]
         )
         desc = "largest additive block vs largest tilted-excursion excursion"
-    else:
-        raise SystemExit(f"unknown limit-compare kind {cfg['kind']!r}")
     verdict = ks_two_sample(discrete, brownian, desc, seeds=(cfg["seed"],))
     _write_rows(
         os.path.join(outdir, "samples.csv"),
@@ -424,6 +422,9 @@ _DEFAULTS = {
     "trace": {"n": 1000, "lambdas": [-1.0, 0.0, 1.0]},
 }
 
+# the values a choice key takes, by flag or by --config
+_CHOICES = {"kind": ("additive", "multiplicative"), "route": ("graph", "walk")}
+
 _HANDLERS = {
     "simulate-additive": cmd_simulate_additive,
     "simulate-multiplicative": cmd_simulate_multiplicative,
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
     parser.add_argument("--lam", type=float)
     parser.add_argument("--lambdas", type=_float_list)
     parser.add_argument("--kind")
-    parser.add_argument("--route", choices=["graph", "walk"])
+    parser.add_argument("--route")
     args = parser.parse_args(argv)
 
     cfg = dict(_DEFAULTS[args.command])
@@ -470,6 +471,9 @@ def main(argv=None) -> int:
             if key not in cfg:
                 parser.error(f"--{key} not applicable to {args.command}")
             cfg[key] = val
+    for key, allowed in _CHOICES.items():
+        if key in cfg and cfg[key] not in allowed:
+            parser.error(f"--{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
     for key in ("n", "replicates"):
         if key in cfg and cfg[key] < 1:
             parser.error(f"--{key} must be at least 1, got {cfg[key]}")

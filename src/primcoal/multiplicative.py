@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .graphs import ProperlyWeightedGraph, PrimOrdering
 from .oracles import row_counts
@@ -354,14 +352,61 @@ def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
     return u + offset, v + offset, rng.random(len(idx)) * p_max
 
 
-def graph_route(n: int, lambdas, rng, p_max: float | None = None, reps: int | None = None):
+def _flatten(r: np.ndarray, h: np.ndarray) -> None:
+    """Pointer-jump the vertices h of the forest r until each points at a
+    root, in place; a chain from h must pass only through h and roots."""
+    while len(h):
+        p = r[h]
+        q = r[p]
+        up = np.flatnonzero(q != p)
+        h = h[up]
+        r[h] = q[up]
+
+
+def _roots(r: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The roots (lo, hi), lo < hi, of the edges (a, b) of the forest r
+    whose ends lie in two trees; r must be flat on a and b."""
+    a, b = r[a], r[b]
+    live = np.flatnonzero(a != b)
+    a, b = a[live], b[live]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _merge(r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Union the edges between the roots lo < hi into the flat forest r, in
+    place, and leave r flat: every r[x] is the root of x.
+
+    Every r[x] <= x, so a root is its tree's lowest vertex.  Each round
+    hooks every hi under the least of its lo and flattens the hooked roots,
+    so the edges can move to their new roots; the edges whose ends then
+    share a root leave.  A root hooked in one round points at a root of
+    that round, which is final or was hooked later, so one jump per round,
+    last round first, brings every hooked root to its final root, and one
+    more brings every vertex.
+    """
+    hooked = []
+    while len(hi):
+        np.minimum.at(r, hi, lo)
+        _flatten(r, hi)
+        hooked.append(hi)
+        lo, hi = _roots(r, lo, hi)
+    for h in reversed(hooked):
+        r[h] = r[r[h]]
+    r[:] = r[r]
+
+
+def graph_route(n: int, lambdas, rng, reps: int | None = None):
     """Component sizes and excesses of G(n, p_lambda) on a coupled grid.
 
     One edge-weight realisation serves every lambda in `lambdas` (monotone
     coupling: the level graphs are nested).  For each lambda returns
     (sizes, excess) with sizes sorted non-increasing and excess = edges -
-    size + 1 aligned to it; ties in size break by component discovery id so
-    reruns are deterministic.
+    size + 1 aligned to it; ties in size break by the component's lowest
+    vertex, so reruns are deterministic.
+
+    The levels are visited in increasing p and each edge is merged once, at
+    the first level that keeps it, into one union-find forest whose roots
+    are their components' lowest vertices.
 
     With `reps` given, `reps` independent realisations run as one
     block-diagonal graph and each lambda gives (rep, sizes, excess) over
@@ -369,28 +414,29 @@ def graph_route(n: int, lambdas, rng, p_max: float | None = None, reps: int | No
     above within each.  reps=None is the batch of one with rep dropped.
     """
     ps = [p_lambda(n, lam) for lam in lambdas]
-    if p_max is None:
-        p_max = max(ps)
     batch = 1 if reps is None else reps
-    u, v, w = sample_edge_weights(n, p_max, rng, batch)
-    vertex_rep = np.arange(batch * n) // n
-    out = []
-    for p in ps:
-        keep = w <= p
-        ku, kv = u[keep], v[keep]
-        # a subset of edges sorted by (u, v) is already canonical CSR
-        indptr = np.append(0, np.cumsum(np.bincount(ku, minlength=batch * n)))
-        adj = csr_matrix((np.ones(len(kv)), kv, indptr), shape=(batch * n, batch * n))
-        ncomp, labels = connected_components(adj, directed=False)
-        sizes = np.bincount(labels, minlength=ncomp)
-        excess = np.bincount(labels[ku], minlength=ncomp) - sizes + 1
-        # labels are discovery ids: they follow each component's lowest vertex
-        rep = np.empty(ncomp, dtype=np.int64)
-        rep[labels] = vertex_rep
-        order = np.lexsort((np.arange(ncomp), -sizes, rep))
-        found = (rep[order], sizes[order], excess[order])
-        out.append(found[1:] if reps is None else found)
-    return out
+    u, v, w = sample_edge_weights(n, max(ps), rng, batch)
+    levels, back = np.unique(ps, return_inverse=True)
+    # edges grouped by the first level that keeps them
+    first = np.searchsorted(levels, w)
+    by_level = np.argsort(first, kind="stable")
+    u, v = u[by_level], v[by_level]
+    vertex = np.arange(batch * n)
+    r = vertex.copy()
+    found, start = [], 0
+    for stop in np.cumsum(np.bincount(first, minlength=len(levels))):
+        a, b = u[start:stop], v[start:stop]
+        # until an edge is merged every vertex is its own root, and u > v
+        _merge(r, *(_roots(r, a, b) if start else (b, a)))
+        roots = np.flatnonzero(r == vertex)
+        sizes = np.bincount(r, minlength=len(r))[roots]
+        excess = np.bincount(r[u[:stop]], minlength=len(r))[roots] - sizes + 1
+        rep = roots // n
+        order = np.lexsort((-sizes, rep))
+        level = (rep[order], sizes[order], excess[order])
+        found.append(level[1:] if reps is None else level)
+        start = stop
+    return [found[k] for k in back]
 
 
 def replicate_rows(rep: np.ndarray, values: np.ndarray, reps: int, width: int) -> np.ndarray:

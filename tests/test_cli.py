@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import primcoal
 from primcoal.cli import _write_rows, main
 from primcoal.multiplicative import sparse_z_trace
 
@@ -241,6 +245,28 @@ class TestSizeFlags:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["limit-compare", "--kind", "foo"], None, "--kind must be one of additive, multiplicative, got 'foo'"),
+            (["simulate-multiplicative", "--route", "grpah"], None, "--route must be one of graph, walk, got 'grpah'"),
+            (["limit-compare"], {"kind": "foo"}, "--kind must be one of additive, multiplicative, got 'foo'"),
+            (["simulate-multiplicative"], {"route": "grpah"}, "--route must be one of graph, walk, got 'grpah'"),
+        ],
+        ids=["kind-flag", "route-flag", "kind-config", "route-config"],
+    )
+    def test_unknown_choice_refused_early(self, tmp_path, capsys, argv, config, message):
+        out = tmp_path / "run"
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_accepted(self, tmp_path):
         out = tmp_path / "run"
         assert run(["simulate-multiplicative", "--n", "1", "--replicates", "1", "--out", str(out)]) == 0
@@ -283,3 +309,29 @@ class TestLimitCompare:
         assert code == 0
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["passed"] is True
+
+
+class TestWithoutScipy:
+    def test_graph_route_commands_run_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes every import of scipy fail
+        code = """
+import json, sys
+sys.modules["scipy"] = None
+from primcoal.cli import main
+out = sys.argv[1]
+with open(out + "/oracle.json", "w") as fh:
+    json.dump({"tv": 1.0}, fh)
+codes = [
+    main(["simulate-multiplicative", "--n", "2000", "--lambdas=0,1", "--replicates", "2",
+          "--out", out + "/sim"]),
+    main(["ml-oracle", "--replicates", "200", "--config", out + "/oracle.json", "--out", out + "/ml"]),
+]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy."))}))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(primcoal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "scipy": []}

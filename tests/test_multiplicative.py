@@ -277,8 +277,9 @@ class TestGraphRoute:
     @pytest.mark.parametrize("n", [50, 300])
     @pytest.mark.parametrize("reps", [None, 3])
     def test_matches_union_find_on_same_edges(self, n, reps):
-        # the same seed gives the same edges to the union-find oracle
-        lambdas = [-2.0, 0.0, 1.5, 4.0]
+        # the same seed gives the same edges to the union-find oracle; the
+        # lambdas come unsorted, with a repeat and a supercritical one
+        lambdas = [1.5, -2.0, 4.0, 0.0, 1.5, 30.0]
         ps = [p_lambda(n, lam) for lam in lambdas]
         found = graph_route(n, lambdas, np.random.default_rng(17), reps=reps)
         batch = 1 if reps is None else reps
