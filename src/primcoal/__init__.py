@@ -31,7 +31,6 @@ from .walks import (
     excursions_above_min,
     excursions_above_zero,
     explore,
-    export_trace,
     psi,
     sorted_lengths,
     walk_component_sizes,
@@ -59,7 +58,6 @@ from .additive import (
 from .multiplicative import (
     CriticalWindowParams,
     SparseField,
-    UniformField,
     augmented_state,
     component_surpluses,
     gamma_times,

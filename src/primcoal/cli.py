@@ -46,6 +46,7 @@ from .multiplicative import (
     reorder_field_from_graph,
     replicate_rows,
     surplus_field,
+    walk_route,
     z_walk,
 )
 from .oracles import (
@@ -56,7 +57,7 @@ from .oracles import (
     tv_two_sample,
 )
 from .states import d_U
-from .walks import LatticePath, explore, walk_component_sizes
+from .walks import explore, walk_component_sizes
 
 
 def _replicate_seeds(master: int, count: int) -> list[np.random.SeedSequence]:
@@ -151,32 +152,13 @@ def _state_header(top) -> list[str]:
     return ["lambda"] + [f"gamma_{i+1}" for i in range(top)] + [f"s_{i+1}" for i in range(top)]
 
 
-def _coupled_field(n, lambdas, rng):
-    """One sparse field at the largest p_lambda, and p_lambda at each lambda."""
-    ps = [p_lambda(n, lam) for lam in lambdas]
-    return SparseField.sample(n, max(ps), rng), ps
-
-
-def _field_states(n, lambdas, rng):
-    """(lambda, walk-route augmented state) along lambdas, read off one coupled field."""
-    field, ps = _coupled_field(n, lambdas, rng)
-    for lam, p in zip(lambdas, ps):
-        z, _, s = field.walk(p)
-        sizes, surpluses = zip(*component_surpluses(LatticePath(np.append(z, 0)), s))
-        yield lam, augmented_state(n, sizes, surpluses)
+_ROUTES = {"graph": graph_route, "walk": walk_route}
 
 
 def _multiplicative_rep(args):
     seed, n, lambdas, top, route = args
-    rng = np.random.default_rng(seed)
-    if route == "graph":
-        states = (
-            (lam, augmented_state(n, sizes, excess))
-            for lam, (sizes, excess) in zip(lambdas, graph_route(n, lambdas, rng))
-        )
-    else:
-        states = _field_states(n, lambdas, rng)
-    return [_state_row(lam, st, top) for lam, st in states]
+    levels = _ROUTES[route](n, lambdas, np.random.default_rng(seed))
+    return [_state_row(lam, augmented_state(n, *level), top) for lam, level in zip(lambdas, levels)]
 
 
 def cmd_simulate_multiplicative(cfg, outdir):
@@ -198,7 +180,9 @@ def cmd_augmented(cfg, outdir):
     rows = []
     for r, seed in enumerate(seeds):
         prev = None
-        for lam, st in _field_states(cfg["n"], cfg["lambdas"], np.random.default_rng(seed)):
+        levels = walk_route(cfg["n"], cfg["lambdas"], np.random.default_rng(seed))
+        for lam, level in zip(cfg["lambdas"], levels):
+            st = augmented_state(cfg["n"], *level)
             step = d_U(prev, st) if prev is not None else 0.0
             prev = st
             rows.append([r] + _state_row(lam, st, cfg["top"]) + [step])
@@ -385,7 +369,8 @@ def cmd_ml_oracle(cfg, outdir):
 
 def cmd_trace(cfg, outdir):
     """Z(0..n+1) at each lambda, walked on one coupled sparse field."""
-    field, ps = _coupled_field(cfg["n"], cfg["lambdas"], np.random.default_rng(cfg["seed"]))
+    ps = [p_lambda(cfg["n"], lam) for lam in cfg["lambdas"]]
+    field = SparseField.sample(cfg["n"], max(ps), np.random.default_rng(cfg["seed"]))
     for lam, p in zip(cfg["lambdas"], ps):
         z = np.append(field.walk(p)[0], 0)
         _write_rows(
@@ -423,7 +408,7 @@ _DEFAULTS = {
 }
 
 # the values a choice key takes, by flag or by --config
-_CHOICES = {"kind": ("additive", "multiplicative"), "route": ("graph", "walk")}
+_CHOICES = {"kind": ("additive", "multiplicative"), "route": tuple(_ROUTES)}
 
 _HANDLERS = {
     "simulate-additive": cmd_simulate_additive,
@@ -477,6 +462,11 @@ def main(argv=None) -> int:
     for key in ("n", "replicates"):
         if key in cfg and cfg[key] < 1:
             parser.error(f"--{key} must be at least 1, got {cfg[key]}")
+    if "top" in cfg and not (type(cfg["top"]) is int and cfg["top"] >= 1):
+        parser.error(f"config top must be an integer at least 1, got {cfg['top']!r}")
+    for key in ("dx", "horizon"):
+        if key in cfg and not (type(cfg[key]) in (int, float) and cfg[key] > 0):
+            parser.error(f"config {key} must be a number greater than 0, got {cfg[key]!r}")
     if "lambdas" in cfg or "lam" in cfg:
         key = "lambdas" if "lambdas" in cfg else "lam"
         lambdas = cfg[key] if key == "lambdas" else [cfg[key]]

@@ -9,8 +9,8 @@ array reflections.  A field is held as its hits below some p_max, each with
 a uniform mark, so one O(n) draw of binomial row counts and uniform slot
 subsets couples the walks at every p <= p_max, as the dense field of
 uniforms does.  The field reordering extracted from a concrete weighted
-graph makes the two routes agree realisation by realisation, not just in
-law.
+graph is such a field, with p_max = 1 and the edge weights as marks; it
+makes the two routes agree realisation by realisation, not just in law.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .walks import (
     psi,
     walk_component_sizes,
 )
-
-FIELD_N_MAX = 4096
 
 
 def p_lambda(n: int, lam: float) -> float:
@@ -56,52 +54,16 @@ class CriticalWindowParams:
         return p_lambda(self.n, self.lam)
 
 
-class UniformField:
-    """Triangular array of i.i.d. uniforms U(i, k), 1 <= i < k <= n.
-
-    Stored as a dense (n+1) x (n+1) matrix with row/column 0 unused; only
-    the strict upper triangle is meaningful.  Dense storage caps n at 4096.
-    """
-
-    def __init__(self, n: int, matrix: np.ndarray):
-        if n > FIELD_N_MAX:
-            raise ValueError(f"dense uniform field limited to n <= {FIELD_N_MAX}")
-        if matrix.shape != (n + 1, n + 1):
-            raise ValueError("field matrix must be (n+1) x (n+1)")
-        self.n = n
-        self.matrix = matrix
-
-    @classmethod
-    def sample(cls, n: int, rng) -> "UniformField":
-        if n > FIELD_N_MAX:
-            raise ValueError(f"dense uniform field limited to n <= {FIELD_N_MAX}")
-        m = rng.random((n + 1, n + 1))
-        return cls(n, m)
-
-    def __call__(self, i: int, k: int) -> float:
-        if not (1 <= i < k <= self.n):
-            raise IndexError("field defined for 1 <= i < k <= n")
-        return float(self.matrix[i, k])
-
-    def hits(self, p_max: float) -> "SparseField":
-        """The entries U(i, k) <= p_max, as the sparse field they make."""
-        i, k = np.divmod(np.flatnonzero(self.matrix <= p_max), self.n + 1)
-        upper = (0 < i) & (i < k)
-        i, k = i[upper], k[upper]
-        return SparseField(self.n, 1, p_max, i, k - i - 1, self.matrix[i, k])
-
-
-def reorder_field_from_graph(
-    g: ProperlyWeightedGraph, ordering: PrimOrdering
-) -> UniformField:
+def reorder_field_from_graph(g: ProperlyWeightedGraph, ordering: PrimOrdering) -> SparseField:
     """Rebuild the exploration field U*(i, .) from a complete weighted graph.
 
     Row i lists the weights from the i-th Prim vertex to the later vertices,
     ordered by when those vertices first entered the frontier of the first
-    i - 1 Prim vertices (row 1 is in plain Prim-rank order).  Running the
-    walk recursion on this field reproduces, vertex for vertex, the
-    exploration of the level graph of g, so surplus and excess can be
-    compared on a single realisation.
+    i - 1 Prim vertices (row 1 is in plain Prim-rank order).  Every entry is
+    a hit of a p_max = 1 field, marked with its weight.  Running the walk
+    recursion on this field reproduces, vertex for vertex, the exploration
+    of the level graph of g, so surplus and excess can be compared on a
+    single realisation.
     """
     n = g.n
     if g.m != n * (n - 1) // 2:
@@ -111,18 +73,31 @@ def reorder_field_from_graph(
     wr = np.full((n + 1, n + 1), np.inf)
     wr[a, b] = g.w
     wr[b, a] = g.w
-    out = np.full((n + 1, n + 1), np.nan)
-    out[1, 2:] = wr[1, 2:]
-    # entry[k] = min over already-explored rows j of wr[j, k]
-    entry = wr[1].copy()
-    for i in range(2, n):
-        later = np.arange(i, n + 1)
-        order = later[np.argsort(entry[later], kind="stable")]
-        if order[0] != i:
-            raise AssertionError("first frontier entrant must be the next Prim vertex")
-        out[i, i + 1 :] = wr[i, order[1:]]
-        np.minimum(entry, wr[i], out=entry)
-    return UniformField(n, out)
+    # entry[i, k] = min over the rows j < i of wr[j, k]; the explored k < i go first
+    entry = np.full_like(wr, np.inf)
+    np.minimum.accumulate(wr[1:-1], axis=0, out=entry[2:])
+    entry[np.tri(n + 1, k=-1, dtype=bool)] = -np.inf
+    order = np.argsort(entry, axis=1, kind="stable")
+    rows = np.arange(1, n + 1)
+    if (order[rows, rows] != rows).any():
+        raise AssertionError("first frontier entrant must be the next Prim vertex")
+    # the weights in sorted place, over entry (order made flat): row i, slot q
+    # holds the weight to the vertex in place i + 1 + q.  Each (n+1)^2 array
+    # is dropped once used, so no more than three are ever alive.
+    order += np.arange(0, wr.size, n + 1)[:, None]
+    np.take(wr, order, out=entry, mode="clip")  # mode "raise" would copy out first
+    del wr, order
+    upper = ~np.tri(n + 1, dtype=bool)
+    upper[0] = False
+    mark = entry[upper]
+    del entry
+    # int32 positions built by repeats, not from index arrays of every entry:
+    # the field takes the dense matrix's 16 bytes per entry, and no more
+    widths = np.arange(n - 1, 0, -1)
+    step = np.repeat(np.arange(1, n, dtype=np.int32), widths)
+    slot = np.arange(len(step), dtype=np.int32)
+    slot -= np.repeat((np.cumsum(widths) - widths).astype(np.int32), widths)
+    return SparseField(n, 1, 1.0, step, slot, mark)
 
 
 def _frontier(n: int, x: np.ndarray) -> np.ndarray:
@@ -215,24 +190,29 @@ class SparseField:
         row, slot = _uniform_slots(rng.binomial(widths, p_max), widths, rng)
         return cls(n, reps, p_max, row + 1, slot, p_max * (1.0 - rng.random(len(row))))
 
-    def walk(self, p: float):
-        """(Z, X, S) of the flat walk at p <= p_max, as `_explore` returns them."""
+    def at(self, p: float):
+        """(step, slot) of the hits with mark <= p, the field at p <= p_max."""
         if not p <= self.p_max:
             raise ValueError(f"p = {p} above the field's p_max = {self.p_max}")
         keep = self.mark <= p
-        step = self.step[keep]
+        return self.step[keep], self.slot[keep]
+
+    def walk(self, p: float):
+        """(Z, X, S) of the flat walk at p <= p_max, as `_explore` returns them."""
+        step, slot = self.at(p)
         totals = np.bincount(step, minlength=self.n * self.reps + 1)[1:]
-        return _explore(self.n, totals, step, self.slot[keep])
+        return _explore(self.n, totals, step, slot)
 
 
-def _field_hits(params: CriticalWindowParams, field: UniformField) -> SparseField:
+def _check_field(params: CriticalWindowParams, field: SparseField) -> None:
     if field.n != params.n:
         raise ValueError("field size does not match parameters")
-    return field.hits(params.p)
+    if field.reps != 1:
+        raise ValueError(f"a single field is needed, got a batch of {field.reps}")
 
 
-def z_walk(params: CriticalWindowParams, field: UniformField):
-    """Walk-route exploration on a uniform field.
+def z_walk(params: CriticalWindowParams, field: SparseField):
+    """Walk-route exploration on a single field (reps = 1) at params.p.
 
     Returns (z, y): the neighbourhood-size walk Z(0..n+1) and the drifting
     walk Y(0..n) with increments X(i) - 1.  Two exact identities are
@@ -243,7 +223,8 @@ def z_walk(params: CriticalWindowParams, field: UniformField):
     its drift unit at a restart while Z also picks up the restart vertex.
     Every step of Z is >= -1, also checked.
     """
-    z, x, _ = _field_hits(params, field).walk(params.p)
+    _check_field(params, field)
+    z, x, _ = field.walk(params.p)
     y = LatticePath(np.concatenate([[0], np.cumsum(x[1:] - 1)]))
     if not np.array_equal(np.maximum(z - 1, 0), psi(y).values):
         raise AssertionError("Psi Y must equal max(Z - 1, 0) pointwise")
@@ -257,7 +238,7 @@ def z_walk(params: CriticalWindowParams, field: UniformField):
     return LatticePath(np.append(z, 0)), y
 
 
-def surplus_field(params: CriticalWindowParams, z: LatticePath, field: UniformField) -> np.ndarray:
+def surplus_field(params: CriticalWindowParams, z: LatticePath, field: SparseField) -> np.ndarray:
     """Per-step surplus S(i): field entries <= p among the skipped frontier slots.
 
     S(i) counts k with U(i, k) <= p and i < k <= i + (Z(i-1) - 1)_+; summing
@@ -266,13 +247,14 @@ def surplus_field(params: CriticalWindowParams, z: LatticePath, field: UniformFi
     (z(i-1) - 1)_+, and z must be this field's walk at p: by induction from
     Z(0) = 0, it is exactly when Z = T - S + m at every step.
     """
-    hits = _field_hits(params, field)
+    _check_field(params, field)
+    step, slot = field.at(params.p)
     z = z.values[: params.n + 1]
     if len(z) != params.n + 1:
         raise ValueError("z is shorter than the walk of this field")
     m = np.append(0, np.maximum(z[:-1] - 1, 0))
-    s = np.bincount(hits.step[hits.slot < m[hits.step]], minlength=len(z))
-    if not np.array_equal(z, np.bincount(hits.step, minlength=len(z)) - s + m):
+    s = np.bincount(step[slot < m[step]], minlength=len(z))
+    if not np.array_equal(z, np.bincount(step, minlength=len(z)) - s + m):
         raise ValueError("z is not the walk of this field at p")
     return s
 
@@ -284,11 +266,35 @@ def component_surpluses(z: LatticePath, s: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(sizes, np.add.reduceat(s[1:], starts).tolist()))
 
 
-def walk_route(params: CriticalWindowParams, rng) -> list[tuple[int, int]]:
-    """Sample one walk-route realisation: (size, surplus) per component,
-    from a sparse field at p (any n, O(n) memory)."""
-    z, _, s = SparseField.sample(params.n, params.p, rng).walk(params.p)
-    return component_surpluses(LatticePath(np.append(z, 0)), s)
+def _level(rep, sizes, extra, reps: int | None):
+    """One lambda's components in the routes' schema: grouped by increasing
+    rep, by decreasing size within a rep, ties kept in the given order;
+    (sizes, extra) alone when reps is None."""
+    order = np.lexsort((-sizes, rep))
+    level = (rep[order], sizes[order], extra[order])
+    return level[1:] if reps is None else level
+
+
+def walk_route(n: int, lambdas, rng, reps: int | None = None):
+    """Component sizes and surpluses of the walk route on a coupled grid.
+
+    One sparse field at the largest p_lambda serves every lambda in
+    `lambdas`, and each lambda gives (sizes, surplus) or, with `reps` given,
+    (rep, sizes, surplus) over `reps` independent walks, in graph_route's
+    order; ties in size keep exploration order.  Any n, O(n reps) memory.
+    """
+    ps = [p_lambda(n, lam) for lam in lambdas]
+    field = SparseField.sample(n, max(ps), rng, 1 if reps is None else reps)
+    found = []
+    for p in ps:
+        z, _, s = field.walk(p)
+        # step k belongs to the component opened at the last zero of Z before it
+        opens = z[:-1] == 0
+        comp = np.cumsum(opens) - 1
+        sizes = np.bincount(comp)
+        surplus = np.bincount(comp, weights=s[1:]).astype(np.int64)
+        found.append(_level(np.flatnonzero(opens) // n, sizes, surplus, reps))
+    return found
 
 
 def gamma_times(n: int, sizes) -> MassVector:
@@ -296,7 +302,7 @@ def gamma_times(n: int, sizes) -> MassVector:
     return MassVector(np.asarray(sizes, dtype=float) / n ** (2.0 / 3.0), norm="l2")
 
 
-def y_times(params: CriticalWindowParams, field: UniformField) -> LatticePath:
+def y_times(params: CriticalWindowParams, field: SparseField) -> LatticePath:
     """Rescaled walk Y(n^{2/3} x) / n^{1/3} on x in [0, n^{1/3}]."""
     _, y = z_walk(params, field)
     n = params.n
@@ -431,10 +437,7 @@ def graph_route(n: int, lambdas, rng, reps: int | None = None):
         roots = np.flatnonzero(r == vertex)
         sizes = np.bincount(r, minlength=len(r))[roots]
         excess = np.bincount(r[u[:stop]], minlength=len(r))[roots] - sizes + 1
-        rep = roots // n
-        order = np.lexsort((-sizes, rep))
-        level = (rep[order], sizes[order], excess[order])
-        found.append(level[1:] if reps is None else level)
+        found.append(_level(roots // n, sizes, excess, reps))
         start = stop
     return [found[k] for k in back]
 
@@ -477,18 +480,10 @@ def _outcome_counts(rep, sizes, extra, reps: int, n: int) -> dict[tuple, int]:
 def sample_walk_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:
     """Empirical law of the multiset {(size, surplus)} under the walk route,
     keyed as in _outcome_counts, from one flat batch of sparse walks."""
-    p = p_lambda(n, lam)
-    z, _, s = SparseField.sample(n, p, rng, reps).walk(p)
-    # step k belongs to the component opened at the last zero of Z before it
-    opens = z[:-1] == 0
-    comp = np.cumsum(opens) - 1
-    sizes = np.bincount(comp)
-    surplus = np.bincount(comp, weights=s[1:]).astype(np.int64)
-    return _outcome_counts(np.flatnonzero(opens) // n, sizes, surplus, reps, n)
+    return _outcome_counts(*walk_route(n, [lam], rng, reps=reps)[0], reps, n)
 
 
 def sample_graph_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:
     """Empirical law of the multiset {(size, excess)} of the components of
     G(n, p_lambda), keyed as in _outcome_counts, from the batched graph route."""
-    rep, sizes, excess = graph_route(n, [lam], rng, reps=reps)[0]
-    return _outcome_counts(rep, sizes, excess, reps, n)
+    return _outcome_counts(*graph_route(n, [lam], rng, reps=reps)[0], reps, n)

@@ -9,7 +9,6 @@ graph-side cluster computations be compared exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,14 +207,3 @@ def walk_component_sizes(z: LatticePath) -> list[int]:
     vals = z.values[:-1]
     zeros = np.flatnonzero(vals == 0)
     return np.diff(zeros).astype(int).tolist()
-
-
-def export_trace(f: LatticePath, path) -> None:
-    """CSV trace with columns index, value, psi_value, running_min."""
-    runmin = f.running_min()
-    psival = f.values - runmin
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value", "psi_value", "running_min"])
-        for k in range(len(f)):
-            writer.writerow([k, f.values[k], psival[k], runmin[k]])

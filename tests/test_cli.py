@@ -183,7 +183,7 @@ class TestWalkRouteSize:
         ids=["simulate-multiplicative", "augmented"],
     )
     def test_large_n_runs(self, tmp_path, argv, output):
-        # above the 4096 cap of a dense field: the walk route reads a sparse one
+        # the walk route reads a sparse field, so n is not capped
         out = tmp_path / "run"
         args = ["--n", "5000", "--lambdas=-1,0,1", "--replicates", "2", "--out", str(out)]
         assert run(argv + args) == 0
@@ -263,6 +263,25 @@ class TestSizeFlags:
             argv = argv + ["--config", str(path)]
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["limit-compare"], {"dx": 0}, "config dx must be a number greater than 0, got 0"),
+            (["limit-compare"], {"horizon": -1}, "config horizon must be a number greater than 0, got -1"),
+            (["simulate-multiplicative"], {"top": 2.5}, "config top must be an integer at least 1, got 2.5"),
+        ],
+        ids=["dx", "horizon", "top"],
+    )
+    def test_bad_config_number_refused_early(self, tmp_path, capsys, argv, config, message):
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", str(path), "--out", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -1,0 +1,37 @@
+"""No module in src/, demos/ or tests/ imports a name it never uses.
+
+Names imported into a package's __init__.py are its public re-exports and
+are exempt.  A name counts as used when it appears as a bare name anywhere
+in the module, including as the base of an attribute access.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    paths = [
+        p
+        for top in ("src", "demos", "tests")
+        for p in sorted((ROOT / top).rglob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    assert paths
+    unused = [entry for p in paths for entry in _unused_imports(p)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

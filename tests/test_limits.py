@@ -19,7 +19,6 @@ from primcoal.limits import (
 )
 from primcoal.multiplicative import graph_route, p_lambda, replicate_rows, sample_walk_outcomes
 from primcoal.oracles import row_counts, tv_distance
-from primcoal.walks import psi
 
 
 class TestParabolicPath:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from primcoal.graphs import (
@@ -13,7 +13,6 @@ from primcoal.graphs import (
 from primcoal.multiplicative import (
     CriticalWindowParams,
     SparseField,
-    UniformField,
     _decode_edge_indices,
     _explore,
     _uniform_slots,
@@ -34,7 +33,7 @@ from primcoal.multiplicative import (
     z_walk,
 )
 from primcoal.oracles import empirical_counts, ks_two_sample, row_counts, tv_distance
-from primcoal.walks import walk_component_sizes
+from primcoal.walks import LatticePath, walk_component_sizes
 
 
 class TestPLambda:
@@ -50,13 +49,30 @@ class TestPLambda:
             p_lambda(4, -2.0)
 
 
+def _dense_field(n, rng):
+    """The dense i.i.d. field U(i, k), 1 <= i < k <= n, drawn as an (n+1) x
+    (n+1) matrix and held as the p_max = 1 field of all its entries."""
+    u = rng.random((n + 1, n + 1))
+    i, k = np.triu_indices(n + 1, 1)
+    i, k = i[n:], k[n:]
+    return SparseField(n, 1, 1.0, i, k - i - 1, u[i, k])
+
+
+def _dense_matrix(field):
+    """The field's entries as an (n+1) x (n+1) matrix, U(i, k) at row i,
+    column i + 1 + slot; inf where the field has no hit."""
+    u = np.full((field.n + 1, field.n + 1), np.inf)
+    u[field.step, field.step + 1 + field.slot] = field.mark
+    return u
+
+
 class TestZWalk:
     def test_t_zero(self, rng):
         n = 10
         lam = -float(n ** (1.0 / 3.0))  # p = 0
         params = CriticalWindowParams(n, lam)
         assert params.p == pytest.approx(0.0)
-        z, y = z_walk(params, UniformField.sample(n, rng))
+        z, y = z_walk(params, _dense_field(n, rng))
         assert (z.values == 0).all()
         assert y.values.tolist() == list(range(0, -(n + 1), -1))
 
@@ -65,7 +81,7 @@ class TestZWalk:
         lam = float((1.0 - 1.0 / n) * n ** (4.0 / 3.0))  # p = 1
         params = CriticalWindowParams(n, lam)
         assert params.p == pytest.approx(1.0)
-        z, _ = z_walk(params, UniformField.sample(n, rng))
+        z, _ = z_walk(params, _dense_field(n, rng))
         assert walk_component_sizes(z) == [n]
 
     def test_internal_identities_hold_on_random_fields(self, rng):
@@ -75,17 +91,27 @@ class TestZWalk:
             n = int(rng.integers(2, 60))
             lam = float(rng.uniform(-0.9, 2.0)) * n ** (1.0 / 3.0)
             params = CriticalWindowParams(n, min(lam, (1 - 1 / n) * n ** (4 / 3)))
-            z, y = z_walk(params, UniformField.sample(n, rng))
+            z, y = z_walk(params, _dense_field(n, rng))
             assert (np.diff(z.values[:-1]) >= -1).all()
             assert sum(walk_component_sizes(z)) == n
 
     def test_field_size_mismatch(self, rng):
         with pytest.raises(ValueError):
-            z_walk(CriticalWindowParams(5, 0.0), UniformField.sample(6, rng))
+            z_walk(CriticalWindowParams(5, 0.0), _dense_field(6, rng))
+
+    def test_batch_field_refused(self, rng):
+        params = CriticalWindowParams(20, 0.0)
+        field = SparseField.sample(20, params.p, rng, reps=2)
+        with pytest.raises(ValueError):
+            z_walk(params, field)
+        with pytest.raises(ValueError):
+            surplus_field(params, LatticePath(np.zeros(22, dtype=np.int64)), field)
 
 
-def _literal_field_walk(n, p, u):
-    """Reference walk: Z, Y and S read straight off the field, step by step."""
+def _literal_field_walk(n, p, field):
+    """Reference walk: Z, Y and S read straight off the field's dense matrix,
+    step by step."""
+    u = _dense_matrix(field)
     z = np.zeros(n + 2, dtype=np.int64)
     y = np.zeros(n + 1, dtype=np.int64)
     s = np.zeros(n + 1, dtype=np.int64)
@@ -101,15 +127,17 @@ def _literal_field_walk(n, p, u):
 class TestFieldRecursion:
     def _check(self, params, field):
         z, y = z_walk(params, field)
-        want_z, want_y, want_s = _literal_field_walk(params.n, params.p, field.matrix)
+        want_z, want_y, want_s = _literal_field_walk(params.n, params.p, field)
         assert np.array_equal(z.values, want_z)
         assert np.array_equal(y.values, want_y)
         assert np.array_equal(surplus_field(params, z, field), want_s)
-        # the hits below a larger p_max walk to the literal loop at every p <= p_max
-        hits = field.hits(min(2.0 * params.p, 1.0))
+        # its hits below a smaller p_max walk to the literal loop at every p <= p_max
+        p_max = min(2.0 * params.p, 1.0)
+        keep = field.mark <= p_max
+        hits = SparseField(params.n, 1, p_max, field.step[keep], field.slot[keep], field.mark[keep])
         for p in (params.p / 3, params.p, min(1.5 * params.p, 1.0)):
             z, x, s = hits.walk(p)
-            want_z, want_y, want_s = _literal_field_walk(params.n, p, field.matrix)
+            want_z, want_y, want_s = _literal_field_walk(params.n, p, field)
             assert np.array_equal(z, want_z[:-1])
             assert np.array_equal(x[1:], np.diff(want_y) + 1)
             assert np.array_equal(s, want_s)
@@ -117,13 +145,13 @@ class TestFieldRecursion:
     def test_matches_literal_loop_on_raw_fields(self, rng):
         for n in [int(k) for k in rng.integers(3, 150, size=150)] + [1024]:
             c = float(rng.uniform(-0.9, 2.0))
-            self._check(CriticalWindowParams(n, c * n ** (1.0 / 3.0)), UniformField.sample(n, rng))
+            self._check(CriticalWindowParams(n, c * n ** (1.0 / 3.0)), _dense_field(n, rng))
 
     def test_matches_literal_loop_on_supercritical_fields(self, rng):
         # far above the window, where the frontier covers most of each row
         for n in [int(k) for k in rng.integers(20, 300, size=40)]:
             lam = min(float(rng.uniform(5.0, 40.0)), (1 - 1 / n) * n ** (4.0 / 3.0))
-            self._check(CriticalWindowParams(n, lam), UniformField.sample(n, rng))
+            self._check(CriticalWindowParams(n, lam), _dense_field(n, rng))
 
     def test_matches_literal_loop_on_reordered_fields(self, rng):
         for _ in range(150):
@@ -136,24 +164,10 @@ class TestFieldRecursion:
     def test_surplus_refuses_another_fields_walk(self, rng):
         n = 200
         params = CriticalWindowParams(n, 1.0)
-        a, b = UniformField.sample(n, rng), UniformField.sample(n, rng)
+        a, b = _dense_field(n, rng), _dense_field(n, rng)
         z, _ = z_walk(params, a)
         with pytest.raises(ValueError):
             surplus_field(params, z, b)
-
-
-class TestUniformField:
-    def test_bounds(self, rng):
-        f = UniformField.sample(5, rng)
-        assert 0.0 <= f(1, 2) <= 1.0
-        with pytest.raises(IndexError):
-            f(2, 2)
-        with pytest.raises(IndexError):
-            f(0, 3)
-
-    def test_size_cap(self, rng):
-        with pytest.raises(ValueError):
-            UniformField.sample(5000, rng)
 
 
 class TestReorderedField:
@@ -168,11 +182,11 @@ class TestReorderedField:
         g = random_complete_graph(6, rng)
         o = prim_order(g)
         rank = o.rank()
-        field = reorder_field_from_graph(g, o)
-        w = {tuple(sorted((u, v))): wt for u, v, wt in g.edges}
+        u = _dense_matrix(reorder_field_from_graph(g, o))
+        w = {tuple(sorted((a, b))): wt for a, b, wt in g.edges}
         inv = {r: v for v, r in rank.items()}
         for k in range(2, 7):
-            assert field(1, k) == w[tuple(sorted((inv[1], inv[k])))]
+            assert u[1, k] == w[tuple(sorted((inv[1], inv[k])))]
 
     def test_surplus_equals_graph_excess(self, rng):
         # the reordered field replays the exploration of the level graph:
@@ -224,9 +238,13 @@ class TestSparseSampling:
         assert abs(mean - ne * p) < 4 * se
 
 
+ROUTES = pytest.mark.parametrize("route", [graph_route, walk_route], ids=["graph", "walk"])
+
+
 class TestGraphRoute:
-    def test_sizes_partition_n(self, rng):
-        for sizes, excess in graph_route(500, [-1.0, 0.0, 1.0], rng):
+    @ROUTES
+    def test_sizes_partition_n(self, rng, route):
+        for sizes, excess in route(500, [-1.0, 0.0, 1.0], rng):
             assert sizes.sum() == 500
             assert (np.diff(sizes) <= 0).all()
             assert (excess >= 0).all()
@@ -302,9 +320,10 @@ class TestGraphRoute:
                 assert sorted(zip(sizes[ours].tolist(), excess[ours].tolist())) == sorted(pairs)
                 assert sizes[ours].tolist() == sorted((s for s, _ in pairs), reverse=True)
 
-    def test_batch_components_partition_each_replicate(self, rng):
+    @ROUTES
+    def test_batch_components_partition_each_replicate(self, rng, route):
         n, reps = 40, 300
-        for rep, sizes, excess in graph_route(n, [-1.0, 0.0, 1.0], rng, reps=reps):
+        for rep, sizes, excess in route(n, [-1.0, 0.0, 1.0], rng, reps=reps):
             assert (np.diff(rep) >= 0).all()
             assert np.array_equal(np.bincount(rep, weights=sizes, minlength=reps), np.full(reps, n))
             assert (np.diff(sizes)[np.diff(rep) == 0] <= 0).all()
@@ -313,26 +332,25 @@ class TestGraphRoute:
 
 class TestWalkRoute:
     def test_component_pairs_partition(self, rng):
-        pairs = walk_route(CriticalWindowParams(80, 0.5), rng)
-        assert sum(size for size, _ in pairs) == 80
-        assert all(s >= 0 for _, s in pairs)
+        sizes, surplus = walk_route(80, [0.5], rng)[0]
+        assert sizes.sum() == 80
+        assert (surplus >= 0).all()
 
     def test_surplus_zero_on_trees(self, rng):
         # at very subcritical p the components are almost surely trees
-        params = CriticalWindowParams(30, -2.0)
         for _ in range(50):
-            pairs = walk_route(params, rng)
-            sizes = [sz for sz, _ in pairs]
-            if max(sizes) <= 2:
-                assert all(s == 0 for _, s in pairs)
+            sizes, surplus = walk_route(30, [-2.0], rng)[0]
+            if sizes.max() <= 2:
+                assert (surplus == 0).all()
 
     def test_draws_are_stable(self):
         # recorded when every walk drew its hits without marks: a field draws
-        # its marks after its hits, so the walk at p_max makes the same draws
-        pairs = walk_route(CriticalWindowParams(40, 3.0), np.random.default_rng(2024))
-        assert pairs == [(23, 3), (3, 0), (2, 0)] + [(1, 0)] * 4 + [(2, 0)] + [(1, 0)] * 3 + [
-            (2, 0), (1, 0)
-        ]
+        # its marks after its hits, so the walk at p_max makes the same draws;
+        # listed by decreasing size, ties in exploration order
+        sizes, surplus = walk_route(40, [3.0], np.random.default_rng(2024))[0]
+        assert list(zip(sizes.tolist(), surplus.tolist())) == [(23, 3), (3, 0)] + [(2, 0)] * 3 + [
+            (1, 0)
+        ] * 8
         assert sample_walk_outcomes(4, 0.5, 30, np.random.default_rng(2025)) == {
             (1, 0, 1, 0, 1, 0, 1, 0): 2,
             (2, 0, 1, 0, 1, 0, 0, 0): 6,
@@ -359,7 +377,7 @@ class TestScalingHelpers:
 
     def test_y_times_scaling(self, rng):
         n = 27
-        yt = y_times(CriticalWindowParams(n, 0.0), UniformField.sample(n, rng))
+        yt = y_times(CriticalWindowParams(n, 0.0), _dense_field(n, rng))
         assert yt.x_step == pytest.approx(n ** (-2 / 3))
         assert len(yt) == n + 1
 
@@ -477,7 +495,7 @@ class TestSparseTrace:
         params = CriticalWindowParams(n, 0.0)
         dense_largest, dense_surplus = [], []
         for _ in range(reps):
-            field = UniformField.sample(n, rng)
+            field = _dense_field(n, rng)
             z, _ = z_walk(params, field)
             dense_largest.append(max(walk_component_sizes(z)))
             dense_surplus.append(surplus_field(params, z, field).sum())

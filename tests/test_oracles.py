@@ -6,7 +6,6 @@ import pytest
 
 from primcoal.graphs import ProperlyWeightedGraph, prim_order
 from primcoal.oracles import (
-    TestVerdict,
     all_cayley_trees,
     cayley_outdegree_law,
     conditioned_walk_law,

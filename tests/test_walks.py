@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from primcoal.graphs import level_components, prim_order, random_complete_graph
 from primcoal.states import MassVector
 from primcoal.walks import (
-    DEFAULT_CONVENTION,
     WEAK_MIN_CONVENTION,
     ExcursionConvention,
     LatticePath,
     excursions_above_min,
     excursions_above_zero,
     explore,
-    export_trace,
     psi,
     sorted_lengths,
     walk_component_sizes,
@@ -182,13 +180,3 @@ class TestExplore:
         g = random_complete_graph(5, rng)
         assert walk_component_sizes(explore(g, 0.0)) == [1] * 5
         assert walk_component_sizes(explore(g, 1.0)) == [5]
-
-
-def test_export_trace(tmp_path):
-    f = LatticePath([0, 1, -1, 0])
-    out = tmp_path / "trace.csv"
-    export_trace(f, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "index,value,psi_value,running_min"
-    assert len(lines) == 5
-    assert lines[2].split(",") == ["1", "1", "1", "0"]
