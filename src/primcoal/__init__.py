@@ -32,7 +32,6 @@ from .walks import (
     excursions_above_zero,
     explore,
     psi,
-    sorted_lengths,
     walk_component_sizes,
 )
 from .additive import (
@@ -50,10 +49,8 @@ from .additive import (
     rejection_sample_conditioned_walk,
     retention_level,
     sample_conditioned_walk,
-    time_change_W,
     uniform_cayley_tree,
     weighted_cayley_tree,
-    y_plus,
 )
 from .multiplicative import (
     CriticalWindowParams,
@@ -70,19 +67,15 @@ from .multiplicative import (
     sparse_z_trace,
     surplus_field,
     walk_route,
-    y_times,
     z_walk,
 )
 from .limits import (
-    GridPath,
     MLTrajectory,
-    grid_excursions,
     limit_gamma,
     limit_surplus,
     marcus_lushnikov,
     ml_additive_sizes,
     ml_multiplicative_sizes,
-    sample_planar_poisson,
     simulate_excursion,
     simulate_parabolic,
 )

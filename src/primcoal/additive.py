@@ -10,18 +10,14 @@ merge process, and as percolation clusters of a uniform Cayley tree.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProperlyWeightedGraph, PrimOrdering, prim_order
+from .graphs import ProperlyWeightedGraph, PrimOrdering, level_components, prim_order
 from .states import MassVector, MergeHistory
-from .walks import (
-    DEFAULT_CONVENTION,
-    LatticePath,
-    excursions_above_min,
-    sorted_lengths,
-)
+from .walks import DEFAULT_CONVENTION, LatticePath, excursions_above_min
 
 
 @dataclass(frozen=True)
@@ -113,14 +109,6 @@ def retention_level(n: int, lam: float) -> float:
     return 1.0 - lam / np.sqrt(n)
 
 
-def y_plus(family: ThinnedWalkFamily, lam: float) -> LatticePath:
-    """Rescaled walk Y^{(1-lambda/sqrt n)}(n x)/sqrt(n) on x in [0, 1]."""
-    n = family.n
-    t = retention_level(n, lam)
-    raw = family.path(t)
-    return LatticePath(raw.values / np.sqrt(n), x_step=1.0 / n)
-
-
 def gamma_plus(family: ThinnedWalkFamily, lam: float) -> MassVector:
     """Sorted cluster masses at time t = 1 - lambda/sqrt(n), normalised by n.
 
@@ -129,14 +117,7 @@ def gamma_plus(family: ThinnedWalkFamily, lam: float) -> MassVector:
     """
     t = retention_level(family.n, lam)
     exc = excursions_above_min(family.path(t), DEFAULT_CONVENTION)
-    return sorted_lengths(exc, normaliser=family.n)
-
-
-def time_change_W(n: int, lam: float, rng) -> float:
-    """(n - N)/sqrt(n) with N ~ Binomial(n-1, 1-lambda/sqrt(n))."""
-    t = retention_level(n, lam)
-    coalescences = rng.binomial(n - 1, t)
-    return float((n - coalescences) / np.sqrt(n))
+    return MassVector(exc.lengths() / family.n, norm="l1")
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +241,6 @@ def prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
-    import heapq
-
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []
@@ -319,8 +298,6 @@ def percolate_cayley(n: int, t: float, rng):
     """
     g = weighted_cayley_tree(n, rng)
     ordering = prim_order(g, root=1)
-    from .graphs import level_components
-
     comps = level_components(g, t, ordering)
     sizes = sorted((len(c) for c, _ in comps), reverse=True)
     return g, ordering, sizes

@@ -17,6 +17,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,7 +29,13 @@ from .additive import (
     retention_level,
     sample_conditioned_walk,
 )
-from .graphs import component_filtration, prim_order, random_complete_graph
+from .graphs import (
+    ProperlyWeightedGraph,
+    component_filtration,
+    level_components,
+    prim_order,
+    random_complete_graph,
+)
 from .limits import (
     ml_additive_sizes,
     ml_multiplicative_sizes,
@@ -199,10 +206,6 @@ def cmd_compare_orders(cfg, outdir):
     (1, 3, 4, 2) with probability 1/4 over weight orders, while the
     standard label-order exploration gives 1/6 under uniform relabelling.
     """
-    from fractions import Fraction
-
-    from .graphs import ProperlyWeightedGraph
-
     g = ProperlyWeightedGraph(4, [(1, 2, 0.1), (1, 3, 0.2), (1, 4, 0.3), (3, 4, 0.4)])
 
     def prim_visits_1342(gp):
@@ -232,8 +235,6 @@ def cmd_verify_invariants(cfg, outdir):
         g = random_complete_graph(n, rng)
         o = prim_order(g)
         t = float(rng.random())
-        from .graphs import level_components
-
         try:
             level_components(g, t, o)  # raises if not Prim intervals
         except Exception as exc:
@@ -460,8 +461,8 @@ def main(argv=None) -> int:
         if key in cfg and cfg[key] not in allowed:
             parser.error(f"--{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
     for key in ("n", "replicates"):
-        if key in cfg and cfg[key] < 1:
-            parser.error(f"--{key} must be at least 1, got {cfg[key]}")
+        if key in cfg and not (type(cfg[key]) is int and cfg[key] >= 1):
+            parser.error(f"--{key} must be at least 1 and an integer, got {cfg[key]!r}")
     if "top" in cfg and not (type(cfg["top"]) is int and cfg["top"] >= 1):
         parser.error(f"config top must be an integer at least 1, got {cfg['top']!r}")
     for key in ("dx", "horizon"):
@@ -470,6 +471,9 @@ def main(argv=None) -> int:
     if "lambdas" in cfg or "lam" in cfg:
         key = "lambdas" if "lambdas" in cfg else "lam"
         lambdas = cfg[key] if key == "lambdas" else [cfg[key]]
+        if not (type(lambdas) is list and all(type(lam) in (int, float) for lam in lambdas)):
+            kind = "a list of numbers" if key == "lambdas" else "a number"
+            parser.error(f"--{key} must be {kind}, got {cfg[key]!r}")
         if not lambdas:
             parser.error("--lambdas must list at least one lambda")
         additive = args.command == "simulate-additive" or cfg.get("kind") == "additive"

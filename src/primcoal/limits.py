@@ -2,35 +2,21 @@
 
 Grid discretisations of the parabolically drifted Brownian motion
 B(x) + lambda x - x^2/2 (multiplicative limit) and of the tilted normalised
-excursion (additive limit), excursion-length extraction after reflection
-above the running minimum, a planar Poisson point set under the reflected
-path for the limiting surplus counts, and an event-driven stochastic
-coalescent with pluggable collision kernel.
+excursion (additive limit), their excursion lengths above the running
+minimum, planar Poisson points under the reflected path for the limiting
+surplus counts, and an event-driven stochastic coalescent with pluggable
+collision kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .states import MassVector, MergeHistory
-from .walks import LatticePath, psi
+from .walks import WEAK_MIN_CONVENTION, LatticePath, excursions_above_min, psi
 
 
-@dataclass(frozen=True)
-class GridPath(LatticePath):
-    """LatticePath on a uniform grid of width dx starting at x = 0."""
-
-    @property
-    def dx(self) -> float:
-        return self.x_step
-
-    def grid(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.x_step
-
-
-def simulate_parabolic(lam: float, rng, horizon: float | None = None, dx: float = 1e-3) -> GridPath:
+def simulate_parabolic(lam: float, rng, horizon: float | None = None, dx: float = 1e-3) -> LatticePath:
     """B(x) + lambda x - x^2/2 on [0, horizon], steps N(0, dx).
 
     Default horizon max(10, 2 lambda + 10): past 2 lambda the drift is
@@ -41,10 +27,10 @@ def simulate_parabolic(lam: float, rng, horizon: float | None = None, dx: float 
     steps = int(round(horizon / dx))
     x = np.arange(steps + 1) * dx
     noise = np.concatenate([[0.0], rng.normal(0.0, np.sqrt(dx), size=steps)])
-    return GridPath(np.cumsum(noise) + lam * x - x**2 / 2.0, x_step=dx)
+    return LatticePath(np.cumsum(noise) + lam * x - x**2 / 2.0, x_step=dx)
 
 
-def simulate_excursion(lam: float, rng, dx: float = 1e-3) -> GridPath:
+def simulate_excursion(lam: float, rng, dx: float = 1e-3) -> LatticePath:
     """Tilted normalised Brownian excursion e(x) - lambda x on [0, 1].
 
     The excursion comes from the Vervaat rotation of a Brownian bridge at
@@ -59,69 +45,44 @@ def simulate_excursion(lam: float, rng, dx: float = 1e-3) -> GridPath:
     exc = np.concatenate([bridge[k:], bridge[1 : k + 1]]) - bridge[k]
     exc[0] = 0.0
     exc[-1] = 0.0
-    return GridPath(exc - lam * x, x_step=dx)
+    return LatticePath(exc - lam * x, x_step=dx)
 
 
-def grid_excursions(path: GridPath) -> list[tuple[int, int]]:
-    """Excursion intervals (a, b] of Psi(path) above zero, in grid indices.
-
-    Floating grids almost never return exactly to the minimum, so a grid
-    point counts as a zero of the reflected path when it sets a new running
-    minimum of the original.  Zero-length artefacts are discarded.
-    """
-    vals = np.asarray(path.values, dtype=float)
-    runmin = np.minimum.accumulate(vals)
-    at_min = vals <= runmin + 1e-15
-    zeros = np.flatnonzero(at_min)
-    ivals = [(int(a), int(b)) for a, b in zip(zeros[:-1], zeros[1:]) if b - a >= 2]
-    if zeros[-1] != len(vals) - 1:
-        ivals.append((int(zeros[-1]), len(vals) - 1))
-    return ivals
-
-
-def limit_gamma(path: GridPath, top: int | None = None) -> MassVector:
-    """Sorted excursion lengths of Psi(path) above zero, in x units."""
-    lengths = np.array([(b - a) for a, b in grid_excursions(path)], dtype=float)
-    lengths = np.sort(lengths)[::-1] * path.dx
+def limit_gamma(path: LatticePath, top: int | None = None) -> MassVector:
+    """Sorted excursion lengths of path above its running minimum, in x units."""
+    lengths = excursions_above_min(path, WEAK_MIN_CONVENTION).lengths()
+    lengths = np.sort(lengths)[::-1] * path.x_step
     if top is not None:
         lengths = lengths[:top]
     return MassVector(lengths, norm="l2")
 
 
-@dataclass(frozen=True)
-class PlanarPoissonPoints:
-    """Unit-rate Poisson points in a box [0, width] x [0, height]."""
-
-    width: float
-    height: float
-    xs: np.ndarray
-    ys: np.ndarray
-
-
-def sample_planar_poisson(width: float, height: float, rng) -> PlanarPoissonPoints:
-    n = rng.poisson(width * height)
-    return PlanarPoissonPoints(width, height, rng.random(n) * width, rng.random(n) * height)
-
-
-def limit_surplus(path: GridPath, rng, margin: float = 0.5) -> list[tuple[float, int]]:
-    """(excursion length, surplus) per excursion of Psi(path).
+def limit_surplus(path: LatticePath, rng, margin: float = 0.5) -> list[tuple[float, int]]:
+    """(excursion length, surplus) per excursion of path above its running
+    minimum, by decreasing length, then increasing surplus.
 
     The surplus of an excursion is the number of unit-rate planar Poisson
-    points lying strictly under the reflected path over its interval; the
-    box height is the path's maximum plus a margin so no point is clipped.
+    points in the box [0, width] x [0, height] lying strictly under the
+    reflected path Psi(path) over its interval; the height is the reflected
+    path's maximum plus a margin so no point is clipped.
     """
+    exc = excursions_above_min(path, WEAK_MIN_CONVENTION)
     reflected = psi(path).values
-    width = (len(path.values) - 1) * path.dx
+    dx = path.x_step
+    width = (len(reflected) - 1) * dx
     height = float(reflected.max()) + margin
-    pts = sample_planar_poisson(width, height, rng)
-    idx = np.minimum((pts.xs / path.dx).astype(int), len(reflected) - 1)
-    under = pts.ys < reflected[idx]
-    out = []
-    for a, b in grid_excursions(path):
-        inside = under & (pts.xs > a * path.dx) & (pts.xs <= b * path.dx)
-        out.append(((b - a) * path.dx, int(inside.sum())))
-    out.sort(key=lambda p: (-p[0], p[1]))
-    return out
+    count = rng.poisson(width * height)
+    xs, ys = rng.random(count) * width, rng.random(count) * height
+    under = ys < reflected[np.minimum((xs / dx).astype(int), len(reflected) - 1)]
+    # the intervals are disjoint and ordered, so x can only lie in the first
+    # one ending at or after it
+    k = np.searchsorted(exc.ends * dx, xs)
+    hit = np.flatnonzero(under & (k < len(exc.ends)))
+    hit = hit[exc.starts[k[hit]] * dx < xs[hit]]
+    surplus = np.bincount(k[hit], minlength=len(exc.ends))
+    lengths = exc.lengths() * dx
+    order = np.lexsort((surplus, -lengths))
+    return list(zip(lengths[order].tolist(), surplus[order].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,7 @@ import numpy as np
 from .graphs import ProperlyWeightedGraph, PrimOrdering
 from .oracles import row_counts
 from .states import AugmentedState, MassVector
-from .walks import (
-    DEFAULT_CONVENTION,
-    LatticePath,
-    excursions_above_min,
-    psi,
-    walk_component_sizes,
-)
+from .walks import DEFAULT_CONVENTION, LatticePath, excursions_above_min, psi
 
 
 def p_lambda(n: int, lam: float) -> float:
@@ -259,11 +253,20 @@ def surplus_field(params: CriticalWindowParams, z: LatticePath, field: SparseFie
     return s
 
 
+def _components(z: np.ndarray, s: np.ndarray):
+    """(open step, size, surplus) per component of a flat walk, in
+    exploration order, from Z and S over steps 0..N with Z(N) = 0."""
+    # step k belongs to the component opened at the last zero of Z before it
+    opens = z[:-1] == 0
+    comp = np.cumsum(opens) - 1
+    return np.flatnonzero(opens), np.bincount(comp), np.bincount(comp, weights=s[1:]).astype(np.int64)
+
+
 def component_surpluses(z: LatticePath, s: np.ndarray) -> list[tuple[int, int]]:
-    """(size, surplus) per component in exploration order."""
-    sizes = walk_component_sizes(z)
-    starts = np.cumsum([0] + sizes[:-1])
-    return list(zip(sizes, np.add.reduceat(s[1:], starts).tolist()))
+    """(size, surplus) per component in exploration order, from z_walk's
+    Z(0..n+1) and surplus_field's S."""
+    _, sizes, surplus = _components(z.values[:-1], s)
+    return list(zip(sizes.tolist(), surplus.tolist()))
 
 
 def _level(rep, sizes, extra, reps: int | None):
@@ -288,25 +291,14 @@ def walk_route(n: int, lambdas, rng, reps: int | None = None):
     found = []
     for p in ps:
         z, _, s = field.walk(p)
-        # step k belongs to the component opened at the last zero of Z before it
-        opens = z[:-1] == 0
-        comp = np.cumsum(opens) - 1
-        sizes = np.bincount(comp)
-        surplus = np.bincount(comp, weights=s[1:]).astype(np.int64)
-        found.append(_level(np.flatnonzero(opens) // n, sizes, surplus, reps))
+        opened, sizes, surplus = _components(z, s)
+        found.append(_level(opened // n, sizes, surplus, reps))
     return found
 
 
 def gamma_times(n: int, sizes) -> MassVector:
     """Component sizes rescaled by n^{2/3}, sorted, under the l2 norm."""
     return MassVector(np.asarray(sizes, dtype=float) / n ** (2.0 / 3.0), norm="l2")
-
-
-def y_times(params: CriticalWindowParams, field: SparseField) -> LatticePath:
-    """Rescaled walk Y(n^{2/3} x) / n^{1/3} on x in [0, n^{1/3}]."""
-    _, y = z_walk(params, field)
-    n = params.n
-    return LatticePath(y.values / n ** (1.0 / 3.0), x_step=n ** (-2.0 / 3.0))
 
 
 def augmented_state(n: int, sizes, surpluses) -> AugmentedState:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .additive import bfs_outdegrees
+from .additive import bfs_outdegrees, prufer_decode
 from .graphs import ProperlyWeightedGraph
 
 
@@ -140,8 +141,6 @@ def all_cayley_trees(n: int):
     """All n^{n-2} labelled trees on 1..n as edge lists (n <= 5)."""
     if n > 5:
         raise ValueError("tree enumeration limited to n <= 5")
-    from .additive import prufer_decode
-
     if n <= 2:
         yield prufer_decode([], n)
         return
@@ -168,8 +167,6 @@ def conditioned_walk_law(n: int) -> dict[tuple, Fraction]:
     """
     if n > 8:
         raise ValueError("exact walk law limited to n <= 8")
-    import math
-
     weights: dict[tuple, Fraction] = {}
     total = Fraction(0)
     for x in _compositions(n - 1, n):

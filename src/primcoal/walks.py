@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ProperlyWeightedGraph, PrimOrdering
-from .states import MassVector
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,8 @@ def psi(f: LatticePath) -> LatticePath:
 
 @dataclass(frozen=True)
 class ExcursionConvention:
-    """Discrete excursion conventions.
+    """Discrete excursion convention.
 
-    alpha: rescaled step size used to report excursion lengths (every gap
-      between successive zeros, including single steps, is one excursion).
     beta: drop below the running minimum that closes an above-minimum
       excursion.  beta > 0 (one space unit for integer walks) delimits at
       strict new minima, the convention matching drifting walks whose ladder
@@ -62,12 +59,9 @@ class ExcursionConvention:
       with above-zero excursions of Psi f.
     """
 
-    alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
 
@@ -76,19 +70,21 @@ DEFAULT_CONVENTION = ExcursionConvention()
 WEAK_MIN_CONVENTION = ExcursionConvention(beta=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExcursionSet:
-    """Disjoint ordered excursion intervals (a, b] in index units."""
+    """Disjoint ordered excursion intervals (starts[k], ends[k]] in index units."""
 
-    intervals: tuple[tuple[int, int], ...]
+    starts: np.ndarray
+    ends: np.ndarray
     convention: ExcursionConvention
+
+    @property
+    def intervals(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.starts.tolist(), self.ends.tolist()))
 
     def lengths(self) -> np.ndarray:
         """Lengths in index units."""
-        return np.array([b - a for a, b in self.intervals], dtype=float)
-
-    def rescaled_lengths(self) -> np.ndarray:
-        return self.lengths() * self.convention.alpha
+        return self.ends - self.starts
 
 
 def excursions_above_zero(
@@ -112,7 +108,8 @@ def excursions_above_zero(
     ]
     if zeros[-1] != len(vals) - 1:
         intervals.append((int(zeros[-1]), len(vals) - 1))
-    return ExcursionSet(tuple(intervals), conv)
+    starts, ends = np.array(intervals, dtype=np.int64).reshape(-1, 2).T
+    return ExcursionSet(starts, ends, conv)
 
 
 def excursions_above_min(
@@ -125,7 +122,9 @@ def excursions_above_min(
     With beta > 0 every ladder interval counts, including unit descents
     (unit clusters); with beta = 0 unit gaps are flat or descending under
     interpolation, never above the minimum, and are dropped.  Scans f
-    directly; does not go through Psi.
+    directly; does not go through Psi.  Integer walks and float grids alike:
+    a float grid almost never returns exactly to its minimum, so under
+    beta = 0 its boundaries are its new running minima.
     """
     vals = f.values
     if vals[0] != 0:
@@ -136,17 +135,9 @@ def excursions_above_min(
     a, b = boundaries[:-1], boundaries[1:]
     if not conv.beta > 0:  # unit gaps are no excursion under beta = 0
         a, b = a[b - a >= 2], b[b - a >= 2]
-    intervals = list(zip(a.tolist(), b.tolist()))
     if boundaries[-1] != len(vals) - 1:
-        intervals.append((int(boundaries[-1]), len(vals) - 1))
-    return ExcursionSet(tuple(intervals), conv)
-
-
-def sorted_lengths(e: ExcursionSet, normaliser: float) -> MassVector:
-    """Excursion lengths / normaliser, sorted non-increasing."""
-    if normaliser <= 0:
-        raise ValueError("normaliser must be positive")
-    return MassVector(e.lengths() / normaliser, norm="l1")
+        a, b = np.append(a, boundaries[-1]), np.append(b, len(vals) - 1)
+    return ExcursionSet(a, b, conv)
 
 
 def explore(

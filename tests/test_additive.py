@@ -16,10 +16,8 @@ from primcoal.additive import (
     rejection_sample_conditioned_walk,
     retention_level,
     sample_conditioned_walk,
-    time_change_W,
     uniform_cayley_tree,
     weighted_cayley_tree,
-    y_plus,
 )
 from primcoal.graphs import prim_order
 from primcoal.oracles import (
@@ -124,16 +122,6 @@ class TestGammaPlus:
             fam = ThinnedWalkFamily(sample_conditioned_walk(n, rng), rng)
             lam = float(rng.random()) * np.sqrt(n)
             assert gamma_plus(fam, lam).values.sum() == pytest.approx(1.0)
-
-    def test_y_plus_scaling(self, rng):
-        n = 25
-        fam = ThinnedWalkFamily(sample_conditioned_walk(n, rng), rng)
-        yp = y_plus(fam, 0.0)
-        assert len(yp) == n + 1
-        assert yp.x_step == pytest.approx(1.0 / n)
-        assert yp.values[-1] == pytest.approx(-1.0 / np.sqrt(n))
-        with pytest.raises(ValueError):
-            y_plus(fam, 6.0)  # lambda > sqrt(25)
 
 
 class TestParking:
@@ -306,13 +294,3 @@ class TestPrimThinnedLaw:
             tree_side.append(prim_thinned_outdegrees(g, ordering, t))
         counts = empirical_counts(tree_side)
         assert tv_to_exact(counts, law) < tv_noise_bound(law, reps)
-
-
-def test_time_change_W_moments(rng):
-    n, lam, reps = 400, 1.0, 4000
-    vals = np.array([time_change_W(n, lam, rng) for _ in range(reps)])
-    # n - Binomial(n-1, t) with t = 1 - lam/sqrt(n): mean = (1 + (n-1)lam/sqrt(n))/sqrt(n)
-    t = 1.0 - lam / np.sqrt(n)
-    mean = (n - (n - 1) * t) / np.sqrt(n)
-    se = np.sqrt((n - 1) * t * (1 - t)) / np.sqrt(n) / np.sqrt(reps)
-    assert abs(vals.mean() - mean) < 4 * se

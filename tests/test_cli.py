@@ -273,8 +273,18 @@ class TestSizeFlags:
             (["limit-compare"], {"dx": 0}, "config dx must be a number greater than 0, got 0"),
             (["limit-compare"], {"horizon": -1}, "config horizon must be a number greater than 0, got -1"),
             (["simulate-multiplicative"], {"top": 2.5}, "config top must be an integer at least 1, got 2.5"),
+            (["simulate-multiplicative"], {"n": 50.5}, "--n must be at least 1 and an integer, got 50.5"),
+            (["simulate-multiplicative"], {"n": True}, "--n must be at least 1 and an integer, got True"),
+            (
+                ["simulate-multiplicative"],
+                {"replicates": 2.5},
+                "--replicates must be at least 1 and an integer, got 2.5",
+            ),
+            (["simulate-multiplicative"], {"lambdas": "0"}, "--lambdas must be a list of numbers, got '0'"),
+            (["trace"], {"lambdas": [0, "1"]}, "--lambdas must be a list of numbers, got [0, '1']"),
+            (["limit-compare"], {"lam": "0"}, "--lam must be a number, got '0'"),
         ],
-        ids=["dx", "horizon", "top"],
+        ids=["dx", "horizon", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry", "lam-string"],
     )
     def test_bad_config_number_refused_early(self, tmp_path, capsys, argv, config, message):
         out = tmp_path / "run"

@@ -6,19 +6,17 @@ import pytest
 
 from primcoal.additive import pitman_forest
 from primcoal.limits import (
-    GridPath,
-    grid_excursions,
     limit_gamma,
     limit_surplus,
     marcus_lushnikov,
     ml_additive_sizes,
     ml_multiplicative_sizes,
-    sample_planar_poisson,
     simulate_excursion,
     simulate_parabolic,
 )
 from primcoal.multiplicative import graph_route, p_lambda, replicate_rows, sample_walk_outcomes
 from primcoal.oracles import row_counts, tv_distance
+from primcoal.walks import WEAK_MIN_CONVENTION, LatticePath, excursions_above_min
 
 
 class TestParabolicPath:
@@ -26,11 +24,11 @@ class TestParabolicPath:
         p = simulate_parabolic(0.5, rng, horizon=2.0, dx=0.01)
         assert len(p) == 201
         assert p.values[0] == 0.0
-        assert p.dx == pytest.approx(0.01)
+        assert p.x_step == pytest.approx(0.01)
 
     def test_default_horizon_tracks_lambda(self, rng):
         p = simulate_parabolic(5.0, rng, dx=0.1)
-        assert p.grid()[-1] == pytest.approx(20.0)
+        assert (len(p) - 1) * p.x_step == pytest.approx(20.0)
 
     def test_mean_and_variance_at_fixed_x(self, rng):
         # drifted Brownian marginal: mean lam*x - x^2/2, variance x
@@ -77,9 +75,9 @@ class TestGridExcursions:
 
     def test_known_path(self):
         vals = np.array([0.0, 1.0, 0.5, -1.0, -0.5, 0.5, -2.0])
-        p = GridPath(vals, x_step=0.5)
+        p = LatticePath(vals, x_step=0.5)
         # new running minima at indices 0, 3, 6
-        assert grid_excursions(p) == [(0, 3), (3, 6)]
+        assert excursions_above_min(p, WEAK_MIN_CONVENTION).intervals == ((0, 3), (3, 6))
         assert limit_gamma(p).values.tolist() == [1.5, 1.5]
 
     def test_top_truncation(self, rng):
@@ -88,20 +86,29 @@ class TestGridExcursions:
 
 
 class TestPoissonSurplus:
-    def test_point_count_law(self, rng):
-        counts = [len(sample_planar_poisson(2.0, 3.0, rng).xs) for _ in range(2000)]
-        mean = np.mean(counts)
-        assert abs(mean - 6.0) < 4 * np.sqrt(6.0 / 2000)
+    def test_straight_path_surplus_law(self, rng):
+        # f(x) = x on [0, 2] is one trailing excursion; its surplus counts the
+        # points under the grid path, which holds f(k dx) over the cell
+        # [k dx, (k + 1) dx), so it is Poisson with mean sum_k f(k dx) dx
+        dx, reps = 0.01, 2000
+        p = LatticePath(np.arange(201) * dx, x_step=dx)
+        mean = p.values[:-1].sum() * dx
+        surplus = []
+        for _ in range(reps):
+            pairs = limit_surplus(p, rng)
+            assert [x for x, _ in pairs] == [pytest.approx(2.0)]
+            surplus.append(pairs[0][1])
+        assert abs(np.mean(surplus) - mean) < 4 * np.sqrt(mean / reps)
 
     def test_surplus_entries_align_with_excursions(self, rng):
         p = simulate_parabolic(1.0, rng, horizon=6.0, dx=0.01)
         pairs = limit_surplus(p, rng)
-        lengths = sorted((b - a) * p.dx for a, b in grid_excursions(p))
+        lengths = sorted(excursions_above_min(p, WEAK_MIN_CONVENTION).lengths() * p.x_step)
         assert sorted(x for x, _ in pairs) == pytest.approx(lengths)
         assert all(s >= 0 for _, s in pairs)
 
     def test_zero_path_zero_surplus(self, rng):
-        p = GridPath(np.zeros(101), x_step=0.01)
+        p = LatticePath(np.zeros(101), x_step=0.01)
         assert limit_surplus(p, rng) == []
 
 

@@ -29,7 +29,6 @@ from primcoal.multiplicative import (
     sparse_z_trace,
     surplus_field,
     walk_route,
-    y_times,
     z_walk,
 )
 from primcoal.oracles import empirical_counts, ks_two_sample, row_counts, tv_distance
@@ -374,12 +373,6 @@ class TestScalingHelpers:
         gam = gamma_times(1000, [100, 50, 10])
         assert gam.norm == "l2"
         assert gam[0] == pytest.approx(100 / 1000 ** (2 / 3))
-
-    def test_y_times_scaling(self, rng):
-        n = 27
-        yt = y_times(CriticalWindowParams(n, 0.0), _dense_field(n, rng))
-        assert yt.x_step == pytest.approx(n ** (-2 / 3))
-        assert len(yt) == n + 1
 
     def test_augmented_state_sorting(self):
         st_ = augmented_state(8, np.array([2, 5, 1]), np.array([1, 0, 0]))

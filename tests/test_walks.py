@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primcoal.graphs import level_components, prim_order, random_complete_graph
-from primcoal.states import MassVector
+from primcoal.limits import simulate_excursion, simulate_parabolic
 from primcoal.walks import (
     WEAK_MIN_CONVENTION,
     ExcursionConvention,
@@ -13,7 +13,6 @@ from primcoal.walks import (
     excursions_above_zero,
     explore,
     psi,
-    sorted_lengths,
     walk_component_sizes,
 )
 
@@ -125,7 +124,8 @@ class TestExcursionsAboveMin:
 
     def test_matches_literal_scan(self, rng):
         # the vectorised scan against the plain loop it replaced, on integer
-        # and float walks under the three conventions
+        # and float walks under the three conventions, and on long Brownian
+        # grids under beta = 0, the convention the limit objects read
         mismatches = 0
         for trial in range(4000):
             size = int(rng.integers(1, 120))
@@ -134,20 +134,15 @@ class TestExcursionsAboveMin:
             for beta in (1.0, 0.0, 0.5):
                 got = excursions_above_min(f, ExcursionConvention(beta=beta)).intervals
                 mismatches += got != _literal_scan(f.values, beta)
+        for lam in (-1.0, 0.0, 2.0):
+            for f in (simulate_parabolic(lam, rng, horizon=4.0), simulate_excursion(abs(lam), rng)):
+                got = excursions_above_min(f, WEAK_MIN_CONVENTION).intervals
+                mismatches += got != _literal_scan(f.values, 0.0)
         assert mismatches == 0
 
     def test_convention_validation(self):
         with pytest.raises(ValueError):
-            ExcursionConvention(alpha=0.0)
-        with pytest.raises(ValueError):
             ExcursionConvention(beta=-1.0)
-
-
-def test_sorted_lengths_normalises():
-    f = LatticePath([0, -1, 1, 0, -2])
-    mv = sorted_lengths(excursions_above_min(f), normaliser=4)
-    assert isinstance(mv, MassVector)
-    assert mv.values.sum() == pytest.approx(1.0)
 
 
 class TestExplore:
