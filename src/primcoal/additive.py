@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProperlyWeightedGraph, PrimOrdering, level_components, prim_order
+from .graphs import GraphError, ProperlyWeightedGraph, PrimOrdering, component_filtration, prim_order
 from .states import MassVector, MergeHistory
 from .walks import DEFAULT_CONVENTION, LatticePath, excursions_above_min
 
@@ -294,12 +294,13 @@ def percolate_cayley(n: int, t: float, rng):
     """Percolated weighted Cayley tree.
 
     Returns (weighted tree, Prim ordering from root 1, component sizes of
-    the level graph at t sorted in decreasing order).
+    the level graph at t sorted in decreasing order).  The components are
+    the Prim-rank intervals split where the attach weight exceeds t.
     """
     g = weighted_cayley_tree(n, rng)
     ordering = prim_order(g, root=1)
-    comps = level_components(g, t, ordering)
-    sizes = sorted((len(c) for c, _ in comps), reverse=True)
+    comps = component_filtration(g, ordering).components_at(t)
+    sizes = sorted((size for _, size, _ in comps), reverse=True)
     return g, ordering, sizes
 
 
@@ -338,14 +339,12 @@ def bfs_outdegrees(edges: list[tuple[int, int]], n: int, root: int = 1) -> tuple
 def prim_thinned_outdegrees(g: ProperlyWeightedGraph, ordering: PrimOrdering, t: float) -> tuple[int, ...]:
     """X^t(i): edges of weight <= t from the i-th Prim node to its children.
 
-    The tree is rooted at the Prim root; children point away from it.
+    The tree is rooted at the Prim root; children point away from it, so a
+    node's children are the nodes it attached, each by its attach edge.
+    Raises GraphError unless g is a tree.
     """
-    edges = list(zip(g.u.tolist(), g.v.tolist()))
-    weight = dict(zip(edges, g.w.tolist()))
-    children = rooted_children(edges, g.n, root=ordering.order[0])
-    out = []
-    for v in ordering.order:
-        out.append(
-            sum(1 for c in children[v] if weight[(min(v, c), max(v, c))] <= t)
-        )
-    return tuple(out)
+    if g.m != g.n - 1:
+        raise GraphError(f"{g.m} edges on {g.n} vertices: not a tree")
+    kept = np.array(ordering.attach_weight[1:], dtype=np.float64) <= t
+    parents = np.array(ordering.attach_parent[1:], dtype=np.int64)[kept]
+    return tuple(np.bincount(ordering.ranks()[parents] - 1, minlength=g.n).tolist())

@@ -121,29 +121,28 @@ def _float_list(text: str) -> list[float]:
 # Subcommand implementations.  Each returns (verdicts, exit_ok).
 
 
+def _replicate_csv(cfg, outdir, name, header, rep_fn, *args):
+    """Write outdir/name: the rows of rep_fn((seed, *args)) for each
+    replicate seed, each row led by its replicate index."""
+    seeds = _replicate_seeds(cfg["seed"], cfg["replicates"])
+    per_rep = _run_replicates(rep_fn, [(s, *args) for s in seeds], cfg["workers"])
+    rows = [[r] + row for r, rep_rows in enumerate(per_rep) for row in rep_rows]
+    _write_rows(os.path.join(outdir, name), ["replicate"] + header, rows)
+    return [], True
+
+
 def _additive_rep(args):
     seed, n, lambdas, top = args
     rng = np.random.default_rng(seed)
-    walk = sample_conditioned_walk(n, rng)
-    fam = ThinnedWalkFamily(walk, rng)
-    rows = []
-    for lam in lambdas:
-        gam = gamma_plus(fam, lam)
-        rows.append([lam] + [gam[i] for i in range(top)])
-    return rows
+    fam = ThinnedWalkFamily(sample_conditioned_walk(n, rng), rng)
+    gams = [gamma_plus(fam, lam) for lam in lambdas]
+    return [[lam] + [gam[i] for i in range(top)] for lam, gam in zip(lambdas, gams)]
 
 
 def cmd_simulate_additive(cfg, outdir):
-    seeds = _replicate_seeds(cfg["seed"], cfg["replicates"])
-    work = [(s, cfg["n"], cfg["lambdas"], cfg["top"]) for s in seeds]
-    per_rep = _run_replicates(_additive_rep, work, cfg["workers"])
-    rows = []
-    for r, rep_rows in enumerate(per_rep):
-        for row in rep_rows:
-            rows.append([r] + row)
-    header = ["replicate", "lambda"] + [f"gamma_{i+1}" for i in range(cfg["top"])]
-    _write_rows(os.path.join(outdir, "gamma_plus.csv"), header, rows)
-    return [], True
+    header = ["lambda"] + [f"gamma_{i+1}" for i in range(cfg["top"])]
+    return _replicate_csv(cfg, outdir, "gamma_plus.csv", header, _additive_rep,
+                          cfg["n"], cfg["lambdas"], cfg["top"])
 
 
 def _state_row(lam, st, top) -> list:
@@ -162,40 +161,36 @@ def _state_header(top) -> list[str]:
 _ROUTES = {"graph": graph_route, "walk": walk_route}
 
 
+def _route_states(seed, n, lambdas, route) -> list:
+    """Augmented state at each lambda of one coupled draw of the route."""
+    levels = _ROUTES[route](n, lambdas, np.random.default_rng(seed))
+    return [augmented_state(n, *level) for level in levels]
+
+
 def _multiplicative_rep(args):
     seed, n, lambdas, top, route = args
-    levels = _ROUTES[route](n, lambdas, np.random.default_rng(seed))
-    return [_state_row(lam, augmented_state(n, *level), top) for lam, level in zip(lambdas, levels)]
+    states = _route_states(seed, n, lambdas, route)
+    return [_state_row(lam, st, top) for lam, st in zip(lambdas, states)]
+
+
+def _augmented_rep(args):
+    seed, n, lambdas, top = args
+    states = _route_states(seed, n, lambdas, "walk")
+    steps = [0.0] + [d_U(a, b) for a, b in zip(states, states[1:])]
+    return [_state_row(lam, st, top) + [step] for lam, st, step in zip(lambdas, states, steps)]
 
 
 def cmd_simulate_multiplicative(cfg, outdir):
-    seeds = _replicate_seeds(cfg["seed"], cfg["replicates"])
-    work = [(s, cfg["n"], cfg["lambdas"], cfg["top"], cfg["route"]) for s in seeds]
-    per_rep = _run_replicates(_multiplicative_rep, work, cfg["workers"])
-    rows = []
-    for r, rep_rows in enumerate(per_rep):
-        for row in rep_rows:
-            rows.append([r] + row)
-    header = ["replicate"] + _state_header(cfg["top"])
-    _write_rows(os.path.join(outdir, "gamma_times.csv"), header, rows)
-    return [], True
+    header = _state_header(cfg["top"])
+    return _replicate_csv(cfg, outdir, "gamma_times.csv", header, _multiplicative_rep,
+                          cfg["n"], cfg["lambdas"], cfg["top"], cfg["route"])
 
 
 def cmd_augmented(cfg, outdir):
     """Walk-route augmented states along a lambda grid, with d_U increments."""
-    seeds = _replicate_seeds(cfg["seed"], cfg["replicates"])
-    rows = []
-    for r, seed in enumerate(seeds):
-        prev = None
-        levels = walk_route(cfg["n"], cfg["lambdas"], np.random.default_rng(seed))
-        for lam, level in zip(cfg["lambdas"], levels):
-            st = augmented_state(cfg["n"], *level)
-            step = d_U(prev, st) if prev is not None else 0.0
-            prev = st
-            rows.append([r] + _state_row(lam, st, cfg["top"]) + [step])
-    header = ["replicate"] + _state_header(cfg["top"]) + ["d_U_from_prev"]
-    _write_rows(os.path.join(outdir, "augmented.csv"), header, rows)
-    return [], True
+    header = _state_header(cfg["top"]) + ["d_U_from_prev"]
+    return _replicate_csv(cfg, outdir, "augmented.csv", header, _augmented_rep,
+                          cfg["n"], cfg["lambdas"], cfg["top"])
 
 
 def cmd_compare_orders(cfg, outdir):
@@ -267,59 +262,47 @@ def cmd_verify_invariants(cfg, outdir):
 
 
 def _limit_mult_rep(args):
-    seed, n, lam = args
-    rng = np.random.default_rng(seed)
-    sizes, _ = graph_route(n, [lam], rng)[0]
+    seed, n, lam, _, _ = args
+    sizes, _ = graph_route(n, [lam], np.random.default_rng(seed))[0]
     return float(sizes[0]) / n ** (2.0 / 3.0)
 
 
 def _limit_mult_brownian(args):
-    seed, lam, horizon, dx = args
-    rng = np.random.default_rng(seed)
-    path = simulate_parabolic(lam, rng, horizon=horizon, dx=dx)
-    gam = limit_gamma(path, top=1)
-    return gam[0]
-
-
-def _limit_add_rep(args):
-    seed, n, lam = args
-    rng = np.random.default_rng(seed)
-    walk = sample_conditioned_walk(n, rng)
-    fam = ThinnedWalkFamily(walk, rng)
-    return gamma_plus(fam, lam)[0]
-
-
-def _limit_add_brownian(args):
-    seed, lam, dx = args
-    rng = np.random.default_rng(seed)
-    path = simulate_excursion(lam, rng, dx=dx)
+    seed, _, lam, horizon, dx = args
+    path = simulate_parabolic(lam, np.random.default_rng(seed), horizon=horizon, dx=dx)
     return limit_gamma(path, top=1)[0]
 
 
+def _limit_add_rep(args):
+    seed, n, lam, _, _ = args
+    return _additive_rep((seed, n, [lam], 1))[0][1]
+
+
+def _limit_add_brownian(args):
+    seed, _, lam, _, dx = args
+    return limit_gamma(simulate_excursion(lam, np.random.default_rng(seed), dx=dx), top=1)[0]
+
+
+# kind -> (discrete side, Brownian side, verdict description); each side maps
+# (seed, n, lam, horizon, dx) to one sample
+_LIMIT_SIDES = {
+    "additive": (
+        _limit_add_rep, _limit_add_brownian, "largest additive block vs largest tilted-excursion excursion"
+    ),
+    "multiplicative": (
+        _limit_mult_rep, _limit_mult_brownian, "largest multiplicative mass vs largest parabolic excursion"
+    ),
+}
+
+
 def cmd_limit_compare(cfg, outdir):
-    reps = cfg["replicates"]
+    *sides, desc = _LIMIT_SIDES[cfg["kind"]]
+    args = (cfg["n"], cfg["lam"], cfg["horizon"], cfg["dx"])
     # one child stream per side, so no run shares a stream with another seed
-    discrete_ss, brownian_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
-    seeds_d = discrete_ss.spawn(reps)
-    seeds_c = brownian_ss.spawn(reps)
-    if cfg["kind"] == "multiplicative":
-        discrete = _run_replicates(
-            _limit_mult_rep, [(s, cfg["n"], cfg["lam"]) for s in seeds_d], cfg["workers"]
-        )
-        brownian = _run_replicates(
-            _limit_mult_brownian,
-            [(s, cfg["lam"], cfg["horizon"], cfg["dx"]) for s in seeds_c],
-            cfg["workers"],
-        )
-        desc = "largest multiplicative mass vs largest parabolic excursion"
-    else:
-        discrete = _run_replicates(
-            _limit_add_rep, [(s, cfg["n"], cfg["lam"]) for s in seeds_d], cfg["workers"]
-        )
-        brownian = _run_replicates(
-            _limit_add_brownian, [(s, cfg["lam"], cfg["dx"]) for s in seeds_c], cfg["workers"]
-        )
-        desc = "largest additive block vs largest tilted-excursion excursion"
+    discrete, brownian = (
+        _run_replicates(fn, [(s, *args) for s in side.spawn(cfg["replicates"])], cfg["workers"])
+        for fn, side in zip(sides, _replicate_seeds(cfg["seed"], 2))
+    )
     verdict = ks_two_sample(discrete, brownian, desc, seeds=(cfg["seed"],))
     _write_rows(
         os.path.join(outdir, "samples.csv"),
@@ -409,7 +392,7 @@ _DEFAULTS = {
 }
 
 # the values a choice key takes, by flag or by --config
-_CHOICES = {"kind": ("additive", "multiplicative"), "route": tuple(_ROUTES)}
+_CHOICES = {"kind": tuple(_LIMIT_SIDES), "route": tuple(_ROUTES)}
 
 _HANDLERS = {
     "simulate-additive": cmd_simulate_additive,
@@ -460,9 +443,9 @@ def main(argv=None) -> int:
     for key, allowed in _CHOICES.items():
         if key in cfg and cfg[key] not in allowed:
             parser.error(f"--{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
-    for key in ("n", "replicates"):
-        if key in cfg and not (type(cfg[key]) is int and cfg[key] >= 1):
-            parser.error(f"--{key} must be at least 1 and an integer, got {cfg[key]!r}")
+    for key, least in (("n", 1), ("replicates", 1), ("workers", 1), ("seed", 0)):
+        if key in cfg and not (type(cfg[key]) is int and cfg[key] >= least):
+            parser.error(f"--{key} must be at least {least} and an integer, got {cfg[key]!r}")
     if "top" in cfg and not (type(cfg["top"]) is int and cfg["top"] >= 1):
         parser.error(f"config top must be an integer at least 1, got {cfg['top']!r}")
     for key in ("dx", "horizon"):

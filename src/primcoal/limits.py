@@ -57,20 +57,23 @@ def limit_gamma(path: LatticePath, top: int | None = None) -> MassVector:
     return MassVector(lengths, norm="l2")
 
 
-def limit_surplus(path: LatticePath, rng, margin: float = 0.5) -> list[tuple[float, int]]:
+SURPLUS_MARGIN = 0.5
+
+
+def limit_surplus(path: LatticePath, rng) -> list[tuple[float, int]]:
     """(excursion length, surplus) per excursion of path above its running
     minimum, by decreasing length, then increasing surplus.
 
     The surplus of an excursion is the number of unit-rate planar Poisson
     points in the box [0, width] x [0, height] lying strictly under the
     reflected path Psi(path) over its interval; the height is the reflected
-    path's maximum plus a margin so no point is clipped.
+    path's maximum plus SURPLUS_MARGIN so no point is clipped.
     """
     exc = excursions_above_min(path, WEAK_MIN_CONVENTION)
     reflected = psi(path).values
     dx = path.x_step
     width = (len(reflected) - 1) * dx
-    height = float(reflected.max()) + margin
+    height = float(reflected.max()) + SURPLUS_MARGIN
     count = rng.poisson(width * height)
     xs, ys = rng.random(count) * width, rng.random(count) * height
     under = ys < reflected[np.minimum((xs / dx).astype(int), len(reflected) - 1)]

@@ -76,7 +76,6 @@ class ExcursionSet:
 
     starts: np.ndarray
     ends: np.ndarray
-    convention: ExcursionConvention
 
     @property
     def intervals(self) -> tuple[tuple[int, int], ...]:
@@ -87,9 +86,7 @@ class ExcursionSet:
         return self.ends - self.starts
 
 
-def excursions_above_zero(
-    f: LatticePath, conv: ExcursionConvention = DEFAULT_CONVENTION
-) -> ExcursionSet:
+def excursions_above_zero(f: LatticePath) -> ExcursionSet:
     """Maximal intervals between successive zeros of a non-negative path.
 
     Requires f >= 0 and f(0) = 0.  A trailing stretch that never returns to
@@ -109,7 +106,7 @@ def excursions_above_zero(
     if zeros[-1] != len(vals) - 1:
         intervals.append((int(zeros[-1]), len(vals) - 1))
     starts, ends = np.array(intervals, dtype=np.int64).reshape(-1, 2).T
-    return ExcursionSet(starts, ends, conv)
+    return ExcursionSet(starts, ends)
 
 
 def excursions_above_min(
@@ -137,7 +134,7 @@ def excursions_above_min(
         a, b = a[b - a >= 2], b[b - a >= 2]
     if boundaries[-1] != len(vals) - 1:
         a, b = np.append(a, boundaries[-1]), np.append(b, len(vals) - 1)
-    return ExcursionSet(a, b, conv)
+    return ExcursionSet(a, b)
 
 
 def explore(

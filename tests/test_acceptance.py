@@ -119,7 +119,7 @@ def test_criterion_02_excursion_component_identity():
         steps = rng.integers(-1, 3, size=int(rng.integers(1, 80)))
         f = LatticePath(np.concatenate([[0], np.cumsum(steps)]))
         lhs = excursions_above_min(f, WEAK_MIN_CONVENTION).intervals
-        rhs = excursions_above_zero(psi(f), WEAK_MIN_CONVENTION).intervals
+        rhs = excursions_above_zero(psi(f)).intervals
         checked += 1
         if lhs != rhs:
             mismatches += 1

@@ -15,11 +15,12 @@ from primcoal.additive import (
     prufer_decode,
     rejection_sample_conditioned_walk,
     retention_level,
+    rooted_children,
     sample_conditioned_walk,
     uniform_cayley_tree,
     weighted_cayley_tree,
 )
-from primcoal.graphs import prim_order
+from primcoal.graphs import GraphError, ProperlyWeightedGraph, level_components, prim_order
 from primcoal.oracles import (
     cayley_outdegree_law,
     conditioned_walk_law,
@@ -225,6 +226,30 @@ class TestCayleyTrees:
     def test_percolate_cayley_sizes_partition(self, rng):
         _, _, sizes = percolate_cayley(20, 0.4, rng)
         assert sum(sizes) == 20
+
+    def test_percolate_cayley_sizes_match_union_find(self):
+        for seed in range(40):
+            g, ordering, sizes = percolate_cayley(1 + seed, 0.6, np.random.default_rng(seed))
+            comps = level_components(g, 0.6, ordering)
+            assert sizes == sorted((len(c) for c, _ in comps), reverse=True)
+
+    def test_prim_thinned_outdegrees_count_rooted_children(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            g = weighted_cayley_tree(n, rng)
+            ordering = prim_order(g, root=int(rng.integers(1, n + 1)))
+            t = float(rng.random())
+            weight = {(u, v): w for u, v, w in g.edges}
+            children = rooted_children([(u, v) for u, v, _ in g.edges], n, root=ordering.order[0])
+            expected = tuple(
+                sum(weight[min(v, c), max(v, c)] <= t for c in children[v]) for v in ordering.order
+            )
+            assert prim_thinned_outdegrees(g, ordering, t) == expected
+
+    def test_prim_thinned_outdegrees_refuses_non_tree(self):
+        g = ProperlyWeightedGraph(3, [(1, 2, 0.1), (2, 3, 0.2), (1, 3, 0.3)])
+        with pytest.raises(GraphError, match="not a tree"):
+            prim_thinned_outdegrees(g, prim_order(g), 0.5)
 
     def test_prim_thinned_outdegrees_full_retention(self, rng):
         g = weighted_cayley_tree(12, rng)

@@ -139,6 +139,23 @@ class TestDeterminism:
             for name in ("gamma_times.csv", "manifest.json"):
                 assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augmented", "--n", "120", "--lambdas=-1,0,1"],
+            ["limit-compare", "--n", "400", "--lam", "0.5"],
+            ["limit-compare", "--kind", "additive", "--n", "300", "--lam", "1"],
+        ],
+        ids=["augmented", "limit-compare-multiplicative", "limit-compare-additive"],
+    )
+    def test_workers_byte_identical(self, tmp_path, argv):
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            code = run(argv + ["--replicates", "6", "--seed", "13", "--workers", workers, "--out", str(out)])
+            runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert len(runs[0][1]) >= 2 and runs[0] == runs[1]
+
     def test_sparse_trace_rerun_byte_identical(self, tmp_path):
         # two lambdas walked on one sparse field
         args = ["trace", "--n", "5000", "--lambdas=0,1", "--seed", "7"]
@@ -292,6 +309,28 @@ class TestSizeFlags:
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--config", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["trace", "--n", "20", "--seed", "-3"], None, "--seed must be at least 0 and an integer, got -3"),
+            (["trace", "--n", "20"], {"seed": True}, "--seed must be at least 0 and an integer, got True"),
+            (["simulate-multiplicative"], {"workers": 2.5}, "--workers must be at least 1 and an integer, got 2.5"),
+            (["simulate-multiplicative"], {"workers": 0}, "--workers must be at least 1 and an integer, got 0"),
+        ],
+        ids=["seed-negative", "seed-bool", "workers-float", "workers-zero"],
+    )
+    def test_bad_seed_or_workers_refused_early(self, tmp_path, capsys, argv, config, message):
+        out = tmp_path / "run"
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -1,5 +1,6 @@
 """Import hygiene: no module in src/, demos/ or tests/ imports a name it
-never uses, and no function in src/ imports anything.
+never uses, no function in src/ imports anything, and every module-level
+_private name defined in src/ is read somewhere in src/.
 
 Names imported into a package's __init__.py are its public re-exports and
 are exempt.  A name counts as used when it appears as a bare name anywhere
@@ -53,3 +54,37 @@ def test_no_unused_imports():
 def test_no_function_level_imports_in_src():
     nested = [entry for p in _sources("src") for entry in _function_imports(p)]
     assert not nested, "imports inside functions:\n" + "\n".join(nested)
+
+
+def _private_definitions(path: pathlib.Path) -> dict[str, int]:
+    """Module-level _private (not dunder) functions, classes and constants."""
+    names = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        names.update((t, node.lineno) for t in targets if t.startswith("_") and not t.startswith("__"))
+    return names
+
+
+def test_private_module_names_are_referenced():
+    # a _private helper nothing in src/ reads is left over from a refactor
+    paths = _sources("src")
+    read = set()
+    for p in paths:
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{p.relative_to(ROOT)}:{line}: {name}"
+        for p in paths
+        for name, line in _private_definitions(p).items()
+        if name not in read
+    ]
+    assert not unread, "private names never referenced in src/:\n" + "\n".join(unread)

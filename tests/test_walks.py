@@ -109,7 +109,7 @@ class TestExcursionsAboveMin:
         # interval identity between f above its running min and psi f above 0
         f = from_steps(steps)
         lhs = excursions_above_min(f, WEAK_MIN_CONVENTION).intervals
-        rhs = excursions_above_zero(psi(f), WEAK_MIN_CONVENTION).intervals
+        rhs = excursions_above_zero(psi(f)).intervals
         assert lhs == rhs
 
     @given(lattice_steps)
