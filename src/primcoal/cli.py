@@ -100,17 +100,56 @@ def _write_manifest(outdir: str, config: dict, extra: dict | None = None) -> Non
         fh.write("\n")
 
 
+# rows per block of the integer-array CSV encoder; bounds its byte matrix
+WRITE_BLOCK = 1 << 14
+
+
+def _int_csv(block: np.ndarray) -> bytes:
+    """csv.writer's bytes for the rows of a 2-d integer array.
+
+    Each column's digits are written right-aligned into a byte matrix, one
+    decimal place per pass; unused places hold NUL, which is then dropped.
+    """
+    neg = block < 0
+    mag = block.T.astype(np.uint64)
+    mag[neg.T] = -mag[neg.T]  # modulo 2**64, so |int64 min| = 2**63 is exact
+    signs = neg.any(axis=0)
+    widths = [len(str(int(m.max()))) for m in mag]
+    out = np.zeros((len(block), int(signs.sum()) + sum(widths) + len(widths) + 1), np.uint8)
+    pos = 0
+    for j, (m, width) in enumerate(zip(mag, widths)):
+        if signs[j]:
+            out[:, pos] = neg[:, j] * ord("-")
+            pos += 1
+        pos += width
+        for k in range(1, width + 1):
+            q = m // 10  # m - 10 q is faster than m % 10
+            digit = (m - q * 10).astype(np.uint8) + ord("0")
+            if k > 1:
+                digit[m == 0] = 0
+            out[:, pos - k] = digit
+            m = q
+        out[:, pos] = ord(",")
+        pos += 1
+    out[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    flat = out.ravel()
+    return flat[flat != 0].tobytes()
+
+
 def _write_rows(path: str, header: list[str], rows) -> None:
     """Write a CSV of header and rows of numbers only (ints and floats, no
     strings or None), in csv.writer's bytes.  rows is a sized sequence: a
     2-d integer array or a list of equal-length rows, not a bare zip."""
-    if isinstance(rows, np.ndarray):
-        flat = rows.ravel().tolist()
-    else:
-        flat = [x for row in rows for x in row]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write((",".join(["%s"] * len(header)) + "\r\n") * len(rows) % tuple(flat))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        if isinstance(rows, np.ndarray):
+            if rows.dtype.kind not in "iu":
+                raise TypeError(f"array rows must be integers, got {rows.dtype}")
+            for k in range(0, len(rows), WRITE_BLOCK):
+                fh.write(_int_csv(rows[k:k + WRITE_BLOCK]))
+        else:
+            flat = [x for row in rows for x in row]
+            fh.write(((",".join(["%s"] * len(header)) + "\r\n") * len(rows) % tuple(flat)).encode())
 
 
 def _float_list(text: str) -> list[float]:
@@ -394,6 +433,14 @@ _DEFAULTS = {
 # the values a choice key takes, by flag or by --config
 _CHOICES = {"kind": tuple(_LIMIT_SIDES), "route": tuple(_ROUTES)}
 
+# the range of each number key that only --config sets
+_NUMBER_RANGES = {
+    "dx": (lambda x: x > 0, "greater than 0"),
+    "horizon": (lambda x: x > 0, "greater than 0"),
+    "tv": (lambda x: 0 < x <= 1, "in (0, 1]"),
+    "s_obs": (lambda x: x >= 0, "at least 0"),
+}
+
 _HANDLERS = {
     "simulate-additive": cmd_simulate_additive,
     "simulate-multiplicative": cmd_simulate_multiplicative,
@@ -448,9 +495,9 @@ def main(argv=None) -> int:
             parser.error(f"--{key} must be at least {least} and an integer, got {cfg[key]!r}")
     if "top" in cfg and not (type(cfg["top"]) is int and cfg["top"] >= 1):
         parser.error(f"config top must be an integer at least 1, got {cfg['top']!r}")
-    for key in ("dx", "horizon"):
-        if key in cfg and not (type(cfg[key]) in (int, float) and cfg[key] > 0):
-            parser.error(f"config {key} must be a number greater than 0, got {cfg[key]!r}")
+    for key, (inside, where) in _NUMBER_RANGES.items():
+        if key in cfg and not (type(cfg[key]) in (int, float) and inside(cfg[key])):
+            parser.error(f"config {key} must be a number {where}, got {cfg[key]!r}")
     if "lambdas" in cfg or "lam" in cfg:
         key = "lambdas" if "lambdas" in cfg else "lam"
         lambdas = cfg[key] if key == "lambdas" else [cfg[key]]
@@ -476,8 +523,11 @@ def main(argv=None) -> int:
     # report files this run did not write
     if os.path.isdir(args.out) and os.listdir(args.out):
         parser.error(f"--out {args.out} is not empty; give a new or empty directory")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out {args.out} cannot be made a directory: {exc.strerror}")
 
-    os.makedirs(args.out, exist_ok=True)
     verdicts, ok = _HANDLERS[args.command](cfg, args.out)
     _write_manifest(args.out, {"command": args.command, **cfg})
     for v in verdicts:

@@ -206,6 +206,12 @@ def empirical_counts(samples) -> dict:
 
 
 def row_counts(rows) -> dict:
-    """Count dict of the distinct rows of a 2-d array, keyed by row tuples."""
-    keys, counts = np.unique(np.asarray(rows), axis=0, return_counts=True)
-    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+    """Count dict of the distinct rows of a 2-d array, keyed by row tuples
+    in lexicographic order."""
+    rows = np.asarray(rows)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(rows))
+    return dict(zip(map(tuple, rows[starts].tolist()), counts.tolist()))

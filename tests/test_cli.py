@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import primcoal
-from primcoal.cli import _write_rows, main
+from primcoal.cli import WRITE_BLOCK, _write_rows, main
 from primcoal.multiplicative import sparse_z_trace
 
 
@@ -110,15 +110,33 @@ class TestWriteRows:
             [[1, -0.0, 1e-300], [2, 1e16, float("nan")], [-3, float("inf"), 0.1 + 0.2]],
             np.arange(-6, 14, dtype=np.int64).reshape(10, 2),
             [],
+            np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1], [0, 1, -10]]),
+            np.zeros((4, 3), dtype=np.int64),
+            np.arange(-12, 3).reshape(-1, 1),
+            np.array([[5, -5, 0], [-100, 100, 7], [0, -7, 10]]),
+            np.array([[-(2**31), 2**31 - 1], [3, -4]], dtype=np.int32),
+            np.array([[0, 255], [10, 9]], dtype=np.uint8),
+            np.column_stack((
+                np.arange(2 * WRITE_BLOCK + 5),
+                np.concatenate([np.arange(WRITE_BLOCK) % 10, -1001 * np.arange(WRITE_BLOCK), np.arange(5)]),
+            )),
+            np.empty((0, 2), dtype=np.int64),
         ],
-        ids=["ints", "floats", "int64-array", "empty"],
+        ids=[
+            "ints", "floats", "int64-array", "empty", "int64-extremes", "zeros", "one-column",
+            "mixed-sign", "int32", "uint8", "blocks", "empty-array",
+        ],
     )
     def test_matches_csv_writer(self, tmp_path, rows):
-        header = ["a", "b", "c"][: 2 if isinstance(rows, np.ndarray) else 3]
+        header = ["a", "b", "c"][: rows.shape[1] if isinstance(rows, np.ndarray) else 3]
         path = tmp_path / "rows.csv"
         _write_rows(str(path), header, rows)
         expected = rows.tolist() if isinstance(rows, np.ndarray) else rows
         assert path.read_bytes() == _csv_writer_bytes(header, expected)
+
+    def test_float_array_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="array rows must be integers"):
+            _write_rows(str(tmp_path / "rows.csv"), ["a"], np.zeros((2, 1)))
 
     def test_trace_matches_csv_writer(self, tmp_path):
         out = tmp_path / "run"
@@ -300,8 +318,16 @@ class TestSizeFlags:
             (["simulate-multiplicative"], {"lambdas": "0"}, "--lambdas must be a list of numbers, got '0'"),
             (["trace"], {"lambdas": [0, "1"]}, "--lambdas must be a list of numbers, got [0, '1']"),
             (["limit-compare"], {"lam": "0"}, "--lam must be a number, got '0'"),
+            (["ml-oracle"], {"tv": "x"}, "config tv must be a number in (0, 1], got 'x'"),
+            (["ml-oracle"], {"tv": 0}, "config tv must be a number in (0, 1], got 0"),
+            (["ml-oracle"], {"tv": 1.5}, "config tv must be a number in (0, 1], got 1.5"),
+            (["ml-oracle"], {"s_obs": True}, "config s_obs must be a number at least 0, got True"),
+            (["ml-oracle"], {"s_obs": -0.5}, "config s_obs must be a number at least 0, got -0.5"),
         ],
-        ids=["dx", "horizon", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry", "lam-string"],
+        ids=[
+            "dx", "horizon", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry",
+            "lam-string", "tv-string", "tv-zero", "tv-above-one", "s_obs-bool", "s_obs-negative",
+        ],
     )
     def test_bad_config_number_refused_early(self, tmp_path, capsys, argv, config, message):
         out = tmp_path / "run"
@@ -359,6 +385,19 @@ class TestOutDirectory:
         assert "not empty" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["stale.csv"]
         assert (out / "stale.csv").read_text() == "keep me\n"
+
+    @pytest.mark.parametrize(
+        "sub, reason", [("", "File exists"), ("sub", "Not a directory")], ids=["file", "below-file"]
+    )
+    def test_out_naming_a_file_refused(self, tmp_path, capsys, sub, reason):
+        afile = tmp_path / "afile"
+        afile.write_text("keep me\n")
+        out = afile / sub if sub else afile
+        with pytest.raises(SystemExit) as exc:
+            run(["trace", "--n", "20", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"--out {out} cannot be made a directory: {reason}" in capsys.readouterr().err
+        assert afile.read_text() == "keep me\n"
 
 
 class TestLimitCompare:

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from primcoal.graphs import ProperlyWeightedGraph, prim_order
 from primcoal.oracles import (
@@ -14,6 +17,7 @@ from primcoal.oracles import (
     ks_statistic,
     ks_threshold,
     ks_two_sample,
+    row_counts,
     tv_distance,
     tv_two_sample,
 )
@@ -120,3 +124,19 @@ class TestExactLaws:
 
 def test_empirical_counts():
     assert empirical_counts(["x", "y", "x"]) == {"x": 2, "y": 1}
+
+
+@given(
+    arrays(
+        np.int64,
+        st.tuples(st.integers(0, 30), st.integers(1, 4)),
+        elements=st.integers(-3, 3) | st.sampled_from([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+    )
+)
+@example(np.empty((0, 3), dtype=np.int64))
+@example(np.array([[2], [-1], [2], [0]]))
+def test_row_counts_matches_counter(a):
+    # an independent counter: row_counts feeds both sides of every TV gate
+    counts = row_counts(a)
+    assert counts == empirical_counts(map(tuple, a.tolist()))
+    assert list(counts) == sorted(counts)
