@@ -6,11 +6,11 @@ sizes and excess; the walk route runs one exploration recursion that counts
 new vertices and surplus together.  The recursion is a fixed point over the
 positions of the hits in each row of a triangular array, solved with whole-
 array reflections.  A field is held as its hits below some p_max, each with
-a uniform mark, so one O(n) draw of binomial row counts and uniform slot
-subsets couples the walks at every p <= p_max, as the dense field of
-uniforms does.  The field reordering extracted from a concrete weighted
-graph is such a field, with p_max = 1 and the edge weights as marks; it
-makes the two routes agree realisation by realisation, not just in law.
+a uniform mark, drawn as the graph route draws its edges, so one O(n) draw
+couples the walks at every p <= p_max, as the dense field of uniforms does.
+The field reordering extracted from a concrete weighted graph is such a
+field, with p_max = 1 and the edge weights as marks; it makes the two
+routes agree realisation by realisation, not just in law.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def _explore(n: int, totals: np.ndarray, step: np.ndarray, pos: np.ndarray):
         s = s_next
 
 
-def _uniform_slots(totals: np.ndarray, widths: np.ndarray, rng):
-    """Row k gets a uniform totals[k]-subset of its widths[k] slots.
+def _uniform_slots(totals: np.ndarray, width: int, rng):
+    """Row k gets a uniform totals[k]-subset of the same `width` slots.
 
     One uniform slot per hit, then repeats dropped by sort-and-diff (numpy
     2.4's hashing np.unique is slower) and the shortfall redrawn until every
@@ -144,15 +144,23 @@ def _uniform_slots(totals: np.ndarray, widths: np.ndarray, rng):
     sorted by row, then slot.
     """
     rows = np.arange(len(totals))
-    base = int(widths.max(initial=1))
     key = np.empty(0, dtype=np.int64)
     short = totals
     while short.any():
         row = np.repeat(rows, short)
-        key = np.sort(np.concatenate([key, row * base + rng.integers(0, widths[row])]))
+        key = np.sort(np.concatenate([key, row * width + rng.integers(0, width, len(row))]))
         key = key[np.diff(key, prepend=-1) != 0]
-        short = totals - np.bincount(key // base, minlength=len(totals))
-    return np.divmod(key, base)
+        short = totals - np.bincount(key // width, minlength=len(totals))
+    return np.divmod(key, width)
+
+
+def _triangle_cells(n: int, p_max: float, rng, reps: int):
+    """(rep, cell) of the hits, sorted, of `reps` triangles of n(n-1)/2
+    cells, each hit with probability p_max independently."""
+    if not 0.0 <= p_max <= 1.0:
+        raise ValueError(f"p_max = {p_max} outside [0, 1]")
+    ne = n * (n - 1) // 2
+    return _uniform_slots(rng.binomial(ne, p_max, size=reps), ne, rng)
 
 
 @dataclass(frozen=True)
@@ -175,14 +183,15 @@ class SparseField:
 
     @classmethod
     def sample(cls, n: int, p_max: float, rng, reps: int = 1) -> "SparseField":
-        """Every T(i) ~ Bin(n - i, p_max) in one call, then the slots: row i
-        is untouched by the steps before it, so given T(i) its hits fill a
-        uniform T(i)-subset of its n - i slots, and S(i) is
-        Hypergeometric(m, n - i - m, T(i)) as on the dense field.  Then one
-        uniform mark per hit.  Exact in law, O(n reps) memory."""
-        widths = np.tile(np.arange(n - 1, -1, -1), reps)
-        row, slot = _uniform_slots(rng.binomial(widths, p_max), widths, rng)
-        return cls(n, reps, p_max, row + 1, slot, p_max * (1.0 - rng.random(len(row))))
+        """Each entry is a hit with probability p_max, independently, as on
+        the dense field: the cells of sample_edge_weights, cell c read as the
+        edge (u, v) = _decode_edge_indices(n(n-1)/2 - 1 - c) at row n - u, slot
+        u - 1 - v, so rows, then slots, rise with c.  Then one uniform mark
+        per hit.  Exact in law, O(n reps) memory near p = 1/n."""
+        rep, cell = _triangle_cells(n, p_max, rng, reps)
+        u, v = _decode_edge_indices(n * (n - 1) // 2 - 1 - cell)
+        step = rep * n + n - u
+        return cls(n, reps, p_max, step, u - 1 - v, p_max * (1.0 - rng.random(len(step))))
 
     def at(self, p: float):
         """(step, slot) of the hits with mark <= p, the field at p <= p_max."""
@@ -318,18 +327,12 @@ def _decode_edge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Index idx enumerates pairs (u, v) with 0 <= v < u by rows: pair (u, v)
     has index u(u-1)/2 + v.  Inverts the quadratic with a float sqrt and a
-    one-step integer correction to dodge rounding at large n.
+    one-step integer correction each way to dodge rounding at large n.
     """
-    u = ((1.0 + np.sqrt(1.0 + 8.0 * idx.astype(float))) / 2.0).astype(np.int64)
-    base = u * (u - 1) // 2
-    over = base > idx
-    u = u - over
-    base = u * (u - 1) // 2
-    under = idx - base >= u
-    u = u + under
-    base = u * (u - 1) // 2
-    v = idx - base
-    return u, v
+    u = ((1.0 + np.sqrt(1.0 + 8.0 * idx)) / 2.0).astype(np.int64)
+    u -= u * (u - 1) // 2 > idx
+    u += u * (u + 1) // 2 <= idx
+    return u, idx - u * (u - 1) // 2
 
 
 def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
@@ -341,10 +344,7 @@ def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
     for any p <= p_max, coupled monotonically across p.  Memory stays
     O(#edges), never O(n^2).
     """
-    if not (0.0 < p_max <= 1.0):
-        raise ValueError("p_max must lie in (0, 1]")
-    ne = n * (n - 1) // 2
-    rep, idx = _uniform_slots(rng.binomial(ne, p_max, size=reps), np.full(reps, ne), rng)
+    rep, idx = _triangle_cells(n, p_max, rng, reps)
     u, v = _decode_edge_indices(idx)
     offset = rep * n
     return u + offset, v + offset, rng.random(len(idx)) * p_max
@@ -445,9 +445,8 @@ def replicate_rows(rep: np.ndarray, values: np.ndarray, reps: int, width: int) -
 
 def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
     """Walk-route Z(0..n+1) of a sparse field at p_lambda: O(n) memory, one
-    vectorised binomial draw of the row counts, one uniform slot per hit
-    (plus redraws of repeated slots), and a few whole-array rounds of the
-    fixed point.
+    binomial draw of the hit count, one uniform cell per hit (plus redraws
+    of repeated cells), and a few whole-array rounds of the fixed point.
     """
     p = p_lambda(n, lam)
     return np.append(SparseField.sample(n, p, rng).walk(p)[0], 0)

@@ -418,6 +418,29 @@ class TestLimitCompare:
         assert verdict["passed"] is True
 
 
+class TestEmptyGraph:
+    # p_lambda(8, -2) = 0 lies in the window: no edges, eight singletons of
+    # mass 8^(-2/3) = 1/4
+    @pytest.mark.parametrize(
+        "argv, name, columns",
+        [
+            (["simulate-multiplicative", "--route", "graph", "--lambdas=-2"], "gamma_times.csv", "gamma_"),
+            (["simulate-multiplicative", "--route", "walk", "--lambdas=-2"], "gamma_times.csv", "gamma_"),
+            (["limit-compare", "--lam=-2"], "samples.csv", "discrete"),
+        ],
+        ids=["graph-route", "walk-route", "limit-compare"],
+    )
+    def test_p_lambda_zero_gives_singletons(self, tmp_path, argv, name, columns):
+        out = tmp_path / "run"
+        assert run(argv + ["--n", "8", "--replicates", "3", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO((out / name).read_text())))
+        assert len(rows) == 3
+        for row in rows:
+            masses = [float(v) for k, v in row.items() if k.startswith(columns)]
+            assert masses and masses == pytest.approx([0.25] * len(masses))
+            assert all(v == "0" for k, v in row.items() if k.startswith("s_"))
+
+
 class TestWithoutScipy:
     def test_graph_route_commands_run_with_scipy_blocked(self, tmp_path):
         # a None entry in sys.modules makes every import of scipy fail

@@ -343,24 +343,25 @@ class TestWalkRoute:
                 assert (surplus == 0).all()
 
     def test_draws_are_stable(self):
-        # recorded when every walk drew its hits without marks: a field draws
-        # its marks after its hits, so the walk at p_max makes the same draws;
+        # recorded when a field first drew its hits as sample_edge_weights
+        # draws edges, one binomial per replicate over the whole triangle;
         # listed by decreasing size, ties in exploration order
         sizes, surplus = walk_route(40, [3.0], np.random.default_rng(2024))[0]
-        assert list(zip(sizes.tolist(), surplus.tolist())) == [(23, 3), (3, 0)] + [(2, 0)] * 3 + [
+        assert list(zip(sizes.tolist(), surplus.tolist())) == [(27, 7), (4, 0), (3, 0), (2, 0)] + [
             (1, 0)
-        ] * 8
+        ] * 4
         assert sample_walk_outcomes(4, 0.5, 30, np.random.default_rng(2025)) == {
             (1, 0, 1, 0, 1, 0, 1, 0): 2,
-            (2, 0, 1, 0, 1, 0, 0, 0): 6,
-            (2, 0, 2, 0, 0, 0, 0, 0): 1,
-            (3, 0, 1, 0, 0, 0, 0, 0): 7,
-            (3, 1, 1, 0, 0, 0, 0, 0): 2,
-            (4, 0, 0, 0, 0, 0, 0, 0): 6,
-            (4, 1, 0, 0, 0, 0, 0, 0): 6,
+            (2, 0, 1, 0, 1, 0, 0, 0): 10,
+            (2, 0, 2, 0, 0, 0, 0, 0): 3,
+            (3, 0, 1, 0, 0, 0, 0, 0): 6,
+            (3, 1, 1, 0, 0, 0, 0, 0): 1,
+            (4, 0, 0, 0, 0, 0, 0, 0): 2,
+            (4, 1, 0, 0, 0, 0, 0, 0): 5,
+            (4, 2, 0, 0, 0, 0, 0, 0): 1,
         }
         z = sparse_z_trace(30, 1.0, np.random.default_rng(2026))
-        assert z.tolist() == [0, 0, 1, 1, 1, 1, 2, 3, 2, 2, 1, 3, 4, 4, 4, 4, 4, 3, 2, 1] + [0] * 12
+        assert z.tolist() == [0, 1, 1, 1, 0, 0, 2, 2, 2, 1, 0, 0, 2, 1, 2, 1, 1, 0, 1, 1, 0, 1] + [0] * 10
 
     def test_walk_vs_graph_outcomes_small_tv(self, rng):
         counts_w = sample_walk_outcomes(5, 0.5, 20000, rng)
@@ -431,25 +432,114 @@ class TestExploreFixedPoint:
             assert (z[::n] == 0).all()
 
     def test_uniform_slots_are_distinct_and_counted(self, rng):
-        # dense rows (p near 1) force many collisions and redraws
-        for n, p in [(50, 0.9), (300, 0.02), (40, 1.0)]:
-            widths = np.tile(np.arange(n - 1, -1, -1), 3)
-            totals = rng.binomial(widths, p)
-            row, slot = _uniform_slots(totals, widths, rng)
+        # totals near a small width force many collisions and redraws; a
+        # width of 0 has no slots and no hits
+        for width, p in [(3, 0.9), (10, 1.0), (4950, 0.02), (0, 0.5)]:
+            totals = rng.binomial(width, p, size=300)
+            row, slot = _uniform_slots(totals, width, rng)
             assert np.array_equal(np.bincount(row, minlength=len(totals)), totals)
-            assert ((0 <= slot) & (slot < widths[row])).all()
-            assert len(set(zip(row.tolist(), slot.tolist()))) == len(row)
+            assert ((0 <= slot) & (slot < width)).all()
+            assert (np.diff(row * width + slot) > 0).all()
 
     def test_uniform_slots_pick_uniform_subsets(self, rng):
         # 2 of 4 slots: each of the 6 pairs has probability 1/6
         reps = 30000
-        row, slot = _uniform_slots(np.full(reps, 2), np.full(reps, 4), rng)
+        row, slot = _uniform_slots(np.full(reps, 2), 4, rng)
         order = np.lexsort((slot, row))
         pair = slot[order].reshape(reps, 2)
         counts = np.bincount(4 * pair[:, 0] + pair[:, 1], minlength=16)
         expect, sd = reps / 6, np.sqrt(reps * (1 / 6) * (5 / 6))
         assert counts[[1, 2, 3, 6, 7, 11]] == pytest.approx(np.full(6, expect), abs=5 * sd)
         assert counts.sum() == reps
+
+
+def _hit_set_law(n, reps, step, slot):
+    """Frequency of each hit set of a replicate, over the 2^(n(n-1)/2)
+    subsets of the triangle; row i, slot q is bit sum_{j<i}(n - j) + q."""
+    start = np.cumsum(np.append(0, np.arange(n - 1, 0, -1)))
+    rep, row = np.divmod(step - 1, n)
+    sets = np.bincount(rep, weights=2 ** (start[row] + slot), minlength=reps).astype(np.int64)
+    return np.bincount(sets, minlength=2 ** start[-1]) / reps
+
+
+def _exact_hit_set_law(n, p):
+    """p^k (1 - p)^(cells - k) for the hit set of every bitmask."""
+    cells = n * (n - 1) // 2
+    k = np.array([bin(m).count("1") for m in range(2**cells)])
+    return p**k * (1 - p) ** (cells - k)
+
+
+def _cells_with_replacement(n, p, rng, reps):
+    """A wrong sampler: Bin(n(n-1)/2, p) cells drawn with replacement, repeats
+    merged, so a replicate has too few hits."""
+    cells = n * (n - 1) // 2
+    rep = np.repeat(np.arange(reps), rng.binomial(cells, p, size=reps))
+    rep, cell = np.divmod(np.unique(rep * cells + rng.integers(0, cells, len(rep))), cells)
+    u, v = _decode_edge_indices(cells - 1 - cell)
+    return rep * n + n - u, u - 1 - v
+
+
+def _rows_one_short(n, p, rng, reps):
+    """A wrong sampler: row i drawn over n - i - 1 slots, one too few."""
+    widths = np.tile(np.arange(n - 2, -2, -1).clip(0), reps)
+    totals = rng.binomial(widths, p)
+    step = np.repeat(np.arange(1, len(widths) + 1), totals)
+    slot = np.concatenate([rng.choice(w, size=t, replace=False) for w, t in zip(widths, totals)])
+    return step, slot.astype(np.int64)
+
+
+def _tv(a, b):
+    return 0.5 * np.abs(a - b).sum()
+
+
+class TestSparseFieldSample:
+    # Same-law noise at n = 4 (64 hit sets), from 4000 multinomial draws of
+    # the exact law: one sample of 100k reads TV <= 0.0130, and 10k against
+    # 100k reads TV <= 0.0411 (either p below).  The bounds sit just above.
+    LAW_REPS, LAW_BOUND = 100000, 0.015
+    ORACLE_REPS, ORACLE_BOUND = 10000, 0.05
+
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_hit_sets_follow_exact_law(self, rng, p):
+        n, reps = 4, self.LAW_REPS
+        field = SparseField.sample(n, p, rng, reps)
+        law = _hit_set_law(n, reps, field.step, field.slot)
+        assert _tv(law, _exact_hit_set_law(n, p)) < self.LAW_BOUND
+        _, step, slot = _given_slots(n, self.ORACLE_REPS, p, rng)
+        assert _tv(law, _hit_set_law(n, self.ORACLE_REPS, step, slot)) < self.ORACLE_BOUND
+
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    @pytest.mark.parametrize("wrong", [_cells_with_replacement, _rows_one_short])
+    def test_hit_set_check_has_power(self, rng, p, wrong):
+        n, reps = 4, self.ORACLE_REPS
+        law = _hit_set_law(n, reps, *wrong(n, p, rng, reps))
+        assert _tv(law, _exact_hit_set_law(n, p)) > self.ORACLE_BOUND
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p_max", [0.0, 0.5, 1.0])
+    def test_small_fields(self, rng, n, p_max):
+        reps = 50
+        field = SparseField.sample(n, p_max, rng, reps)
+        row = (field.step - 1) % n + 1
+        assert ((1 <= row) & (row <= n - 1)).all()
+        assert ((0 <= field.slot) & (field.slot < n - row)).all()
+        assert (np.diff(field.step * n + field.slot) > 0).all()
+        if p_max == 1.0:
+            assert len(field.step) == reps * n * (n - 1) // 2
+        z, x, s = field.walk(p_max)
+        if p_max == 0.0:
+            assert len(field.step) == len(field.mark) == 0
+            assert not (z.any() or x.any() or s.any())
+
+    @pytest.mark.parametrize("p_max", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("sampler", [SparseField.sample, sample_edge_weights])
+    def test_p_max_outside_unit_interval_refused(self, rng, sampler, p_max):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            sampler(5, p_max, rng, 2)
+
+    def test_edge_weights_empty_at_p_zero(self, rng):
+        u, v, w = sample_edge_weights(6, 0.0, rng, 3)
+        assert len(u) == len(v) == len(w) == 0
 
 
 class TestSparseWalk:
