@@ -101,12 +101,18 @@ def _frontier(n: int, x: np.ndarray) -> np.ndarray:
     walk Z(i) = X(i) + (Z(i-1) - 1)_+, so (Z - 1)_+ is the reflection Psi Y
     of Y = cumsum(X - 1) above its running minimum (Y(0) = 0 included),
     restarted in each block.  m is that reflection shifted one step, and
-    Z = X + m.
+    Z = X + m.  m is written once and reflected in place: the running
+    minimum is the only other array of its size.
     """
-    c = np.cumsum(x[1:].reshape(-1, n) - 1, axis=1)
-    m = np.zeros_like(c)
-    m[:, 1:] = (c - np.minimum(np.minimum.accumulate(c, axis=1), 0))[:, :-1]
-    return np.append(0, m)
+    m = np.empty_like(x)
+    m[0] = 0
+    y = m[1:].reshape(-1, n)
+    # row b is walk b's Y(0..n-1); reflected, it is m at that walk's steps 1..n
+    y[:, 0] = 0
+    np.subtract(x[1:].reshape(-1, n)[:, :-1], 1, out=y[:, 1:])
+    np.cumsum(y, axis=1, out=y)
+    y -= np.minimum.accumulate(y, axis=1)
+    return m
 
 
 def _explore(n: int, totals: np.ndarray, step: np.ndarray, pos: np.ndarray):
@@ -140,17 +146,31 @@ def _uniform_slots(totals: np.ndarray, width: int, rng):
 
     One uniform slot per hit, then repeats dropped by sort-and-diff (numpy
     2.4's hashing np.unique is slower) and the shortfall redrawn until every
-    row has totals[k] distinct slots.  Returns (row, slot) of every hit,
-    sorted by row, then slot.
+    row has totals[k] distinct slots.  A round sorts only the keys of the
+    rows still short; a row that is full leaves for good, so the draws are
+    those of re-sorting the whole batch every round.  Returns (row, slot) of
+    every hit, sorted by row, then slot.
     """
-    rows = np.arange(len(totals))
+    short = np.flatnonzero(totals)
+    need = totals[short]
     key = np.empty(0, dtype=np.int64)
-    short = totals
-    while short.any():
-        row = np.repeat(rows, short)
-        key = np.sort(np.concatenate([key, row * width + rng.integers(0, width, len(row))]))
+    full = []
+    while len(short):
+        drawn = np.repeat(short, need) * width + rng.integers(0, width, need.sum())
+        key = np.sort(np.concatenate([key, drawn]))
         key = key[np.diff(key, prepend=-1) != 0]
-        short = totals - np.bincount(key // width, minlength=len(totals))
+        # row k's keys start at k * width, and only short rows have keys here
+        have = np.diff(np.searchsorted(key, short * width), append=len(key))
+        need = totals[short] - have
+        done = need == 0
+        if done.all():
+            break
+        if done.any():
+            keep = np.repeat(~done, have)
+            full.append(key[~keep])
+            key, short, need = key[keep], short[~done], need[~done]
+    if full:
+        key = np.sort(np.concatenate([key, *full]))
     return np.divmod(key, width)
 
 
@@ -278,11 +298,31 @@ def component_surpluses(z: LatticePath, s: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(sizes.tolist(), surplus.tolist()))
 
 
+def _radix_order(key: np.ndarray) -> np.ndarray:
+    """np.argsort(key, kind="stable") of a non-negative integer key, as LSD
+    passes over its 16-bit digits: numpy's stable sort of uint16 is an O(N)
+    radix sort, so a key below 2**16 costs one pass."""
+    top = int(key.max()) if len(key) else 0
+    # casting to uint16 keeps a digit's low 16 bits
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
+
+
 def _level(rep, sizes, extra, reps: int | None):
     """One lambda's components in the routes' schema: grouped by increasing
     rep, by decreasing size within a rep, ties kept in the given order;
-    (sizes, extra) alone when reps is None."""
-    order = np.lexsort((-sizes, rep))
+    (sizes, extra) alone when reps is None.
+
+    The order is that of np.lexsort((-sizes, rep)), made by _radix_order on
+    the one key rep (top + 1) + top - size with top the largest size: one
+    radix pass while reps (top + 1) < 2**16, more only past that.
+    """
+    top = int(sizes.max())
+    order = _radix_order(rep * (top + 1) + (top - sizes))
     level = (rep[order], sizes[order], extra[order])
     return level[1:] if reps is None else level
 
@@ -336,7 +376,7 @@ def _decode_edge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
-    """Edges of `reps` copies of G(n, p_max) with i.i.d. uniform(0, p_max] marks.
+    """Edges of `reps` copies of G(n, p_max) with i.i.d. uniform [0, p_max) marks.
 
     Copy r sits on the 0-based vertices r n .. r n + n - 1.  Returns endpoint
     arrays (u, v) with u > v, sorted by u, then v (so grouped by copy), and
@@ -404,7 +444,11 @@ def graph_route(n: int, lambdas, rng, reps: int | None = None):
 
     The levels are visited in increasing p and each edge is merged once, at
     the first level that keeps it, into one union-find forest whose roots
-    are their components' lowest vertices.
+    are their components' lowest vertices.  Both orders are stable radix
+    sorts (_radix_order): the edges by the index of their first level, so
+    each level keeps the sampler's (u, v) order, and each level's components
+    by rep, then decreasing size, as _level makes them, so size ties keep
+    root order.
 
     With `reps` given, `reps` independent realisations run as one
     block-diagonal graph and each lambda gives (rep, sizes, excess) over
@@ -417,7 +461,7 @@ def graph_route(n: int, lambdas, rng, reps: int | None = None):
     levels, back = np.unique(ps, return_inverse=True)
     # edges grouped by the first level that keeps them
     first = np.searchsorted(levels, w)
-    by_level = np.argsort(first, kind="stable")
+    by_level = _radix_order(first)
     u, v = u[by_level], v[by_level]
     vertex = np.arange(batch * n)
     r = vertex.copy()

@@ -15,6 +15,8 @@ from primcoal.multiplicative import (
     SparseField,
     _decode_edge_indices,
     _explore,
+    _level,
+    _radix_order,
     _uniform_slots,
     augmented_state,
     component_surpluses,
@@ -413,6 +415,20 @@ def _given_slots(n, reps, p, rng):
     return totals, step, pos.astype(np.int64)
 
 
+def _whole_batch_slots(totals, width, rng):
+    """Reference _uniform_slots: every redraw round re-sorts the keys of
+    the whole batch."""
+    rows = np.arange(len(totals))
+    key = np.empty(0, dtype=np.int64)
+    short = totals
+    while short.any():
+        row = np.repeat(rows, short)
+        key = np.sort(np.concatenate([key, row * width + rng.integers(0, width, len(row))]))
+        key = key[np.diff(key, prepend=-1) != 0]
+        short = totals - np.bincount(key // width, minlength=len(totals))
+    return np.divmod(key, width)
+
+
 class TestExploreFixedPoint:
     @pytest.mark.parametrize(
         "n_range, c_range",
@@ -441,6 +457,17 @@ class TestExploreFixedPoint:
             assert ((0 <= slot) & (slot < width)).all()
             assert (np.diff(row * width + slot) > 0).all()
 
+    @pytest.mark.parametrize(
+        "width, p, reps", [(6, 0.95, 20000), (6, 0.7, 20000), (3, 0.9, 300), (4950, 0.02, 300), (0, 0.5, 30)]
+    )
+    def test_uniform_slots_match_whole_batch_resort(self, width, p, reps):
+        # merging only the short rows' keys makes the same draws as
+        # re-sorting the whole batch every round
+        totals = np.random.default_rng(5).binomial(width, p, size=reps)
+        got = _uniform_slots(totals, width, np.random.default_rng(6))
+        want = _whole_batch_slots(totals, width, np.random.default_rng(6))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_uniform_slots_pick_uniform_subsets(self, rng):
         # 2 of 4 slots: each of the 6 pairs has probability 1/6
         reps = 30000
@@ -451,6 +478,45 @@ class TestExploreFixedPoint:
         expect, sd = reps / 6, np.sqrt(reps * (1 / 6) * (5 / 6))
         assert counts[[1, 2, 3, 6, 7, 11]] == pytest.approx(np.full(6, expect), abs=5 * sd)
         assert counts.sum() == reps
+
+
+class TestComponentOrder:
+    @pytest.mark.parametrize("top", [0, 3, 2**16 - 1, 2**16, 2**20, 2**32, 2**40 + 7])
+    def test_radix_order_is_stable_argsort(self, rng, top):
+        for size in (0, 1, 5000):
+            key = rng.integers(0, top + 1, size=size)
+            if size:
+                key[rng.integers(0, size)] = top
+            assert np.array_equal(_radix_order(key), np.argsort(key, kind="stable"))
+
+    @pytest.mark.parametrize("reps", [1, 7, 1000])
+    @pytest.mark.parametrize("top", [1, 12, 200, 70000])
+    def test_level_is_lexsort(self, rng, reps, top):
+        # many size ties, extras that tell tied rows apart, reps grouped
+        # in the order the routes give them
+        k = 5 * reps
+        rep = np.sort(rng.integers(0, reps, size=k))
+        sizes = rng.integers(1, min(top, 12) + 1, size=k)
+        sizes[rng.integers(0, k)] = top
+        extra = rng.permutation(k)
+        want = np.lexsort((-sizes, rep))
+        got = _level(rep, sizes, extra, reps)
+        assert all(np.array_equal(a, b[want]) for a, b in zip(got, (rep, sizes, extra)))
+        got = _level(np.zeros(k, dtype=np.int64), sizes, extra, None)
+        want = np.argsort(-sizes, kind="stable")
+        assert np.array_equal(got[0], sizes[want]) and np.array_equal(got[1], extra[want])
+
+    @pytest.mark.parametrize("reps", [None, 2])
+    def test_graph_route_with_a_giant_above_16_bits(self, reps):
+        # lambda = 150 at n = 70000 has mean degree about 4.6: the giant
+        # holds about 99% of the vertices, so _level's key needs two passes
+        n = 70000
+        for level in graph_route(n, [0.0, 150.0], np.random.default_rng(8), reps=reps):
+            rep, sizes, _ = (np.zeros(len(level[0]), dtype=np.int64),) + level if reps is None else level
+            assert (np.diff(rep) >= 0).all()
+            assert (np.diff(sizes)[np.diff(rep) == 0] <= 0).all()
+            assert np.array_equal(np.bincount(rep, weights=sizes), np.full(reps or 1, n))
+        assert sizes.max() > 2**16 - 1
 
 
 def _hit_set_law(n, reps, step, slot):
