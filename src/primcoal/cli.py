@@ -197,12 +197,14 @@ def _state_header(top) -> list[str]:
     return ["lambda"] + [f"gamma_{i+1}" for i in range(top)] + [f"s_{i+1}" for i in range(top)]
 
 
-_ROUTES = {"graph": graph_route, "walk": walk_route}
-
-
 def _route_states(seed, n, lambdas, route) -> list:
-    """Augmented state at each lambda of one coupled draw of the route."""
-    levels = _ROUTES[route](n, lambdas, np.random.default_rng(seed))
+    """Augmented state at each lambda of one coupled draw of the route.
+
+    The route is looked up by its module-level name at call time, so a
+    wrapper bound over `cli.graph_route` or `cli.walk_route` sees the call.
+    """
+    route_fn = graph_route if route == "graph" else walk_route
+    levels = route_fn(n, lambdas, np.random.default_rng(seed))
     return [augmented_state(n, *level) for level in levels]
 
 
@@ -431,7 +433,7 @@ _DEFAULTS = {
 }
 
 # the values a choice key takes, by flag or by --config
-_CHOICES = {"kind": tuple(_LIMIT_SIDES), "route": tuple(_ROUTES)}
+_CHOICES = {"kind": tuple(_LIMIT_SIDES), "route": ("graph", "walk")}
 
 # the range of each number key that only --config sets
 _NUMBER_RANGES = {

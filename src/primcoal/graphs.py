@@ -105,15 +105,6 @@ class ProperlyWeightedGraph:
             adj[v].append((u, w))
         return adj
 
-    @property
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        uf = UnionFind(self.n)
-        for u, v in zip(self.u.tolist(), self.v.tolist()):
-            uf.union(u - 1, v - 1)
-        return uf.n_components == 1
-
 
 @dataclass(frozen=True)
 class PrimOrdering:
@@ -128,10 +119,6 @@ class PrimOrdering:
     attach_weight: tuple[float | None, ...]
     attach_parent: tuple[int | None, ...]
 
-    def rank(self) -> dict[int, int]:
-        """Vertex -> Prim rank (1-based)."""
-        return {v: i + 1 for i, v in enumerate(self.order)}
-
     def ranks(self) -> np.ndarray:
         """Array r with r[v] = Prim rank (1-based) of vertex v; r[0] = 0."""
         n = len(self.order)
@@ -141,9 +128,6 @@ class PrimOrdering:
         r = np.zeros(n + 1, dtype=np.int64)
         r[order] = np.arange(1, n + 1)
         return r
-
-    def mst_weight(self) -> float:
-        return sum(w for w in self.attach_weight if w is not None)
 
 
 def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
@@ -186,23 +170,31 @@ def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
 
 
 def _prim_dense(g: ProperlyWeightedGraph, root: int) -> PrimOrdering:
-    """Prim on a complete graph: argmin of the frontier distances, row-min update."""
+    """Prim on a complete graph: argmin of the frontier distances, row-min update.
+
+    Tree vertices hold +inf in `dist`, so the argmin never picks one; a
+    boolean mask of the vertices still off the tree keeps the row-min update
+    from writing the new vertex's weights into their slots.
+    """
     n = g.n
     wm = np.full((n + 1, n + 1), np.inf)
     wm[g.u, g.v] = g.w
     wm[g.v, g.u] = g.w
-    wm[:, root] = np.inf  # a column of +inf keeps tree vertices off the frontier
+    off_tree = np.ones(n + 1, dtype=bool)
+    off_tree[root] = False
     dist = wm[root].copy()
     parent = np.full(n + 1, root, dtype=np.int64)
+    closer = np.empty(n + 1, dtype=bool)
     order, attach_weight, attach_parent = [root], [None], [None]
     for _ in range(n - 1):
         x = int(dist.argmin())
         order.append(x)
         attach_weight.append(dist[x].item())
         attach_parent.append(parent[x].item())
-        wm[:, x] = np.inf
+        off_tree[x] = False
         dist[x] = np.inf
-        closer = wm[x] < dist
+        np.less(wm[x], dist, out=closer)
+        closer &= off_tree
         np.copyto(dist, wm[x], where=closer)
         np.copyto(parent, x, where=closer)
     return PrimOrdering(tuple(order), tuple(attach_weight), tuple(attach_parent))
@@ -265,6 +257,35 @@ class UnionFind:
         return True
 
 
+def _least_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """lab[v] = least vertex of v's component, for the graph on 0..n whose
+    edges are (a[k], b[k]) with a[k] < b[k].
+
+    Labels start as the vertices themselves.  Each round takes the edges
+    whose endpoint labels differ, hooks the larger label under the smallest
+    label it meets across them (`np.minimum.at`), then pointer-jumps
+    lab = lab[lab] to a fixed point, so every label is again its own label.
+    Labels only fall, and only along edges, so the rounds end, with no edge
+    left across two labels, at the least vertex of each component.
+    """
+    lab = np.arange(n + 1)
+    lo, hi = a, b  # every edge crosses at the start, smaller end first
+    while len(hi):
+        np.minimum.at(lab, hi, lo)
+        while True:
+            up = lab[lab]
+            if not np.count_nonzero(up != lab):
+                break
+            lab = up
+        la, lb = lab[a], lab[b]
+        cross = la != lb
+        if not np.count_nonzero(cross):
+            break
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        lo, hi = np.minimum(la, lb), np.maximum(la, lb)
+    return lab
+
+
 def level_components(
     g: ProperlyWeightedGraph,
     t: float,
@@ -275,32 +296,41 @@ def level_components(
     Without an ordering, returns components as frozensets sorted by their
     smallest vertex.  With a PrimOrdering, returns (component, (a, b)) pairs
     where [a, b] is the component's interval of Prim ranks, sorted by a;
-    raises if some component is not a Prim interval.  Components come from a
-    union-find over the level edges, independent of the attach weights, so
-    this is the oracle for the interval property.
+    raises if some component is not a Prim interval, naming the one with
+    the smallest least vertex.
+
+    The components are the classes of `_least_labels` over the level edges:
+    whole-array min-label hooking and pointer jumping on g's own edge list.
+    It reads no attach weight and shares no code with the graph route's
+    `multiplicative._merge`, because this function is the oracle both are
+    checked against: the interval property here, and `graph_route` in
+    `test_matches_union_find_on_same_edges`.  A fast path is never checked
+    against itself.
     """
     if not (0.0 <= t <= 1.0):
         raise GraphError(f"level t={t} outside [0, 1]")
-    uf = UnionFind(g.n)
     keep = g.w <= t
-    for u, v in zip(g.u[keep].tolist(), g.v[keep].tolist()):
-        uf.union(u - 1, v - 1)
-    groups: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        groups.setdefault(uf.find(v - 1), []).append(v)
-    comps = sorted((frozenset(vs) for vs in groups.values()), key=min)
+    lab = _least_labels(g.n, g.u[keep], g.v[keep])[1:]
+    groups: dict[int, list[int]] = {}  # filled in least-vertex order: a label is its least vertex
+    for v, root in enumerate(lab.tolist(), start=1):
+        groups.setdefault(root, []).append(v)
+    comps = {root: frozenset(vs) for root, vs in groups.items()}
     if ordering is None:
-        return comps
-    rank = ordering.rank()
-    out = []
-    for comp in comps:
-        ranks = sorted(rank[v] for v in comp)
-        a, b = ranks[0], ranks[-1]
-        if b - a + 1 != len(ranks):
-            raise GraphError(f"component {sorted(comp)} is not a Prim interval")
-        out.append((comp, (a, b)))
-    out.sort(key=lambda item: item[1][0])
-    return out
+        return list(comps.values())
+    if len(ordering.order) != g.n:
+        raise GraphError(f"ordering has {len(ordering.order)} vertices, graph has {g.n}")
+    by_rank = np.empty(g.n, dtype=np.int64)  # label of the vertex at each rank
+    by_rank[ordering.ranks()[1:] - 1] = lab
+    cut = (by_rank[1:] != by_rank[:-1]).nonzero()[0] + 1  # where a run of labels starts
+    if len(cut) + 1 != len(comps):
+        runs = np.bincount(by_rank[cut], minlength=g.n + 1)
+        runs[by_rank[0]] += 1
+        raise GraphError(f"component {groups[int(np.argmax(runs > 1))]} is not a Prim interval")
+    cut = cut.tolist()
+    return [
+        (comps[root], (a + 1, b))
+        for root, a, b in zip(by_rank[[0] + cut].tolist(), [0] + cut, cut + [g.n])
+    ]
 
 
 @dataclass(frozen=True)
@@ -368,9 +398,16 @@ def _range_max(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         nxt = prev.copy()
         np.maximum(prev[:-half], prev[half:], out=nxt[:-half])
         table.append(nxt)
-    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(length)), exact
-    table = np.stack(table)
-    return np.maximum(table[level, lo], table[level, hi - 2**level + 1])
+    span = hi - lo + 1
+    level = np.frexp(span)[1] - 1  # floor(log2(span)), exact
+    left = level * np.int64(len(x))  # flat index of table[level][lo]
+    left += lo
+    right = span  # flat index of table[level][hi - 2**level + 1], made in place
+    right -= 1 << level
+    right += left
+    flat = np.concatenate(table)
+    out = flat[left]
+    return np.maximum(out, flat[right], out=out)
 
 
 def component_filtration(

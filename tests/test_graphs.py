@@ -7,6 +7,7 @@ from primcoal.graphs import (
     GraphError,
     PrimOrdering,
     ProperlyWeightedGraph,
+    UnionFind,
     component_filtration,
     level_components,
     mst_weight_kruskal,
@@ -36,6 +37,31 @@ def sparse_connected_graph(n, extra, rng):
     return ProperlyWeightedGraph(n, edges)
 
 
+def _sequential_level_components(g, t, ordering=None):
+    """level_components as a literal loop: one UnionFind.union per level
+    edge, one rank lookup per vertex.  The labeller is held to this."""
+    uf = UnionFind(g.n)
+    keep = g.w <= t
+    for u, v in zip(g.u[keep].tolist(), g.v[keep].tolist()):
+        uf.union(u - 1, v - 1)
+    groups = {}
+    for v in range(1, g.n + 1):
+        groups.setdefault(uf.find(v - 1), []).append(v)
+    comps = sorted((frozenset(vs) for vs in groups.values()), key=min)
+    if ordering is None:
+        return comps
+    rank = {v: i + 1 for i, v in enumerate(ordering.order)}
+    out = []
+    for comp in comps:
+        ranks = sorted(rank[v] for v in comp)
+        a, b = ranks[0], ranks[-1]
+        if b - a + 1 != len(ranks):
+            raise GraphError(f"component {sorted(comp)} is not a Prim interval")
+        out.append((comp, (a, b)))
+    out.sort(key=lambda item: item[1][0])
+    return out
+
+
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -58,9 +84,11 @@ class TestConstruction:
             ProperlyWeightedGraph(2, [(1, 3, 0.5)])
 
     def test_connectivity_flag(self):
+        # connectivity is read off prim_order: it reaches every vertex or raises
         g = ProperlyWeightedGraph(4, [(1, 2, 0.1), (3, 4, 0.2)])
-        assert not g.is_connected
-        assert path_graph([0.1, 0.2, 0.3]).is_connected
+        with pytest.raises(DisconnectedGraphError):
+            prim_order(g)
+        assert len(prim_order(path_graph([0.1, 0.2, 0.3])).order) == 4
 
 
 class TestPrimOrder:
@@ -87,7 +115,7 @@ class TestPrimOrder:
     def test_mst_weight_matches_kruskal(self, rng):
         for _ in range(100):
             g = random_complete_graph(int(rng.integers(2, 30)), rng)
-            assert prim_order(g).mst_weight() == pytest.approx(
+            assert sum(prim_order(g).attach_weight[1:]) == pytest.approx(
                 mst_weight_kruskal(g), abs=1e-12
             )
 
@@ -127,6 +155,47 @@ class TestLevelComponents:
         g = random_complete_graph(4, rng)
         with pytest.raises(GraphError):
             level_components(g, 1.5)
+        with pytest.raises(GraphError, match="ordering has 5 vertices, graph has 4"):
+            level_components(g, 0.5, prim_order(random_complete_graph(5, rng)))
+
+    def test_matches_sequential_union_find(self, rng):
+        cases = []
+        for n in range(1, 91):
+            g = random_complete_graph(n, rng)
+            levels = (0.0, 1.0, min(1.0, 3.0 / n), float(rng.random()))
+            cases.append((g, prim_order(g, int(rng.integers(1, n + 1))), levels))
+        for n in (1, 2, 5, 40, 300):
+            g = weighted_cayley_tree(n, rng)
+            cases.append((g, prim_order(g), (0.0, 1.0, float(rng.random()), float(rng.random()))))
+        # a path whose labels are shuffled: the labeller needs several rounds
+        labels = rng.permutation(1000) + 1
+        g = ProperlyWeightedGraph.from_arrays(1000, labels[:-1], labels[1:], rng.random(999))
+        cases.append((g, prim_order(g), (0.0, 0.3, 0.7, 0.99, 1.0)))
+        for g, ordering, levels in cases:
+            for t in levels:
+                assert level_components(g, t) == _sequential_level_components(g, t)
+                assert level_components(g, t, ordering) == _sequential_level_components(
+                    g, t, ordering
+                )
+
+    def test_non_prim_orderings_raise_as_the_sequential_loop(self, rng):
+        raised = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            g = random_complete_graph(n, rng)
+            perm = tuple((rng.permutation(n) + 1).tolist())
+            labels = PrimOrdering(perm, (None,) * n, (None,) * n)
+            t = float(rng.random())
+            try:
+                expected = _sequential_level_components(g, t, labels)
+            except GraphError as exc:
+                with pytest.raises(GraphError) as got:
+                    level_components(g, t, labels)
+                assert str(got.value) == str(exc)
+                raised += 1
+            else:
+                assert level_components(g, t, labels) == expected
+        assert 0 < raised < 300
 
 
 class TestFiltration:
