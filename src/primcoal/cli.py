@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -415,6 +416,7 @@ def _trace_name(lam: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+_COMMON = {"seed": 0, "replicates": 10, "workers": 1}
 _DEFAULTS = {
     "simulate-additive": {"n": 1000, "lambdas": [1.0], "top": 5},
     "simulate-multiplicative": {"n": 1000, "lambdas": [0.0], "top": 5, "route": "graph"},
@@ -432,15 +434,35 @@ _DEFAULTS = {
     "trace": {"n": 1000, "lambdas": [-1.0, 0.0, 1.0]},
 }
 
-# the values a choice key takes, by flag or by --config
-_CHOICES = {"kind": tuple(_LIMIT_SIDES), "route": ("graph", "walk")}
 
-# the range of each number key that only --config sets
-_NUMBER_RANGES = {
-    "dx": (lambda x: x > 0, "greater than 0"),
-    "horizon": (lambda x: x > 0, "greater than 0"),
-    "tv": (lambda x: 0 < x <= 1, "in (0, 1]"),
-    "s_obs": (lambda x: x >= 0, "at least 0"),
+def _int_at_least(least: int):
+    return lambda x: type(x) is int and x >= least
+
+
+def _number(inside=lambda x: True):
+    return lambda x: type(x) in (int, float) and inside(x)
+
+
+def _one_of(*allowed: str):
+    return str, lambda x: x in allowed, f"one of {', '.join(allowed)}"
+
+
+# config key -> (its flag's type, or None when only --config sets it; the test
+# its value must pass; what it must be).  Defaults < --config < flags, each key.
+_KEYS = {
+    "seed": (int, _int_at_least(0), "at least 0 and an integer"),
+    "replicates": (int, _int_at_least(1), "at least 1 and an integer"),
+    "workers": (int, _int_at_least(1), "at least 1 and an integer"),
+    "n": (int, _int_at_least(1), "at least 1 and an integer"),
+    "lam": (float, _number(), "a number"),
+    "lambdas": (_float_list, lambda x: type(x) is list and all(map(_number(), x)), "a list of numbers"),
+    "kind": _one_of(*_LIMIT_SIDES),
+    "route": _one_of("graph", "walk"),
+    "top": (None, _int_at_least(1), "an integer at least 1"),
+    "dx": (None, _number(lambda x: 0 < x < math.inf), "a number greater than 0"),
+    "horizon": (None, _number(lambda x: 0 < x < math.inf), "a number greater than 0"),
+    "tv": (None, _number(lambda x: 0 < x <= 1), "a number in (0, 1]"),
+    "s_obs": (None, _number(lambda x: x >= 0), "a number at least 0"),
 }
 
 _HANDLERS = {
@@ -456,56 +478,39 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="primcoal", description="coalescent simulation experiments"
-    )
+    parser = argparse.ArgumentParser(prog="primcoal", description="coalescent simulation experiments")
     parser.add_argument("command", choices=sorted(_HANDLERS))
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--replicates", type=int, default=10)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="runs/latest")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--lam", type=float)
-    parser.add_argument("--lambdas", type=_float_list)
-    parser.add_argument("--kind")
-    parser.add_argument("--route")
+    for key, (flag, _, _) in _KEYS.items():
+        if flag:
+            parser.add_argument(f"--{key}", type=flag)
     args = parser.parse_args(argv)
 
-    cfg = dict(_DEFAULTS[args.command])
-    cfg["seed"] = args.seed
-    cfg["replicates"] = args.replicates
-    cfg["workers"] = args.workers
+    cfg = {**_COMMON, **_DEFAULTS[args.command]}
     if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config {args.config} is not a readable JSON file: {exc}")
+        if type(file_cfg) is not dict:
+            parser.error(f"--config {args.config} must hold a JSON object, got {file_cfg!r}")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in ("n", "lam", "lambdas", "kind", "route"):
-        val = getattr(args, key)
-        if val is not None:
-            if key not in cfg:
-                parser.error(f"--{key} not applicable to {args.command}")
-            cfg[key] = val
-    for key, allowed in _CHOICES.items():
-        if key in cfg and cfg[key] not in allowed:
-            parser.error(f"--{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
-    for key, least in (("n", 1), ("replicates", 1), ("workers", 1), ("seed", 0)):
-        if key in cfg and not (type(cfg[key]) is int and cfg[key] >= least):
-            parser.error(f"--{key} must be at least {least} and an integer, got {cfg[key]!r}")
-    if "top" in cfg and not (type(cfg["top"]) is int and cfg["top"] >= 1):
-        parser.error(f"config top must be an integer at least 1, got {cfg['top']!r}")
-    for key, (inside, where) in _NUMBER_RANGES.items():
-        if key in cfg and not (type(cfg[key]) in (int, float) and inside(cfg[key])):
-            parser.error(f"config {key} must be a number {where}, got {cfg[key]!r}")
+    flags = {key: val for key, val in vars(args).items() if key in _KEYS and val is not None}
+    for key in sorted(flags.keys() - cfg.keys()):
+        parser.error(f"--{key} not applicable to {args.command}")
+    cfg.update(flags)
+    for key, value in cfg.items():
+        flag, test, want = _KEYS[key]
+        if not test(value):
+            parser.error(f"{'--' + key if flag else 'config ' + key} must be {want}, got {value!r}")
     if "lambdas" in cfg or "lam" in cfg:
         key = "lambdas" if "lambdas" in cfg else "lam"
         lambdas = cfg[key] if key == "lambdas" else [cfg[key]]
-        if not (type(lambdas) is list and all(type(lam) in (int, float) for lam in lambdas)):
-            kind = "a list of numbers" if key == "lambdas" else "a number"
-            parser.error(f"--{key} must be {kind}, got {cfg[key]!r}")
         if not lambdas:
             parser.error("--lambdas must list at least one lambda")
         additive = args.command == "simulate-additive" or cfg.get("kind") == "additive"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import primcoal
-from primcoal.cli import WRITE_BLOCK, _write_rows, main
+from primcoal.cli import WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _write_rows, main
 from primcoal.multiplicative import sparse_z_trace
 
 
@@ -207,6 +207,46 @@ class TestConfigHandling:
         with pytest.raises(SystemExit):
             run(["compare-orders", "--n", "5", "--out", str(tmp_path / "x")])
 
+    def test_flags_beat_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "replicates": 2}))
+        args = ["trace", "--n", "20", "--seed", "5", "--replicates", "7"]
+        both, flags = tmp_path / "both", tmp_path / "flags"
+        assert run(args + ["--config", str(cfg), "--out", str(both)]) == 0
+        assert run(args + ["--out", str(flags)]) == 0
+        manifest = json.loads((both / "manifest.json").read_text())
+        assert (manifest["config"]["seed"], manifest["config"]["replicates"]) == (5, 7)
+        assert {p.name: p.read_bytes() for p in both.iterdir()} == {
+            p.name: p.read_bytes() for p in flags.iterdir()
+        }
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "is not a readable JSON file"),
+            ("{", "is not a readable JSON file"),
+            (b"\xff", "is not a readable JSON file"),
+            ("5", "must hold a JSON object, got 5"),
+            ("[1]", "must hold a JSON object, got [1]"),
+        ],
+        ids=["missing", "invalid-json", "not-utf8", "number", "list"],
+    )
+    def test_bad_config_file_refused_early(self, tmp_path, capsys, content, message):
+        path, out = tmp_path / "cfg.json", tmp_path / "run"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            run(["trace", "--n", "20", "--config", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"--config {path} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_config_key_has_one_row(self):
+        used = set(_COMMON).union(*_DEFAULTS.values())
+        assert used == set(_KEYS)
+
 
 class TestWalkRouteSize:
     @pytest.mark.parametrize(
@@ -307,6 +347,8 @@ class TestSizeFlags:
         [
             (["limit-compare"], {"dx": 0}, "config dx must be a number greater than 0, got 0"),
             (["limit-compare"], {"horizon": -1}, "config horizon must be a number greater than 0, got -1"),
+            (["limit-compare"], {"horizon": float("inf")}, "config horizon must be a number greater than 0, got inf"),
+            (["limit-compare"], {"dx": float("inf")}, "config dx must be a number greater than 0, got inf"),
             (["simulate-multiplicative"], {"top": 2.5}, "config top must be an integer at least 1, got 2.5"),
             (["simulate-multiplicative"], {"n": 50.5}, "--n must be at least 1 and an integer, got 50.5"),
             (["simulate-multiplicative"], {"n": True}, "--n must be at least 1 and an integer, got True"),
@@ -325,7 +367,7 @@ class TestSizeFlags:
             (["ml-oracle"], {"s_obs": -0.5}, "config s_obs must be a number at least 0, got -0.5"),
         ],
         ids=[
-            "dx", "horizon", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry",
+            "dx", "horizon", "horizon-inf", "dx-inf", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry",
             "lam-string", "tv-string", "tv-zero", "tv-above-one", "s_obs-bool", "s_obs-negative",
         ],
     )
