@@ -21,7 +21,7 @@ n = 12
 g = random_complete_graph(n, rng)
 ordering = prim_order(g)
 
-print(f"Prim order from vertex 1: {ordering.order}\n")
+print(f"Prim order from vertex 1: {ordering.order.tolist()}\n")
 
 for t in (0.05, 0.12, 0.25, 0.6):
     pairs = level_components(g, t, ordering)

@@ -104,7 +104,7 @@ class ThinnedWalkFamily:
 
 def retention_level(n: int, lam: float) -> float:
     """t = 1 - lambda / sqrt(n); lambda must stay within [0, sqrt(n)]."""
-    if lam < 0 or lam > np.sqrt(n):
+    if not 0 <= lam <= np.sqrt(n):
         raise ValueError(f"lambda={lam} outside [0, sqrt(n)]")
     return 1.0 - lam / np.sqrt(n)
 
@@ -117,7 +117,7 @@ def gamma_plus(family: ThinnedWalkFamily, lam: float) -> MassVector:
     """
     t = retention_level(family.n, lam)
     exc = excursions_above_min(family.path(t), DEFAULT_CONVENTION)
-    return MassVector(exc.lengths() / family.n, norm="l1")
+    return MassVector(exc.lengths() / family.n)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +345,5 @@ def prim_thinned_outdegrees(g: ProperlyWeightedGraph, ordering: PrimOrdering, t:
     """
     if g.m != g.n - 1:
         raise GraphError(f"{g.m} edges on {g.n} vertices: not a tree")
-    kept = np.array(ordering.attach_weight[1:], dtype=np.float64) <= t
-    parents = np.array(ordering.attach_parent[1:], dtype=np.int64)[kept]
-    return tuple(np.bincount(ordering.ranks()[parents] - 1, minlength=g.n).tolist())
+    parents = ordering.attach_parent[1:][ordering.attach_weight[1:] <= t]  # the root has no attach edge
+    return tuple(np.bincount(ordering.rank[parents] - 1, minlength=g.n).tolist())

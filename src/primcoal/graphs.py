@@ -11,7 +11,7 @@ therefore read off the attach weights, with no replay of the edges.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -106,28 +106,36 @@ class ProperlyWeightedGraph:
         return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimOrdering:
     """Prim order (u_1, ..., u_n) of a properly weighted connected graph.
 
+    Arrays of length n indexed by rank - 1: order[i] is u_{i+1}, and
     attach_weight[i] / attach_parent[i] describe the minimal cut edge that
-    brought in u_{i+1} (both lists have length n with a None in slot 0 for
-    the root).  The attach edges form the minimum spanning tree.
+    brought it in (+inf and 0 for the root).  The attach edges form the
+    minimum spanning tree.  rank[v] is the Prim rank (1-based) of vertex v,
+    with rank[0] = 0; it is built, and the order checked, once here.
     """
 
-    order: tuple[int, ...]
-    attach_weight: tuple[float | None, ...]
-    attach_parent: tuple[int | None, ...]
+    order: np.ndarray
+    attach_weight: np.ndarray
+    attach_parent: np.ndarray
+    rank: np.ndarray = field(init=False, repr=False)
 
-    def ranks(self) -> np.ndarray:
-        """Array r with r[v] = Prim rank (1-based) of vertex v; r[0] = 0."""
-        n = len(self.order)
+    def __post_init__(self):
         order = np.asarray(self.order, dtype=np.int64)
+        weight = np.asarray(self.attach_weight, dtype=np.float64)
+        parent = np.asarray(self.attach_parent, dtype=np.int64)
+        n = len(order)
         if not np.array_equal(np.sort(order), np.arange(1, n + 1)):
             raise GraphError("ordering is not a permutation of 1..n")
-        r = np.zeros(n + 1, dtype=np.int64)
-        r[order] = np.arange(1, n + 1)
-        return r
+        if len(weight) != n or len(parent) != n or ((parent < 0) | (parent > n)).any():
+            raise GraphError(f"ordering needs {n} attach weights and {n} parents in 0..{n}")
+        rank = np.zeros(n + 1, dtype=np.int64)
+        rank[order] = np.arange(1, n + 1)
+        for name, arr in zip(("order", "attach_weight", "attach_parent", "rank"),
+                             (order, weight, parent, rank)):
+            object.__setattr__(self, name, arr)
 
 
 def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
@@ -145,9 +153,7 @@ def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
     adj = g.adjacency()
     in_tree = [False] * (g.n + 1)
     in_tree[root] = True
-    order = [root]
-    attach_weight: list[float | None] = [None]
-    attach_parent: list[int | None] = [None]
+    order, attach_weight, attach_parent = [root], [np.inf], [0]
     heap: list[tuple[float, int, int]] = []
     for v, w in adj[root]:
         heapq.heappush(heap, (w, v, root))
@@ -166,7 +172,7 @@ def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
         for x, wx in adj[v]:
             if not in_tree[x]:
                 heapq.heappush(heap, (wx, x, v))
-    return PrimOrdering(tuple(order), tuple(attach_weight), tuple(attach_parent))
+    return PrimOrdering(order, attach_weight, attach_parent)
 
 
 def _prim_dense(g: ProperlyWeightedGraph, root: int) -> PrimOrdering:
@@ -185,19 +191,21 @@ def _prim_dense(g: ProperlyWeightedGraph, root: int) -> PrimOrdering:
     dist = wm[root].copy()
     parent = np.full(n + 1, root, dtype=np.int64)
     closer = np.empty(n + 1, dtype=bool)
-    order, attach_weight, attach_parent = [root], [None], [None]
-    for _ in range(n - 1):
+    order = np.full(n, root, dtype=np.int64)
+    attach_weight = np.full(n, np.inf)
+    attach_parent = np.zeros(n, dtype=np.int64)
+    for i in range(1, n):
         x = int(dist.argmin())
-        order.append(x)
-        attach_weight.append(dist[x].item())
-        attach_parent.append(parent[x].item())
+        order[i] = x
+        attach_weight[i] = dist[x]
+        attach_parent[i] = parent[x]
         off_tree[x] = False
         dist[x] = np.inf
         np.less(wm[x], dist, out=closer)
         closer &= off_tree
         np.copyto(dist, wm[x], where=closer)
         np.copyto(parent, x, where=closer)
-    return PrimOrdering(tuple(order), tuple(attach_weight), tuple(attach_parent))
+    return PrimOrdering(order, attach_weight, attach_parent)
 
 
 def prim_order_rescan(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
@@ -208,9 +216,7 @@ def prim_order_rescan(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
     if not (1 <= root <= g.n):
         raise GraphError(f"root {root} not in [1, {g.n}]")
     visited = {root}
-    order = [root]
-    attach_weight: list[float | None] = [None]
-    attach_parent: list[int | None] = [None]
+    order, attach_weight, attach_parent = [root], [np.inf], [0]
     edges = g.edges
     while len(order) < g.n:
         best = None
@@ -226,7 +232,7 @@ def prim_order_rescan(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
         order.append(v)
         attach_weight.append(w)
         attach_parent.append(parent)
-    return PrimOrdering(tuple(order), tuple(attach_weight), tuple(attach_parent))
+    return PrimOrdering(order, attach_weight, attach_parent)
 
 
 class UnionFind:
@@ -320,7 +326,7 @@ def level_components(
     if len(ordering.order) != g.n:
         raise GraphError(f"ordering has {len(ordering.order)} vertices, graph has {g.n}")
     by_rank = np.empty(g.n, dtype=np.int64)  # label of the vertex at each rank
-    by_rank[ordering.ranks()[1:] - 1] = lab
+    by_rank[ordering.rank[1:] - 1] = lab
     cut = (by_rank[1:] != by_rank[:-1]).nonzero()[0] + 1  # where a run of labels starts
     if len(cut) + 1 != len(comps):
         runs = np.bincount(by_rank[cut], minlength=g.n + 1)
@@ -427,21 +433,14 @@ def component_filtration(
         raise GraphError(f"ordering has {len(ordering.order)} vertices, graph has {n}")
     if g.m < n - 1:
         raise GraphError(f"{g.m} edges cannot connect {n} vertices")
-    rank = ordering.ranks() - 1  # 0-based
-    aw = np.array((np.inf,) + ordering.attach_weight[1:], dtype=np.float64)
-    child = np.asarray(ordering.order[1:], dtype=np.int64)
-    parent = np.asarray(ordering.attach_parent[1:], dtype=np.int64)
-    by_weight = np.argsort(g.w)
-    e = by_weight[np.searchsorted(g.w[by_weight], aw[1:]).clip(max=g.m - 1)]
-    if not (
-        np.array_equal(g.w[e], aw[1:])
-        and np.array_equal(g.u[e], np.minimum(child, parent))
-        and np.array_equal(g.v[e], np.maximum(child, parent))
-        and (rank[parent] < np.arange(1, n)).all()
-    ):
-        raise GraphError("ordering's attach edges are not edges of g at their weights")
+    rank = ordering.rank - 1  # 0-based; the root's parent 0 has rank -1
+    aw = ordering.attach_weight
     a = np.minimum(rank[g.u], rank[g.v])
     b = np.maximum(rank[g.u], rank[g.v])
+    # edge k attaches rank b[k] iff it has that rank's weight and joins it to its parent
+    attach = (g.w == aw[b]) & (a == rank[ordering.attach_parent[b]])
+    if not (np.bincount(b[attach], minlength=n)[1:] == 1).all():
+        raise GraphError("ordering's attach edges are not edges of g at their weights")
     bad = np.flatnonzero(g.w < _range_max(aw, a + 1, b))
     if len(bad):
         k = bad[0]

@@ -54,7 +54,7 @@ def limit_gamma(path: LatticePath, top: int | None = None) -> MassVector:
     lengths = np.sort(lengths)[::-1] * path.x_step
     if top is not None:
         lengths = lengths[:top]
-    return MassVector(lengths, norm="l2")
+    return MassVector(lengths)
 
 
 SURPLUS_MARGIN = 0.5

@@ -62,7 +62,7 @@ def reorder_field_from_graph(g: ProperlyWeightedGraph, ordering: PrimOrdering) -
     n = g.n
     if g.m != n * (n - 1) // 2:
         raise ValueError("field reordering requires a complete graph")
-    rank = ordering.ranks()
+    rank = ordering.rank
     a, b = rank[g.u], rank[g.v]
     wr = np.full((n + 1, n + 1), np.inf)
     wr[a, b] = g.w
@@ -347,7 +347,7 @@ def walk_route(n: int, lambdas, rng, reps: int | None = None):
 
 def gamma_times(n: int, sizes) -> MassVector:
     """Component sizes rescaled by n^{2/3}, sorted, under the l2 norm."""
-    return MassVector(np.asarray(sizes, dtype=float) / n ** (2.0 / 3.0), norm="l2")
+    return MassVector(np.asarray(sizes, dtype=float) / n ** (2.0 / 3.0))
 
 
 def augmented_state(n: int, sizes, surpluses) -> AugmentedState:
@@ -355,7 +355,7 @@ def augmented_state(n: int, sizes, surpluses) -> AugmentedState:
     surpluses, ordered by decreasing size, then increasing surplus."""
     sizes, surpluses = np.asarray(sizes), np.asarray(surpluses)
     order = np.lexsort((surpluses, -sizes))
-    return AugmentedState(MassVector(sizes[order] / n ** (2.0 / 3.0), norm="l2"), surpluses[order])
+    return AugmentedState(MassVector(sizes[order] / n ** (2.0 / 3.0)), surpluses[order])
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,15 @@ class MassVector:
     """Finite non-increasing sequence of non-negative reals, zero tail implied."""
 
     values: np.ndarray
-    norm: str = "l1"  # "l1" or "l2"
 
-    def __init__(self, values, norm: str = "l1"):
+    def __init__(self, values):
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("mass vector must be one-dimensional")
         if (arr < 0).any():
             raise ValueError("masses must be non-negative")
-        if norm not in ("l1", "l2"):
-            raise ValueError(f"unknown norm tag {norm!r}")
         arr = np.sort(arr)[::-1].copy()
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "norm", norm)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -39,11 +35,6 @@ class MassVector:
     def __getitem__(self, i: int) -> float:
         """Entry i (0-based); the implicit zero tail extends indefinitely."""
         return float(self.values[i]) if i < len(self.values) else 0.0
-
-    def norm_value(self) -> float:
-        if self.norm == "l1":
-            return float(self.values.sum())
-        return float(np.sqrt((self.values**2).sum()))
 
     def partial_square_sums(self) -> np.ndarray:
         """Cumulative sums of squared masses (monotone along coalescence)."""

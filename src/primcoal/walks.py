@@ -151,7 +151,7 @@ def explore(
     """
     n = g.n
     if isinstance(order, PrimOrdering):
-        key = order.ranks().tolist()
+        key = order.rank.tolist()
     elif order == "labels":
         key = list(range(n + 1))
     else:

@@ -306,10 +306,16 @@ class TestSizeFlags:
                 "--lambdas: 0.0001 and 0.0002 both write trace_lambda_p0_000.csv",
             ),
             (["trace", "--n", "50", "--lambdas=1,1"], "--lambdas: 1.0 and 1.0 both write"),
+            (["simulate-additive", "--lambdas", "nan"], "--lambdas: lambda=nan outside [0, sqrt(n)]"),
+            (
+                ["limit-compare", "--kind", "additive", "--lam", "nan"],
+                "--lam: lambda=nan outside [0, sqrt(n)]",
+            ),
         ],
         ids=[
             "simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty",
             "limit-compare-additive", "simulate-additive", "trace-same-file", "trace-repeat",
+            "simulate-additive-nan", "limit-compare-additive-nan",
         ],
     )
     def test_lambda_outside_window_refused_early(self, tmp_path, capsys, argv, message):
@@ -458,6 +464,18 @@ class TestLimitCompare:
         assert code == 0
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["passed"] is True
+
+
+class TestMlOracle:
+    def test_verdicts_record_the_seed(self, tmp_path):
+        config = tmp_path / "oracle.json"
+        config.write_text(json.dumps({"tv": 1.0}))
+        out = tmp_path / "run"
+        argv = ["ml-oracle", "--seed", "7", "--replicates", "200", "--config", str(config)]
+        assert run(argv + ["--out", str(out)]) == 0
+        lines = (out / "verdicts.json").read_text().splitlines()
+        assert len(lines) == 2
+        assert [json.loads(line)["seeds"] for line in lines] == [[7], [7]]
 
 
 class TestEmptyGraph:

@@ -95,7 +95,7 @@ class TestPrimOrder:
     def test_path_graph_order(self):
         # weights increase along the path, so Prim just walks it
         g = path_graph([0.1, 0.2, 0.3, 0.4])
-        assert prim_order(g).order == (1, 2, 3, 4, 5)
+        assert prim_order(g).order.tolist() == [1, 2, 3, 4, 5]
 
     def test_matches_rescan_oracle(self, rng):
         # complete graphs take the dense path, sparse ones the heap path
@@ -108,9 +108,9 @@ class TestPrimOrder:
             root = int(rng.integers(1, g.n + 1))
             fast = prim_order(g, root)
             slow = prim_order_rescan(g, root)
-            assert fast.order == slow.order
-            assert fast.attach_parent == slow.attach_parent
-            assert fast.attach_weight == slow.attach_weight
+            assert np.array_equal(fast.order, slow.order)
+            assert np.array_equal(fast.attach_parent, slow.attach_parent)
+            assert np.array_equal(fast.attach_weight, slow.attach_weight)
 
     def test_mst_weight_matches_kruskal(self, rng):
         for _ in range(100):
@@ -123,6 +123,21 @@ class TestPrimOrder:
         g = ProperlyWeightedGraph(4, [(1, 2, 0.1), (3, 4, 0.2)])
         with pytest.raises(DisconnectedGraphError):
             prim_order(g)
+
+    def test_record_refuses_malformed_orderings(self):
+        with pytest.raises(GraphError, match="ordering is not a permutation of 1..n"):
+            PrimOrdering((1, 2, 2), (np.inf, 0.1, 0.2), (0, 1, 2))
+        with pytest.raises(GraphError, match="ordering is not a permutation of 1..n"):
+            PrimOrdering((0, 1, 2), (np.inf, 0.1, 0.2), (0, 1, 2))
+        with pytest.raises(GraphError, match="needs 3 attach weights and 3 parents in 0..3"):
+            PrimOrdering((1, 2, 3), (np.inf, 0.1), (0, 1, 2))
+        with pytest.raises(GraphError, match="needs 3 attach weights and 3 parents in 0..3"):
+            PrimOrdering((1, 2, 3), (np.inf, 0.1, 0.2), (0, 1, 4))
+
+    def test_rank_inverts_order(self, rng):
+        o = prim_order(random_complete_graph(9, rng), root=4)
+        assert o.rank[0] == 0
+        assert o.rank[o.order].tolist() == list(range(1, 10))
 
     def test_root_is_first(self, rng):
         g = random_complete_graph(8, rng)
@@ -184,7 +199,7 @@ class TestLevelComponents:
             n = int(rng.integers(2, 30))
             g = random_complete_graph(n, rng)
             perm = tuple((rng.permutation(n) + 1).tolist())
-            labels = PrimOrdering(perm, (None,) * n, (None,) * n)
+            labels = PrimOrdering(perm, np.full(n, np.inf), np.zeros(n))
             t = float(rng.random())
             try:
                 expected = _sequential_level_components(g, t, labels)
@@ -233,14 +248,14 @@ class TestFiltration:
         for _ in range(20):
             n = int(rng.integers(4, 12))
             g = random_complete_graph(n, rng)
-            if prim_order(g).order == tuple(range(1, n + 1)):
+            if prim_order(g).order.tolist() == list(range(1, n + 1)):
                 continue
             w = {(u, v): wt for u, v, wt in g.edges}
             parents = [min(range(1, i), key=lambda j: w[(j, i)]) for i in range(2, n + 1)]
             labels = PrimOrdering(
                 tuple(range(1, n + 1)),
-                (None,) + tuple(w[(p, i)] for i, p in enumerate(parents, start=2)),
-                (None,) + tuple(parents),
+                (np.inf,) + tuple(w[(p, i)] for i, p in enumerate(parents, start=2)),
+                (0,) + tuple(parents),
             )
             with pytest.raises(GraphError):
                 component_filtration(g, labels)
@@ -250,10 +265,12 @@ class TestFiltration:
     def test_rejects_attach_edges_not_in_graph(self):
         g = path_graph([0.1, 0.2, 0.3])
         assert component_filtration(g, prim_order(g)).components_at(1.0) == [((1, 4), 4, 0)]
-        not_an_edge = PrimOrdering((1, 2, 3, 4), (None, 0.1, 0.2, 0.3), (None, 1, 1, 3))
-        wrong_weight = PrimOrdering((1, 2, 3, 4), (None, 0.1, 0.25, 0.3), (None, 1, 2, 3))
-        for ordering in (not_an_edge, wrong_weight):
-            with pytest.raises(GraphError):
+        not_an_edge = PrimOrdering((1, 2, 3, 4), (np.inf, 0.1, 0.2, 0.3), (0, 1, 1, 3))
+        wrong_weight = PrimOrdering((1, 2, 3, 4), (np.inf, 0.1, 0.25, 0.3), (0, 1, 2, 3))
+        # edge 2-3 is in g at 0.2, but its recorded parent 2 comes after vertex 3
+        later_parent = PrimOrdering((1, 3, 2, 4), (np.inf, 0.2, 0.1, 0.3), (0, 2, 1, 3))
+        for ordering in (not_an_edge, wrong_weight, later_parent):
+            with pytest.raises(GraphError, match="attach edges are not edges of g"):
                 component_filtration(g, ordering)
 
 

@@ -182,7 +182,7 @@ class TestReorderedField:
     def test_first_row_is_rank_order(self, rng):
         g = random_complete_graph(6, rng)
         o = prim_order(g)
-        inv = np.argsort(o.ranks()).tolist()  # inv[k] = vertex of Prim rank k
+        inv = np.argsort(o.rank).tolist()  # inv[k] = vertex of Prim rank k
         u = _dense_matrix(reorder_field_from_graph(g, o))
         w = {tuple(sorted((a, b))): wt for a, b, wt in g.edges}
         for k in range(2, 7):
@@ -373,7 +373,6 @@ class TestWalkRoute:
 class TestScalingHelpers:
     def test_gamma_times_norm(self):
         gam = gamma_times(1000, [100, 50, 10])
-        assert gam.norm == "l2"
         assert gam[0] == pytest.approx(100 / 1000 ** (2 / 3))
 
     def test_augmented_state_sorting(self):

@@ -18,13 +18,6 @@ class TestMassVector:
         assert mv[0] == 0.5
         assert mv[5] == 0.0
 
-    def test_norms(self):
-        mv = MassVector([3.0, 4.0], norm="l2")
-        assert mv.norm_value() == pytest.approx(5.0)
-        assert MassVector([3.0, 4.0], norm="l1").norm_value() == pytest.approx(7.0)
-        with pytest.raises(ValueError):
-            MassVector([1.0], norm="sup")
-
     def test_partial_square_sums_monotone(self):
         mv = MassVector([0.5, 0.3, 0.2])
         s = mv.partial_square_sums()
@@ -48,20 +41,20 @@ class TestAugmentedState:
 
 class TestDistance:
     def test_identical_states_zero(self):
-        a = AugmentedState(MassVector([1.0, 0.5], norm="l2"), [2, 0])
+        a = AugmentedState(MassVector([1.0, 0.5]), [2, 0])
         assert d_U(a, a) == 0.0
 
     def test_surplus_only_difference(self):
-        a = AugmentedState(MassVector([1.0], norm="l2"), [2])
-        b = AugmentedState(MassVector([1.0], norm="l2"), [0])
+        a = AugmentedState(MassVector([1.0]), [2])
+        b = AugmentedState(MassVector([1.0]), [0])
         assert d_U(a, b) == pytest.approx(2.0)
 
     def test_mass_only_difference_with_padding(self):
-        a = AugmentedState(MassVector([1.0], norm="l2"), [0])
-        b = AugmentedState(MassVector([], norm="l2"), [])
+        a = AugmentedState(MassVector([1.0]), [0])
+        b = AugmentedState(MassVector([]), [])
         assert d_U(a, b) == pytest.approx(1.0)
 
     def test_symmetry(self):
-        a = AugmentedState(MassVector([0.7, 0.2], norm="l2"), [1, 0])
-        b = AugmentedState(MassVector([0.6], norm="l2"), [2])
+        a = AugmentedState(MassVector([0.7, 0.2]), [1, 0])
+        b = AugmentedState(MassVector([0.6]), [2])
         assert d_U(a, b) == pytest.approx(d_U(b, a))
