@@ -38,7 +38,7 @@ print(f"parking with m={m} cars: top blocks {np.round(np.array(blocks[:5]) / n, 
 
 forest = pitman_forest(200, rng)
 mid = forest.merges[len(forest.merges) // 2].time
-print(f"forest process at its median merge time: {forest.tree_sizes_at(mid)[:8]} ...")
+print(f"forest process at its median merge time: {forest.tree_sizes_at(mid)[0, :8].tolist()} ...")
 
 _, _, sizes = percolate_cayley(2000, t, rng)
 print(f"percolated Cayley tree at t={t:.4f}: top clusters {np.round(np.array(sizes[:5]) / 2000, 4)}")

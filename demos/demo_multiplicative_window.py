@@ -24,7 +24,7 @@ lambdas = [-2.0, -1.0, 0.0, 1.0, 2.0]
 
 print(f"one coupled realisation at n={n}:")
 states = graph_route(n, lambdas, rng)
-for lam, (sizes, excess) in zip(lambdas, states):
+for lam, (_, sizes, excess) in zip(lambdas, states):
     gam = gamma_times(n, sizes)
     top = ", ".join(f"{gam[i]:.3f}" for i in range(3))
     print(
@@ -36,7 +36,7 @@ for lam, (sizes, excess) in zip(lambdas, states):
 print("\ndistributional check of the largest mass at lambda=0")
 reps = 400
 discrete = [
-    graph_route(n, [0.0], rng)[0][0][0] / n ** (2 / 3) for _ in range(reps)
+    graph_route(n, [0.0], rng)[0][1][0] / n ** (2 / 3) for _ in range(reps)
 ]
 brownian = [
     limit_gamma(simulate_parabolic(0.0, rng, horizon=10.0, dx=1e-3), top=1)[0]

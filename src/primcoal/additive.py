@@ -138,25 +138,12 @@ class ParkingConfiguration:
     occupied: np.ndarray
 
     def block_sizes(self) -> list[int]:
-        occ = self.occupied
-        n = self.n
-        if not occ.any():
-            return [1] * n
-        if occ.all():
+        """Block sizes, non-increasing: the circular gaps between successive
+        empty places, each gap's block ending at the later of the two."""
+        empty = np.flatnonzero(~self.occupied)
+        if not len(empty):
             raise ValueError("parking lot is full; blocks are undefined")
-        sizes = []
-        # scan runs starting right after an empty place
-        start = int(np.flatnonzero(~occ)[0])
-        i = (start + 1) % n
-        run = 0
-        for _ in range(n):
-            if occ[i]:
-                run += 1
-            else:
-                sizes.append(run + 1)  # run's terminating empty place
-                run = 0
-            i = (i + 1) % n
-        return sorted(sizes, reverse=True)
+        return sorted(np.diff(empty, append=empty[0] + self.n).tolist(), reverse=True)
 
 
 def park(n: int, m: int, rng=None, choices=None) -> ParkingConfiguration:
@@ -193,34 +180,28 @@ class ForestProcess(MergeHistory):
     """
 
     merges = property(MergeHistory.records)
-
-    def tree_sizes_at(self, s: float):
-        """Tree sizes at time s, non-increasing: a list for one run, (reps, n)
-        rows padded with zeros for a batch."""
-        sizes = self.values_at(s)
-        return sizes.tolist() if sizes.ndim == 1 else sizes
+    tree_sizes_at = MergeHistory.values_at
 
 
-def pitman_forest(n: int, rng, reps: int | None = None) -> ForestProcess:
-    """Forest process on n vertices run to a single tree; `reps` independent
-    runs at once when given (see ForestProcess)."""
+def pitman_forest(n: int, rng, reps: int = 1) -> ForestProcess:
+    """`reps` independent runs of the forest process on n vertices, each
+    run to a single tree (see ForestProcess)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    sizes0 = np.ones(n if reps is None else (reps, n), dtype=np.int64)
-    sizes = np.atleast_2d(sizes0).copy()
-    batch = len(sizes)
-    rows = np.arange(batch)
-    clock = np.zeros(batch)
-    times = np.empty((batch, n - 1))
-    pairs = np.empty((2, batch, n - 1), dtype=np.int64)
+    sizes0 = np.ones((reps, n), dtype=np.int64)
+    sizes = sizes0.copy()
+    rows = np.arange(reps)
+    clock = np.zeros(reps)
+    times = np.empty((reps, n - 1))
+    pairs = np.empty((2, reps, n - 1), dtype=np.int64)
     for k in range(n - 1):
         m = n - k
-        clock += rng.exponential(size=batch) / (m - 1)
+        clock += rng.exponential(size=reps) / (m - 1)
         # P{pair {i,j}} = (s_i+s_j)/(n(m-1)): draw i by size, j uniform other
-        i = (np.cumsum(sizes, axis=1) <= rng.random(batch)[:, None] * n).sum(axis=1)
+        i = (np.cumsum(sizes, axis=1) <= rng.random(reps)[:, None] * n).sum(axis=1)
         other = sizes > 0
         other[rows, i] = False
-        j = (np.cumsum(other, axis=1) <= rng.integers(m - 1, size=batch)[:, None]).sum(axis=1)
+        j = (np.cumsum(other, axis=1) <= rng.integers(m - 1, size=reps)[:, None]).sum(axis=1)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         times[:, k], pairs[0, :, k], pairs[1, :, k] = clock, lo, hi
         sizes[rows, lo] += sizes[rows, hi]

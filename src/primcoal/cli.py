@@ -206,7 +206,7 @@ def _route_states(seed, n, lambdas, route) -> list:
     """
     route_fn = graph_route if route == "graph" else walk_route
     levels = route_fn(n, lambdas, np.random.default_rng(seed))
-    return [augmented_state(n, *level) for level in levels]
+    return [augmented_state(n, sizes, extra) for _, sizes, extra in levels]
 
 
 def _multiplicative_rep(args):
@@ -284,17 +284,15 @@ def cmd_verify_invariants(cfg, outdir):
         z, y = z_walk(params, field)  # internal asserts: Psi relation, ladder
         s = surplus_field(params, z, field)
         walk_pairs = sorted(component_surpluses(z, s))
-        filt = component_filtration(g, o)
-        graph_pairs = sorted(
-            (size, exc) for (_, size, exc) in filt.components_at(params.p)
-        )
+        components = component_filtration(g, o).components_at(params.p)
+        graph_pairs = sorted((size, exc) for (_, size, exc) in components)
         if walk_pairs != graph_pairs:
             failures.append(f"surplus identity trial {trial}")
         zx = explore(g, params.p, o)
         if not np.array_equal(zx.values, z.values):
             failures.append(f"explore/z_walk mismatch trial {trial}")
         sizes_walk = sorted(walk_component_sizes(z), reverse=True)
-        sizes_graph = sorted((size for (_, size, _) in filt.components_at(params.p)), reverse=True)
+        sizes_graph = sorted((size for (_, size, _) in components), reverse=True)
         if sizes_walk != sizes_graph:
             failures.append(f"excursion/component mismatch trial {trial}")
     with open(os.path.join(outdir, "invariants.json"), "w") as fh:
@@ -305,7 +303,7 @@ def cmd_verify_invariants(cfg, outdir):
 
 def _limit_mult_rep(args):
     seed, n, lam, _, _ = args
-    sizes, _ = graph_route(n, [lam], np.random.default_rng(seed))[0]
+    _, sizes, _ = graph_route(n, [lam], np.random.default_rng(seed))[0]
     return float(sizes[0]) / n ** (2.0 / 3.0)
 
 

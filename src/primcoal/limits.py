@@ -103,23 +103,23 @@ class MLTrajectory(MergeHistory):
 
 
 def marcus_lushnikov(masses, kernel, rng, t_max: float, n_norm: float | None = None) -> MLTrajectory:
-    """Event-driven Marcus-Lushnikov process, for one run or a batch.
+    """Event-driven Marcus-Lushnikov process for a batch of runs.
 
-    `masses` is (m0,) for one run or (reps, m0) for independent runs, all
-    positive.  Blocks i, j merge at rate K(x_i, x_j) / n_norm; `kernel` is
-    "additive", "multiplicative" or a callable on arrays (a scalar result
-    broadcasts).  Exact event-by-event simulation in which every live
-    replicate makes one event per round: total rate, exponential waiting
-    time, pair chosen by its rate share.  A replicate freezes once its
-    clock passes t_max or its total rate is 0.  A round costs O(reps m0^2);
-    there are at most m0 - 1 rounds.
+    `masses` is (reps, m0), the positive initial masses of `reps`
+    independent runs.  Blocks i, j merge at rate K(x_i, x_j) / n_norm;
+    `kernel` is "additive", "multiplicative" or a callable on arrays (a
+    scalar result broadcasts).  Exact event-by-event simulation in which
+    every live replicate makes one event per round: total rate, exponential
+    waiting time, pair chosen by its rate share.  A replicate freezes once
+    its clock passes t_max or its total rate is 0.  A round costs
+    O(reps m0^2); there are at most m0 - 1 rounds.
     """
     if isinstance(kernel, str):
         kernel = _KERNELS[kernel]
     masses0 = np.asarray(masses, dtype=float)
-    if masses0.ndim not in (1, 2) or (masses0 <= 0).any():
-        raise ValueError("masses must be a positive (m0,) or (reps, m0) array")
-    blocks = np.atleast_2d(masses0).copy()
+    if masses0.ndim != 2 or (masses0 <= 0).any():
+        raise ValueError("masses must be a positive (reps, m0) array")
+    blocks = masses0.copy()
     reps, m0 = blocks.shape
     if n_norm is None:
         n_norm = float(m0)
@@ -150,7 +150,7 @@ def marcus_lushnikov(masses, kernel, rng, t_max: float, n_norm: float | None = N
     return MLTrajectory(times, *pairs, masses0)
 
 
-def ml_multiplicative_sizes(n: int, p: float, rng, reps: int | None = None) -> np.ndarray:
+def ml_multiplicative_sizes(n: int, p: float, rng, reps: int = 1) -> np.ndarray:
     """Unit masses, multiplicative kernel, run to tau = -ln(1 - p).
 
     At that horizon the partition law coincides with the components of the
@@ -161,14 +161,14 @@ def ml_multiplicative_sizes(n: int, p: float, rng, reps: int | None = None) -> n
     tau = -np.log1p(-p)
     # per-pair clock rate x_i * x_j with unit masses: each vertex pair is an
     # independent rate-1 clock, so by time tau an edge exists w.p. 1 - e^{-tau}
-    masses = np.ones(n if reps is None else (reps, n))
+    masses = np.ones((reps, n))
     traj = marcus_lushnikov(masses, "multiplicative", rng, t_max=tau, n_norm=1.0)
     return traj.masses_at(tau)
 
 
-def ml_additive_sizes(n: int, s: float, rng, reps: int | None = None) -> np.ndarray:
+def ml_additive_sizes(n: int, s: float, rng, reps: int = 1) -> np.ndarray:
     """Masses 1/n, additive kernel, observed at time s; matches the forest
     process tree sizes (reported in units of 1/n).  `reps` as above."""
-    masses = np.full(n if reps is None else (reps, n), 1.0 / n)
+    masses = np.full((reps, n), 1.0 / n)
     traj = marcus_lushnikov(masses, "additive", rng, t_max=s, n_norm=1.0)
     return traj.masses_at(s)

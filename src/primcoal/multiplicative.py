@@ -312,10 +312,10 @@ def _radix_order(key: np.ndarray) -> np.ndarray:
     return order
 
 
-def _level(rep, sizes, extra, reps: int | None):
-    """One lambda's components in the routes' schema: grouped by increasing
-    rep, by decreasing size within a rep, ties kept in the given order;
-    (sizes, extra) alone when reps is None.
+def _level(rep, sizes, extra):
+    """One lambda's components in the routes' schema (rep, sizes, extra):
+    grouped by increasing rep, by decreasing size within a rep, ties kept
+    in the given order.
 
     The order is that of np.lexsort((-sizes, rep)), made by _radix_order on
     the one key rep (top + 1) + top - size with top the largest size: one
@@ -323,25 +323,24 @@ def _level(rep, sizes, extra, reps: int | None):
     """
     top = int(sizes.max())
     order = _radix_order(rep * (top + 1) + (top - sizes))
-    level = (rep[order], sizes[order], extra[order])
-    return level[1:] if reps is None else level
+    return rep[order], sizes[order], extra[order]
 
 
-def walk_route(n: int, lambdas, rng, reps: int | None = None):
+def walk_route(n: int, lambdas, rng, reps: int = 1):
     """Component sizes and surpluses of the walk route on a coupled grid.
 
     One sparse field at the largest p_lambda serves every lambda in
-    `lambdas`, and each lambda gives (sizes, surplus) or, with `reps` given,
-    (rep, sizes, surplus) over `reps` independent walks, in graph_route's
-    order; ties in size keep exploration order.  Any n, O(n reps) memory.
+    `lambdas`, and each lambda gives (rep, sizes, surplus) over `reps`
+    independent walks, in graph_route's order; ties in size keep
+    exploration order.  Any n, O(n reps) memory.
     """
     ps = [p_lambda(n, lam) for lam in lambdas]
-    field = SparseField.sample(n, max(ps), rng, 1 if reps is None else reps)
+    field = SparseField.sample(n, max(ps), rng, reps)
     found = []
     for p in ps:
         z, _, s = field.walk(p)
         opened, sizes, surplus = _components(z, s)
-        found.append(_level(opened // n, sizes, surplus, reps))
+        found.append(_level(opened // n, sizes, surplus))
     return found
 
 
@@ -433,14 +432,16 @@ def _merge(r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     r[:] = r[r]
 
 
-def graph_route(n: int, lambdas, rng, reps: int | None = None):
+def graph_route(n: int, lambdas, rng, reps: int = 1):
     """Component sizes and excesses of G(n, p_lambda) on a coupled grid.
 
-    One edge-weight realisation serves every lambda in `lambdas` (monotone
-    coupling: the level graphs are nested).  For each lambda returns
-    (sizes, excess) with sizes sorted non-increasing and excess = edges -
-    size + 1 aligned to it; ties in size break by the component's lowest
-    vertex, so reruns are deterministic.
+    `reps` independent edge-weight realisations run as one block-diagonal
+    graph, and each serves every lambda in `lambdas` (monotone coupling:
+    the level graphs are nested).  For each lambda returns (rep, sizes,
+    excess) over the components of all of them, grouped by increasing rep,
+    with sizes sorted non-increasing within a rep and excess = edges - size
+    + 1 aligned to it; ties in size break by the component's lowest vertex,
+    so reruns are deterministic.
 
     The levels are visited in increasing p and each edge is merged once, at
     the first level that keeps it, into one union-find forest whose roots
@@ -449,21 +450,15 @@ def graph_route(n: int, lambdas, rng, reps: int | None = None):
     each level keeps the sampler's (u, v) order, and each level's components
     by rep, then decreasing size, as _level makes them, so size ties keep
     root order.
-
-    With `reps` given, `reps` independent realisations run as one
-    block-diagonal graph and each lambda gives (rep, sizes, excess) over
-    the components of all of them, grouped by increasing rep and ordered as
-    above within each.  reps=None is the batch of one with rep dropped.
     """
     ps = [p_lambda(n, lam) for lam in lambdas]
-    batch = 1 if reps is None else reps
-    u, v, w = sample_edge_weights(n, max(ps), rng, batch)
+    u, v, w = sample_edge_weights(n, max(ps), rng, reps)
     levels, back = np.unique(ps, return_inverse=True)
     # edges grouped by the first level that keeps them
     first = np.searchsorted(levels, w)
     by_level = _radix_order(first)
     u, v = u[by_level], v[by_level]
-    vertex = np.arange(batch * n)
+    vertex = np.arange(reps * n)
     r = vertex.copy()
     found, start = [], 0
     for stop in np.cumsum(np.bincount(first, minlength=len(levels))):
@@ -473,7 +468,7 @@ def graph_route(n: int, lambdas, rng, reps: int | None = None):
         roots = np.flatnonzero(r == vertex)
         sizes = np.bincount(r, minlength=len(r))[roots]
         excess = np.bincount(r[u[:stop]], minlength=len(r))[roots] - sizes + 1
-        found.append(_level(roots // n, sizes, excess, reps))
+        found.append(_level(roots // n, sizes, excess))
         start = stop
     return [found[k] for k in back]
 

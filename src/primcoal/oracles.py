@@ -53,14 +53,18 @@ def ks_statistic(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def ks_threshold(n1: int, n2: int, c: float = 1.95) -> float:
-    """c * sqrt((n1 + n2) / (n1 n2)); c = 1.95 is the 0.1% level."""
-    return c * np.sqrt((n1 + n2) / (n1 * n2))
+# the two-sample KS critical value's constant at the 0.1% level
+KS_C = 1.95
 
 
-def ks_two_sample(a, b, description: str, seeds=(), c: float = 1.95) -> TestVerdict:
+def ks_threshold(n1: int, n2: int) -> float:
+    """KS_C * sqrt((n1 + n2) / (n1 n2)), the 0.1% level."""
+    return KS_C * np.sqrt((n1 + n2) / (n1 * n2))
+
+
+def ks_two_sample(a, b, description: str, seeds=()) -> TestVerdict:
     stat = ks_statistic(a, b)
-    thr = float(ks_threshold(len(a), len(b), c=c))
+    thr = float(ks_threshold(len(a), len(b)))
     return TestVerdict(stat, thr, bool(stat < thr), description, tuple(seeds))
 
 

@@ -76,10 +76,10 @@ def d_U(a: AugmentedState, b: AugmentedState) -> float:
 
 @dataclass(frozen=True)
 class MergeHistory:
-    """Merges of one coalescent run, or of a batch, on fixed block slots.
+    """Merges of a batch of coalescent runs on fixed block slots.
 
-    values0 holds the positive initial block values, (slots,) for one run
-    and (reps, slots) for a batch.  Merge k of replicate r adds slot j[r, k]
+    values0 holds the positive initial block values, (reps, slots); one run
+    is the batch of one.  Merge k of replicate r adds slot j[r, k]
     into slot i[r, k] < j[r, k] at time times[r, k] and empties slot j;
     times is inf where replicate r made no k-th merge.
     """
@@ -97,13 +97,12 @@ class MergeHistory:
         )
 
     def values_at(self, s: float) -> np.ndarray:
-        """Block values at time s, sorted non-increasing: the live blocks of
-        one run, or (reps, slots) rows padded with zeros for a batch."""
-        out = np.atleast_2d(self.values0).copy()
+        """Block values at time s as (reps, slots) rows, each sorted
+        non-increasing and padded with zeros."""
+        out = self.values0.copy()
         for k in range(self.times.shape[1]):
             r = np.flatnonzero(self.times[:, k] <= s)
             i, j = self.i[r, k], self.j[r, k]
             out[r, i] += out[r, j]
             out[r, j] = 0
-        out = -np.sort(-out, axis=1)
-        return out if self.values0.ndim == 2 else out[0][out[0] > 0]
+        return -np.sort(-out, axis=1)

@@ -194,7 +194,7 @@ def test_criterion_07_multiplicative_marginal_ks():
     start = time.time()
     discrete = np.empty(reps)
     for r in range(reps):
-        sizes, _ = graph_route(n, [lam], rng)[0]
+        _, sizes, _ = graph_route(n, [lam], rng)[0]
         discrete[r] = sizes[0] / n ** (2.0 / 3.0)
     brownian = np.empty(reps)
     for r in range(reps):
@@ -253,7 +253,7 @@ def test_criterion_10_monotone_coupling():
     for trial in range(200):
         n = int(rng.integers(100, 5000))
         prev = None
-        for sizes, _ in graph_route(n, lambdas, rng):
+        for _, sizes, _ in graph_route(n, lambdas, rng):
             cur = gamma_times(n, sizes).partial_square_sums()
             if prev is not None:
                 k = min(len(prev), len(cur))

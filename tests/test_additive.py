@@ -5,6 +5,7 @@ import pytest
 
 from primcoal.additive import (
     ConditionedWalk,
+    ParkingConfiguration,
     ThinnedWalkFamily,
     bfs_outdegrees,
     gamma_plus,
@@ -146,6 +147,14 @@ class TestParking:
         assert cfg.occupied.tolist() == [False, True, True, False, True, False]
         assert cfg.block_sizes() == [3, 2, 1]
 
+    def test_empty_and_full_lots(self):
+        # every empty place is its own block; park refuses m = n, so a full
+        # lot can only be built directly, and it has no blocks
+        assert park(4, 0, choices=[]).block_sizes() == [1] * 4
+        full = ParkingConfiguration(3, (1, 2, 3), np.ones(3, dtype=bool))
+        with pytest.raises(ValueError, match="full"):
+            full.block_sizes()
+
     def test_blocks_match_thinned_walk_ladder(self, rng):
         # coupling: X(i) = number of cars whose first choice is place i,
         # conditioned on place n staying empty; block sizes (rotated so the
@@ -172,15 +181,15 @@ class TestParking:
 class TestForestProcess:
     def test_starts_as_singletons_ends_as_tree(self, rng):
         fp = pitman_forest(8, rng)
-        assert fp.tree_sizes_at(0.0) == [1] * 8
+        assert fp.tree_sizes_at(0.0).tolist() == [[1] * 8]
         last = fp.merges[-1].time
-        assert fp.tree_sizes_at(last) == [8]
+        assert fp.tree_sizes_at(last).tolist() == [[8] + [0] * 7]
         assert len(fp.merges) == 7
 
     def test_sizes_always_partition_n(self, rng):
         fp = pitman_forest(10, rng)
         for s in np.linspace(0, fp.merges[-1].time, 7):
-            assert sum(fp.tree_sizes_at(float(s))) == 10
+            assert sum(fp.tree_sizes_at(float(s))[0]) == 10
 
 
 class TestCayleyTrees:

@@ -1,6 +1,7 @@
 """Import hygiene: no module in src/, demos/ or tests/ imports a name it
 never uses, no function in src/ imports anything, and every module-level
-_private name defined in src/ is read somewhere in src/.
+_private name defined in src/ is read somewhere in src/.  One convention is
+checked the same way: no function in src/ defaults `reps` to None.
 
 Names imported into a package's __init__.py are its public re-exports and
 are exempt.  A name counts as used when it appears as a bare name anywhere
@@ -88,3 +89,27 @@ def test_private_module_names_are_referenced():
         if name not in read
     ]
     assert not unread, "private names never referenced in src/:\n" + "\n".join(unread)
+
+
+def _reps_defaulting_to_none(path: pathlib.Path) -> list[str]:
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        defaults += zip(args.kwonlyargs, args.kw_defaults)
+        found += [
+            f"{path.relative_to(ROOT)}:{func.lineno}: {func.name}"
+            for arg, default in defaults
+            if arg.arg == "reps" and isinstance(default, ast.Constant) and default.value is None
+        ]
+    return found
+
+
+def test_no_reps_default_of_none_in_src():
+    # a single run is the batch of one: every sampler takes reps: int = 1
+    # and returns its one batched schema, never a second one-run shape
+    found = [entry for p in _sources("src") for entry in _reps_defaulting_to_none(p)]
+    assert not found, "reps defaulting to None:\n" + "\n".join(found)

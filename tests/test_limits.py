@@ -114,13 +114,13 @@ class TestPoissonSurplus:
 
 class TestMarcusLushnikov:
     def test_mass_conservation(self, rng):
-        traj = marcus_lushnikov([1.0, 2.0, 3.0], "additive", rng, t_max=10.0)
+        traj = marcus_lushnikov([[1.0, 2.0, 3.0]], "additive", rng, t_max=10.0)
         for s in (0.0, 0.5, 10.0):
             assert traj.masses_at(s).sum() == pytest.approx(6.0)
 
     def test_callable_kernel(self, rng):
         traj = marcus_lushnikov(
-            np.ones(4), lambda a, b: 1.0, rng, t_max=100.0, n_norm=1.0
+            np.ones((1, 4)), lambda a, b: 1.0, rng, t_max=100.0, n_norm=1.0
         )
         assert len(traj.events) == 3
 
@@ -151,7 +151,7 @@ class TestMarcusLushnikov:
 
     def test_rejects_non_positive_masses(self, rng):
         with pytest.raises(ValueError):
-            marcus_lushnikov([1.0, 0.0, 2.0], "additive", rng, t_max=1.0)
+            marcus_lushnikov([[1.0, 0.0, 2.0]], "additive", rng, t_max=1.0)
 
     def test_p_validation(self, rng):
         with pytest.raises(ValueError):

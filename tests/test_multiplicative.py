@@ -244,7 +244,7 @@ ROUTES = pytest.mark.parametrize("route", [graph_route, walk_route], ids=["graph
 class TestGraphRoute:
     @ROUTES
     def test_sizes_partition_n(self, rng, route):
-        for sizes, excess in route(500, [-1.0, 0.0, 1.0], rng):
+        for _, sizes, excess in route(500, [-1.0, 0.0, 1.0], rng):
             assert sizes.sum() == 500
             assert (np.diff(sizes) <= 0).all()
             assert (excess >= 0).all()
@@ -256,7 +256,7 @@ class TestGraphRoute:
             n = int(rng.integers(50, 2000))
             states = graph_route(n, lambdas, rng)
             prev = None
-            for sizes, _ in states:
+            for _, sizes, _ in states:
                 gam = gamma_times(n, sizes)
                 cur = gam.partial_square_sums()
                 if prev is not None:
@@ -285,7 +285,7 @@ class TestGraphRoute:
         # recorded before graph_route had a replicate axis: the batch of one
         # still makes exactly the same draws
         rng = np.random.default_rng(20240607)
-        got = [(s.tolist(), e.tolist()) for s, e in graph_route(50, [-1.0, 0.0, 1.5], rng)]
+        got = [(s.tolist(), e.tolist()) for _, s, e in graph_route(50, [-1.0, 0.0, 1.5], rng)]
         assert got == [
             ([5, 3, 3] + [2] * 6 + [1] * 27, [0] * 36),
             ([8, 6, 6, 3] + [2] * 4 + [1] * 19, [0] * 27),
@@ -293,20 +293,16 @@ class TestGraphRoute:
         ]
 
     @pytest.mark.parametrize("n", [50, 300])
-    @pytest.mark.parametrize("reps", [None, 3])
+    @pytest.mark.parametrize("reps", [1, 3])
     def test_matches_union_find_on_same_edges(self, n, reps):
         # the same seed gives the same edges to the union-find oracle; the
         # lambdas come unsorted, with a repeat and a supercritical one
         lambdas = [1.5, -2.0, 4.0, 0.0, 1.5, 30.0]
         ps = [p_lambda(n, lam) for lam in lambdas]
         found = graph_route(n, lambdas, np.random.default_rng(17), reps=reps)
-        batch = 1 if reps is None else reps
-        u, v, w = sample_edge_weights(n, max(ps), np.random.default_rng(17), batch)
-        for p, got in zip(ps, found):
-            if reps is None:
-                got = (np.zeros(len(got[0]), dtype=np.int64),) + got
-            rep, sizes, excess = got
-            for r in range(batch):
+        u, v, w = sample_edge_weights(n, max(ps), np.random.default_rng(17), reps)
+        for p, (rep, sizes, excess) in zip(ps, found):
+            for r in range(reps):
                 mine = u // n == r
                 g = ProperlyWeightedGraph.from_arrays(
                     n, u[mine] - r * n + 1, v[mine] - r * n + 1, w[mine]
@@ -332,14 +328,14 @@ class TestGraphRoute:
 
 class TestWalkRoute:
     def test_component_pairs_partition(self, rng):
-        sizes, surplus = walk_route(80, [0.5], rng)[0]
+        _, sizes, surplus = walk_route(80, [0.5], rng)[0]
         assert sizes.sum() == 80
         assert (surplus >= 0).all()
 
     def test_surplus_zero_on_trees(self, rng):
         # at very subcritical p the components are almost surely trees
         for _ in range(50):
-            sizes, surplus = walk_route(30, [-2.0], rng)[0]
+            _, sizes, surplus = walk_route(30, [-2.0], rng)[0]
             if sizes.max() <= 2:
                 assert (surplus == 0).all()
 
@@ -347,7 +343,7 @@ class TestWalkRoute:
         # recorded when a field first drew its hits as sample_edge_weights
         # draws edges, one binomial per replicate over the whole triangle;
         # listed by decreasing size, ties in exploration order
-        sizes, surplus = walk_route(40, [3.0], np.random.default_rng(2024))[0]
+        _, sizes, surplus = walk_route(40, [3.0], np.random.default_rng(2024))[0]
         assert list(zip(sizes.tolist(), surplus.tolist())) == [(27, 7), (4, 0), (3, 0), (2, 0)] + [
             (1, 0)
         ] * 4
@@ -498,22 +494,18 @@ class TestComponentOrder:
         sizes[rng.integers(0, k)] = top
         extra = rng.permutation(k)
         want = np.lexsort((-sizes, rep))
-        got = _level(rep, sizes, extra, reps)
+        got = _level(rep, sizes, extra)
         assert all(np.array_equal(a, b[want]) for a, b in zip(got, (rep, sizes, extra)))
-        got = _level(np.zeros(k, dtype=np.int64), sizes, extra, None)
-        want = np.argsort(-sizes, kind="stable")
-        assert np.array_equal(got[0], sizes[want]) and np.array_equal(got[1], extra[want])
 
-    @pytest.mark.parametrize("reps", [None, 2])
+    @pytest.mark.parametrize("reps", [1, 2])
     def test_graph_route_with_a_giant_above_16_bits(self, reps):
         # lambda = 150 at n = 70000 has mean degree about 4.6: the giant
         # holds about 99% of the vertices, so _level's key needs two passes
         n = 70000
-        for level in graph_route(n, [0.0, 150.0], np.random.default_rng(8), reps=reps):
-            rep, sizes, _ = (np.zeros(len(level[0]), dtype=np.int64),) + level if reps is None else level
+        for rep, sizes, _ in graph_route(n, [0.0, 150.0], np.random.default_rng(8), reps=reps):
             assert (np.diff(rep) >= 0).all()
             assert (np.diff(sizes)[np.diff(rep) == 0] <= 0).all()
-            assert np.array_equal(np.bincount(rep, weights=sizes), np.full(reps or 1, n))
+            assert np.array_equal(np.bincount(rep, weights=sizes), np.full(reps, n))
         assert sizes.max() > 2**16 - 1
 
 
