@@ -50,7 +50,7 @@ for _ in range(reps):
     fam = ThinnedWalkFamily(sample_conditioned_walk(n, rng), rng)
     discrete.append(gamma_plus(fam, lam)[0])
 brownian = [
-    limit_gamma(simulate_excursion(lam, rng, dx=1e-3), top=1)[0] for _ in range(reps)
+    limit_gamma(simulate_excursion(lam, rng, dx=1e-3))[0] for _ in range(reps)
 ]
 verdict = ks_two_sample(discrete, brownian, "largest additive block")
 print(f"  KS statistic {verdict.statistic:.4f}  (threshold {verdict.threshold:.4f})")

@@ -39,7 +39,7 @@ discrete = [
     graph_route(n, [0.0], rng)[0][1][0] / n ** (2 / 3) for _ in range(reps)
 ]
 brownian = [
-    limit_gamma(simulate_parabolic(0.0, rng, horizon=10.0, dx=1e-3), top=1)[0]
+    limit_gamma(simulate_parabolic(0.0, rng, horizon=10.0, dx=1e-3))[0]
     for _ in range(reps)
 ]
 verdict = ks_two_sample(discrete, brownian, "largest mass vs largest excursion")

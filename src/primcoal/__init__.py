@@ -23,9 +23,6 @@ from .graphs import (
 )
 from .states import AugmentedState, MassVector, d_U
 from .walks import (
-    DEFAULT_CONVENTION,
-    WEAK_MIN_CONVENTION,
-    ExcursionConvention,
     ExcursionSet,
     LatticePath,
     excursions_above_min,
@@ -91,6 +88,7 @@ from .oracles import (
     label_order_probability,
     row_counts,
     tv_distance,
+    tv_threshold,
     tv_two_sample,
 )
 

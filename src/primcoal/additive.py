@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import GraphError, ProperlyWeightedGraph, PrimOrdering, component_filtration, prim_order
 from .states import MassVector, MergeHistory
-from .walks import DEFAULT_CONVENTION, LatticePath, excursions_above_min
+from .walks import LatticePath, excursions_above_min
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def gamma_plus(family: ThinnedWalkFamily, lam: float) -> MassVector:
     the running minimum, one-unit-drop convention); masses sum to 1.
     """
     t = retention_level(family.n, lam)
-    exc = excursions_above_min(family.path(t), DEFAULT_CONVENTION)
+    exc = excursions_above_min(family.path(t))
     return MassVector(exc.lengths() / family.n)
 
 
@@ -157,6 +157,8 @@ def park(n: int, m: int, rng=None, choices=None) -> ParkingConfiguration:
         choices = (rng.integers(1, n + 1, size=m)).tolist()
     if len(choices) != m:
         raise ValueError("need exactly m choices")
+    if not all(1 <= ch <= n for ch in choices):
+        raise ValueError(f"choices must lie in 1..{n}")
     occupied = np.zeros(n + 1, dtype=bool)  # slot 0 unused
     for ch in choices:
         spot = ch
@@ -266,8 +268,8 @@ def uniform_cayley_tree(n: int, rng, method: str = "prufer") -> list[tuple[int, 
     raise ValueError(f"unknown method {method!r}")
 
 
-def weighted_cayley_tree(n: int, rng, method: str = "prufer") -> ProperlyWeightedGraph:
-    ends = np.array(uniform_cayley_tree(n, rng, method=method), dtype=np.int64).reshape(-1, 2)
+def weighted_cayley_tree(n: int, rng) -> ProperlyWeightedGraph:
+    ends = np.array(uniform_cayley_tree(n, rng), dtype=np.int64).reshape(-1, 2)
     return ProperlyWeightedGraph.from_arrays(n, ends[:, 0], ends[:, 1], rng.random(len(ends)))
 
 

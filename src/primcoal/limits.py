@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .states import MassVector, MergeHistory
-from .walks import WEAK_MIN_CONVENTION, LatticePath, excursions_above_min, psi
+from .walks import LatticePath, excursions_above_min, psi
 
 
 def simulate_parabolic(lam: float, rng, horizon: float | None = None, dx: float = 1e-3) -> LatticePath:
@@ -48,13 +48,9 @@ def simulate_excursion(lam: float, rng, dx: float = 1e-3) -> LatticePath:
     return LatticePath(exc - lam * x, x_step=dx)
 
 
-def limit_gamma(path: LatticePath, top: int | None = None) -> MassVector:
+def limit_gamma(path: LatticePath) -> MassVector:
     """Sorted excursion lengths of path above its running minimum, in x units."""
-    lengths = excursions_above_min(path, WEAK_MIN_CONVENTION).lengths()
-    lengths = np.sort(lengths)[::-1] * path.x_step
-    if top is not None:
-        lengths = lengths[:top]
-    return MassVector(lengths)
+    return MassVector(excursions_above_min(path, weak=True).lengths() * path.x_step)
 
 
 SURPLUS_MARGIN = 0.5
@@ -69,7 +65,7 @@ def limit_surplus(path: LatticePath, rng) -> list[tuple[float, int]]:
     reflected path Psi(path) over its interval; the height is the reflected
     path's maximum plus SURPLUS_MARGIN so no point is clipped.
     """
-    exc = excursions_above_min(path, WEAK_MIN_CONVENTION)
+    exc = excursions_above_min(path, weak=True)
     reflected = psi(path).values
     dx = path.x_step
     width = (len(reflected) - 1) * dx
@@ -102,11 +98,11 @@ class MLTrajectory(MergeHistory):
     masses_at = MergeHistory.values_at
 
 
-def marcus_lushnikov(masses, kernel, rng, t_max: float, n_norm: float | None = None) -> MLTrajectory:
+def marcus_lushnikov(masses, kernel, rng, t_max: float) -> MLTrajectory:
     """Event-driven Marcus-Lushnikov process for a batch of runs.
 
     `masses` is (reps, m0), the positive initial masses of `reps`
-    independent runs.  Blocks i, j merge at rate K(x_i, x_j) / n_norm;
+    independent runs.  Blocks i, j merge at rate K(x_i, x_j);
     `kernel` is "additive", "multiplicative" or a callable on arrays (a
     scalar result broadcasts).  Exact event-by-event simulation in which
     every live replicate makes one event per round: total rate, exponential
@@ -121,8 +117,6 @@ def marcus_lushnikov(masses, kernel, rng, t_max: float, n_norm: float | None = N
         raise ValueError("masses must be a positive (reps, m0) array")
     blocks = masses0.copy()
     reps, m0 = blocks.shape
-    if n_norm is None:
-        n_norm = float(m0)
     iu, ju = np.triu_indices(m0, 1)
     clock = np.zeros(reps)
     times = np.full((reps, max(m0 - 1, 0)), np.inf)
@@ -131,7 +125,7 @@ def marcus_lushnikov(masses, kernel, rng, t_max: float, n_norm: float | None = N
     for k in range(times.shape[1]):
         # a merged-away slot holds mass 0 and is dead
         b = blocks[live]
-        rates = np.where((b[:, iu] > 0) & (b[:, ju] > 0), kernel(b[:, iu], b[:, ju]) / n_norm, 0.0)
+        rates = np.where((b[:, iu] > 0) & (b[:, ju] > 0), kernel(b[:, iu], b[:, ju]), 0.0)
         cum = np.cumsum(rates, axis=1)
         keep = cum[:, -1] > 0
         live, cum = live[keep], cum[keep]
@@ -162,7 +156,7 @@ def ml_multiplicative_sizes(n: int, p: float, rng, reps: int = 1) -> np.ndarray:
     # per-pair clock rate x_i * x_j with unit masses: each vertex pair is an
     # independent rate-1 clock, so by time tau an edge exists w.p. 1 - e^{-tau}
     masses = np.ones((reps, n))
-    traj = marcus_lushnikov(masses, "multiplicative", rng, t_max=tau, n_norm=1.0)
+    traj = marcus_lushnikov(masses, "multiplicative", rng, t_max=tau)
     return traj.masses_at(tau)
 
 
@@ -170,5 +164,5 @@ def ml_additive_sizes(n: int, s: float, rng, reps: int = 1) -> np.ndarray:
     """Masses 1/n, additive kernel, observed at time s; matches the forest
     process tree sizes (reported in units of 1/n).  `reps` as above."""
     masses = np.full((reps, n), 1.0 / n)
-    traj = marcus_lushnikov(masses, "additive", rng, t_max=s, n_norm=1.0)
+    traj = marcus_lushnikov(masses, "additive", rng, t_max=s)
     return traj.masses_at(s)

@@ -22,7 +22,7 @@ import numpy as np
 from .graphs import ProperlyWeightedGraph, PrimOrdering
 from .oracles import row_counts
 from .states import AugmentedState, MassVector
-from .walks import DEFAULT_CONVENTION, LatticePath, excursions_above_min, psi
+from .walks import LatticePath, excursions_above_min, psi
 
 
 def p_lambda(n: int, lam: float) -> float:
@@ -253,7 +253,7 @@ def z_walk(params: CriticalWindowParams, field: SparseField):
         raise AssertionError("Psi Y must equal max(Z - 1, 0) pointwise")
     if (np.diff(z) < -1).any():
         raise AssertionError("Z steps must be >= -1")
-    ladder = excursions_above_min(y, DEFAULT_CONVENTION)
+    ladder = excursions_above_min(y)
     z_zeros = np.flatnonzero(z == 0)
     z_intervals = tuple(zip(z_zeros[:-1].tolist(), z_zeros[1:].tolist()))
     if ladder.intervals != z_intervals:

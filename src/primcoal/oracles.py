@@ -78,11 +78,19 @@ def tv_distance(counts_a: dict, counts_b: dict) -> float:
     )
 
 
-def tv_two_sample(
-    counts_a: dict, counts_b: dict, threshold: float, description: str, seeds=()
-) -> TestVerdict:
+# same-law TV of two N-sized samples of a small-support law is near sqrt(2 / N)
+TV_C = 2.0
+
+
+def tv_threshold(n1: int, n2: int) -> float:
+    """TV_C * sqrt((n1 + n2) / (n1 n2)); 0.02 at 20000 a side."""
+    return TV_C * math.sqrt((n1 + n2) / (n1 * n2))
+
+
+def tv_two_sample(counts_a: dict, counts_b: dict, description: str, seeds=()) -> TestVerdict:
     stat = tv_distance(counts_a, counts_b)
-    return TestVerdict(stat, threshold, stat < threshold, description, tuple(seeds))
+    thr = tv_threshold(sum(counts_a.values()), sum(counts_b.values()))
+    return TestVerdict(stat, thr, stat < thr, description, tuple(seeds))
 
 
 # ---------------------------------------------------------------------------

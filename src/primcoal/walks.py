@@ -46,30 +46,6 @@ def psi(f: LatticePath) -> LatticePath:
     return LatticePath(f.values - f.running_min(), x_step=f.x_step)
 
 
-@dataclass(frozen=True)
-class ExcursionConvention:
-    """Discrete excursion convention.
-
-    beta: drop below the running minimum that closes an above-minimum
-      excursion.  beta > 0 (one space unit for integer walks) delimits at
-      strict new minima, the convention matching drifting walks whose ladder
-      epochs mark cluster boundaries; beta = 0 delimits at every return to
-      the running minimum, the direct analogue of the continuous definition
-      and the convention under which above-minimum excursions of f coincide
-      with above-zero excursions of Psi f.
-    """
-
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-
-
-DEFAULT_CONVENTION = ExcursionConvention()
-WEAK_MIN_CONVENTION = ExcursionConvention(beta=0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class ExcursionSet:
     """Disjoint ordered excursion intervals (starts[k], ends[k]] in index units."""
@@ -109,28 +85,28 @@ def excursions_above_zero(f: LatticePath) -> ExcursionSet:
     return ExcursionSet(starts, ends)
 
 
-def excursions_above_min(
-    f: LatticePath, conv: ExcursionConvention = DEFAULT_CONVENTION
-) -> ExcursionSet:
+def excursions_above_min(f: LatticePath, weak: bool = False) -> ExcursionSet:
     """Excursions of f above its running minimum.
 
-    An excursion starting at a boundary point with value v closes at the
-    first later index whose value is <= v - beta (see ExcursionConvention).
-    With beta > 0 every ladder interval counts, including unit descents
-    (unit clusters); with beta = 0 unit gaps are flat or descending under
-    interpolation, never above the minimum, and are dropped.  Scans f
-    directly; does not go through Psi.  Integer walks and float grids alike:
-    a float grid almost never returns exactly to its minimum, so under
-    beta = 0 its boundaries are its new running minima.
+    By default an excursion closes at the first later index one unit or
+    more below the running minimum, a strict new minimum of an integer walk:
+    every ladder interval counts, including unit descents (unit clusters),
+    as drifting walks whose ladder epochs mark cluster boundaries need.
+    With weak=True it closes at every return to the running minimum, as in
+    the continuous definition, so the intervals are those of Psi f above
+    zero; unit gaps are then flat or descending under interpolation, never
+    above the minimum, and are dropped.  Scans f directly, not Psi f, for
+    integer walks and float grids alike (a float grid almost never returns
+    exactly to its minimum, so with weak=True it closes at new minima).
     """
     vals = f.values
     if vals[0] != 0:
         raise ValueError("path must start at 0")
-    # index k closes an excursion when vals[k] <= min(vals[:k]) - beta
+    # index k closes an excursion when vals[k] <= min(vals[:k]) - 1 (- 0 if weak)
     runmin = np.minimum.accumulate(vals)
-    boundaries = np.concatenate(([0], 1 + np.flatnonzero(vals[1:] <= runmin[:-1] - conv.beta)))
+    boundaries = np.concatenate(([0], 1 + np.flatnonzero(vals[1:] <= runmin[:-1] - (0 if weak else 1))))
     a, b = boundaries[:-1], boundaries[1:]
-    if not conv.beta > 0:  # unit gaps are no excursion under beta = 0
+    if weak:  # unit gaps are no excursion
         a, b = a[b - a >= 2], b[b - a >= 2]
     if boundaries[-1] != len(vals) - 1:
         a, b = np.append(a, boundaries[-1]), np.append(b, len(vals) - 1)

@@ -57,7 +57,6 @@ from primcoal.oracles import (
     tv_distance,
 )
 from primcoal.walks import (
-    WEAK_MIN_CONVENTION,
     LatticePath,
     excursions_above_min,
     excursions_above_zero,
@@ -118,7 +117,7 @@ def test_criterion_02_excursion_component_identity():
     for _ in range(2000):
         steps = rng.integers(-1, 3, size=int(rng.integers(1, 80)))
         f = LatticePath(np.concatenate([[0], np.cumsum(steps)]))
-        lhs = excursions_above_min(f, WEAK_MIN_CONVENTION).intervals
+        lhs = excursions_above_min(f, weak=True).intervals
         rhs = excursions_above_zero(psi(f)).intervals
         checked += 1
         if lhs != rhs:
@@ -199,7 +198,7 @@ def test_criterion_07_multiplicative_marginal_ks():
     brownian = np.empty(reps)
     for r in range(reps):
         path = simulate_parabolic(lam, rng, horizon=10.0, dx=1e-3)
-        brownian[r] = limit_gamma(path, top=1)[0]
+        brownian[r] = limit_gamma(path)[0]
     stat = ks_statistic(discrete, brownian)
     elapsed = time.time() - start
     ok = stat < threshold and elapsed < 300.0
@@ -219,7 +218,7 @@ def test_criterion_08_additive_marginal_ks():
     brownian = np.empty(reps)
     for r in range(reps):
         path = simulate_excursion(lam, rng, dx=1e-3)
-        brownian[r] = limit_gamma(path, top=1)[0]
+        brownian[r] = limit_gamma(path)[0]
     stat = ks_statistic(discrete, brownian)
     ok = stat < threshold
     report(8, "additive marginal KS", ok, f"KS={stat:.4f} thr={threshold:.4f}")

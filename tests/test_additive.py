@@ -147,6 +147,11 @@ class TestParking:
         assert cfg.occupied.tolist() == [False, True, True, False, True, False]
         assert cfg.block_sizes() == [3, 2, 1]
 
+    @pytest.mark.parametrize("choice", [0, 5, -1], ids=["zero", "n-plus-one", "negative"])
+    def test_choice_outside_the_lot_refused(self, choice):
+        with pytest.raises(ValueError, match=r"choices must lie in 1\.\.4"):
+            park(4, 1, choices=[choice])
+
     def test_empty_and_full_lots(self):
         # every empty place is its own block; park refuses m = n, so a full
         # lot can only be built directly, and it has no blocks

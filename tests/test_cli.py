@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 import primcoal
-from primcoal.cli import WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _write_rows, main
+import primcoal.cli
+from primcoal.cli import WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _run_replicates, _write_rows, main
 from primcoal.multiplicative import sparse_z_trace
 
 
@@ -247,6 +250,17 @@ class TestConfigHandling:
         used = set(_COMMON).union(*_DEFAULTS.values())
         assert used == set(_KEYS)
 
+    def test_readme_lists_every_config_key(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("Each config key must be"):]
+        section = section[: section.index("\n## ")]
+        listed = {}
+        for names, tag in re.findall(r"^- (`.*?) \((.*?)\):", section, re.M):
+            for key in re.findall(r"`(\w+)`", names):
+                assert key not in listed, f"{key} listed twice"
+                listed[key] = tag
+        assert listed == {key: "flag or config" if flag else "config only" for key, (flag, _, _) in _KEYS.items()}
+
 
 class TestWalkRouteSize:
     @pytest.mark.parametrize(
@@ -366,15 +380,13 @@ class TestSizeFlags:
             (["simulate-multiplicative"], {"lambdas": "0"}, "--lambdas must be a list of numbers, got '0'"),
             (["trace"], {"lambdas": [0, "1"]}, "--lambdas must be a list of numbers, got [0, '1']"),
             (["limit-compare"], {"lam": "0"}, "--lam must be a number, got '0'"),
-            (["ml-oracle"], {"tv": "x"}, "config tv must be a number in (0, 1], got 'x'"),
-            (["ml-oracle"], {"tv": 0}, "config tv must be a number in (0, 1], got 0"),
-            (["ml-oracle"], {"tv": 1.5}, "config tv must be a number in (0, 1], got 1.5"),
             (["ml-oracle"], {"s_obs": True}, "config s_obs must be a number at least 0, got True"),
             (["ml-oracle"], {"s_obs": -0.5}, "config s_obs must be a number at least 0, got -0.5"),
+            (["ml-oracle"], {"tv": 0.02}, "unknown config keys: ['tv']"),
         ],
         ids=[
             "dx", "horizon", "horizon-inf", "dx-inf", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry",
-            "lam-string", "tv-string", "tv-zero", "tv-above-one", "s_obs-bool", "s_obs-negative",
+            "lam-string", "s_obs-bool", "s_obs-negative", "tv-unknown",
         ],
     )
     def test_bad_config_number_refused_early(self, tmp_path, capsys, argv, config, message):
@@ -468,14 +480,58 @@ class TestLimitCompare:
 
 class TestMlOracle:
     def test_verdicts_record_the_seed(self, tmp_path):
-        config = tmp_path / "oracle.json"
-        config.write_text(json.dumps({"tv": 1.0}))
         out = tmp_path / "run"
-        argv = ["ml-oracle", "--seed", "7", "--replicates", "200", "--config", str(config)]
+        argv = ["ml-oracle", "--seed", "7", "--replicates", "200"]
         assert run(argv + ["--out", str(out)]) == 0
         lines = (out / "verdicts.json").read_text().splitlines()
         assert len(lines) == 2
         assert [json.loads(line)["seeds"] for line in lines] == [[7], [7]]
+        # the threshold comes from the 200 replicates a side
+        assert [json.loads(line)["threshold"] for line in lines] == pytest.approx([0.2, 0.2])
+
+    def test_default_run_passes(self, tmp_path):
+        # 10 replicates a side: threshold 0.894, and seed 0 reads TV 0.60 on both
+        out = tmp_path / "run"
+        assert run(["ml-oracle", "--out", str(out)]) == 0
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.sizes.append(chunksize)
+        return map(fn, items)
+
+
+class TestRunReplicates:
+    @pytest.mark.parametrize(
+        "count, workers, pool",
+        [(3, 64, [3, 1]), (40, 4, [4, 2]), (1, 8, []), (5, 1, [])],
+        ids=["fewer-seeds", "more-seeds", "one-seed", "serial"],
+    )
+    def test_pool_no_larger_than_the_seeds(self, monkeypatch, count, workers, pool):
+        monkeypatch.setattr(primcoal.cli, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        assert _run_replicates(abs, [-k for k in range(count)], workers) == list(range(count))
+        assert _SerialPool.sizes == pool
+
+    def test_cli_pool_sized_by_replicates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(primcoal.cli, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        argv = ["simulate-multiplicative", "--n", "50", "--replicates", "2", "--workers", "64"]
+        assert run(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert _SerialPool.sizes == [2, 1]
 
 
 class TestEmptyGraph:
@@ -509,12 +565,10 @@ import json, sys
 sys.modules["scipy"] = None
 from primcoal.cli import main
 out = sys.argv[1]
-with open(out + "/oracle.json", "w") as fh:
-    json.dump({"tv": 1.0}, fh)
 codes = [
     main(["simulate-multiplicative", "--n", "2000", "--lambdas=0,1", "--replicates", "2",
           "--out", out + "/sim"]),
-    main(["ml-oracle", "--replicates", "200", "--config", out + "/oracle.json", "--out", out + "/ml"]),
+    main(["ml-oracle", "--replicates", "200", "--out", out + "/ml"]),
 ]
 print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy."))}))
 """

@@ -16,7 +16,7 @@ from primcoal.limits import (
 )
 from primcoal.multiplicative import graph_route, p_lambda, replicate_rows, sample_walk_outcomes
 from primcoal.oracles import row_counts, tv_distance
-from primcoal.walks import WEAK_MIN_CONVENTION, LatticePath, excursions_above_min
+from primcoal.walks import LatticePath, excursions_above_min
 
 
 class TestParabolicPath:
@@ -77,12 +77,8 @@ class TestGridExcursions:
         vals = np.array([0.0, 1.0, 0.5, -1.0, -0.5, 0.5, -2.0])
         p = LatticePath(vals, x_step=0.5)
         # new running minima at indices 0, 3, 6
-        assert excursions_above_min(p, WEAK_MIN_CONVENTION).intervals == ((0, 3), (3, 6))
+        assert excursions_above_min(p, weak=True).intervals == ((0, 3), (3, 6))
         assert limit_gamma(p).values.tolist() == [1.5, 1.5]
-
-    def test_top_truncation(self, rng):
-        p = simulate_parabolic(0.0, rng, horizon=5.0, dx=0.01)
-        assert len(limit_gamma(p, top=2)) <= 2
 
 
 class TestPoissonSurplus:
@@ -103,7 +99,7 @@ class TestPoissonSurplus:
     def test_surplus_entries_align_with_excursions(self, rng):
         p = simulate_parabolic(1.0, rng, horizon=6.0, dx=0.01)
         pairs = limit_surplus(p, rng)
-        lengths = sorted(excursions_above_min(p, WEAK_MIN_CONVENTION).lengths() * p.x_step)
+        lengths = sorted(excursions_above_min(p, weak=True).lengths() * p.x_step)
         assert sorted(x for x, _ in pairs) == pytest.approx(lengths)
         assert all(s >= 0 for _, s in pairs)
 
@@ -119,9 +115,7 @@ class TestMarcusLushnikov:
             assert traj.masses_at(s).sum() == pytest.approx(6.0)
 
     def test_callable_kernel(self, rng):
-        traj = marcus_lushnikov(
-            np.ones((1, 4)), lambda a, b: 1.0, rng, t_max=100.0, n_norm=1.0
-        )
+        traj = marcus_lushnikov(np.ones((1, 4)), lambda a, b: 1.0, rng, t_max=100.0)
         assert len(traj.events) == 3
 
     def test_multiplicative_matches_graph_components(self, rng):

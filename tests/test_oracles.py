@@ -7,7 +7,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from primcoal.additive import pitman_forest
 from primcoal.graphs import ProperlyWeightedGraph, prim_order
+from primcoal.limits import ml_additive_sizes, ml_multiplicative_sizes
+from primcoal.multiplicative import graph_route, p_lambda, replicate_rows
 from primcoal.oracles import (
     all_cayley_trees,
     cayley_outdegree_law,
@@ -19,6 +22,7 @@ from primcoal.oracles import (
     ks_two_sample,
     row_counts,
     tv_distance,
+    tv_threshold,
     tv_two_sample,
 )
 
@@ -68,8 +72,37 @@ class TestTV:
         assert tv_distance({"a": 1, "b": 1}, {"a": 1, "b": 3}) == pytest.approx(0.25)
 
     def test_two_sample_verdict(self):
-        v = tv_two_sample({"a": 50, "b": 50}, {"a": 55, "b": 45}, 0.1, "coin")
+        v = tv_two_sample({"a": 50, "b": 50}, {"a": 55, "b": 45}, "coin")
         assert v.passed and v.statistic == pytest.approx(0.05)
+        assert v.threshold == tv_threshold(100, 100) == pytest.approx(0.2 * 2 ** 0.5)
+
+    def test_threshold_from_sample_sizes(self):
+        # 0.02 at the benchmark's 20000 replicates a side
+        assert tv_threshold(20000, 20000) == 0.02
+        assert tv_threshold(200, 200) == pytest.approx(0.2)
+        assert tv_threshold(100, 400) == pytest.approx(2.0 * (500 / 40000) ** 0.5)
+
+    def test_threshold_passes_same_law_and_rejects_shifted_laws(self, rng):
+        # 2000 n = 6 replicates a side (threshold 0.063): the ML kernels pass
+        # against their own laws and fail against a nearby one, the graph
+        # route at lambda 0.5 (TV near 0.18) and the forest at 0.6 (near 0.11)
+        n, reps = 6, 2000
+
+        def graph(lam):
+            rep, sizes, _ = graph_route(n, [lam], rng, reps=reps)[0]
+            return row_counts(replicate_rows(rep, sizes, reps, n))
+
+        def forest(s):
+            return row_counts(pitman_forest(n, rng, reps=reps).tree_sizes_at(s))
+
+        mult = ml_multiplicative_sizes(n, p_lambda(n, 0.0), rng, reps=reps).astype(np.int64)
+        add = np.rint(ml_additive_sizes(n, 0.5, rng, reps=reps) * n).astype(np.int64)
+        mult, add = row_counts(mult), row_counts(add)
+        same = [tv_two_sample(mult, graph(0.0), "mult"), tv_two_sample(add, forest(0.5), "add")]
+        shifted = [tv_two_sample(mult, graph(0.5), "mult"), tv_two_sample(add, forest(0.6), "add")]
+        assert all(v.threshold == pytest.approx(0.0632, abs=1e-4) for v in same + shifted)
+        assert [v.passed for v in same] == [True, True]
+        assert [v.passed for v in shifted] == [False, False]
 
 
 class TestWeightOrderEnumeration:

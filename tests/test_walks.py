@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from primcoal.graphs import level_components, prim_order, random_complete_graph
 from primcoal.limits import simulate_excursion, simulate_parabolic
 from primcoal.walks import (
-    WEAK_MIN_CONVENTION,
-    ExcursionConvention,
     LatticePath,
     excursions_above_min,
     excursions_above_zero,
@@ -99,7 +97,7 @@ class TestExcursionsAboveMin:
 
     def test_weak_convention_matches_psi_zeros(self):
         f = LatticePath([0, 1, 0, -1, 0, 1])
-        assert excursions_above_min(f, WEAK_MIN_CONVENTION).intervals == (
+        assert excursions_above_min(f, weak=True).intervals == (
             (0, 2),
             (3, 5),
         )
@@ -108,7 +106,7 @@ class TestExcursionsAboveMin:
     def test_weak_convention_equals_above_zero_of_psi(self, steps):
         # interval identity between f above its running min and psi f above 0
         f = from_steps(steps)
-        lhs = excursions_above_min(f, WEAK_MIN_CONVENTION).intervals
+        lhs = excursions_above_min(f, weak=True).intervals
         rhs = excursions_above_zero(psi(f)).intervals
         assert lhs == rhs
 
@@ -124,25 +122,21 @@ class TestExcursionsAboveMin:
 
     def test_matches_literal_scan(self, rng):
         # the vectorised scan against the plain loop it replaced, on integer
-        # and float walks under the three conventions, and on long Brownian
-        # grids under beta = 0, the convention the limit objects read
+        # and float walks under both conventions, and on long Brownian grids
+        # under the weak one, the convention the limit objects read
         mismatches = 0
         for trial in range(4000):
             size = int(rng.integers(1, 120))
             steps = rng.integers(-2, 3, size=size) if trial % 2 else rng.normal(0.0, 1.0, size=size)
             f = LatticePath(np.concatenate([[0], np.cumsum(steps)]))
-            for beta in (1.0, 0.0, 0.5):
-                got = excursions_above_min(f, ExcursionConvention(beta=beta)).intervals
+            for weak, beta in ((False, 1.0), (True, 0.0)):
+                got = excursions_above_min(f, weak=weak).intervals
                 mismatches += got != _literal_scan(f.values, beta)
         for lam in (-1.0, 0.0, 2.0):
             for f in (simulate_parabolic(lam, rng, horizon=4.0), simulate_excursion(abs(lam), rng)):
-                got = excursions_above_min(f, WEAK_MIN_CONVENTION).intervals
+                got = excursions_above_min(f, weak=True).intervals
                 mismatches += got != _literal_scan(f.values, 0.0)
         assert mismatches == 0
-
-    def test_convention_validation(self):
-        with pytest.raises(ValueError):
-            ExcursionConvention(beta=-1.0)
 
 
 class TestExplore:
