@@ -32,8 +32,8 @@ for t in (0.05, 0.12, 0.25, 0.6):
 
 print("merge history (each event fuses two adjacent rank intervals):")
 filt = component_filtration(g, ordering)
-for ev in filt.merge_events:
-    print(f"  t={ev.time:.4f}  {ev.left} + {ev.right}")
+for ev in filt.history.records():
+    print(f"  t={ev.time:.4f}  interval ending at rank {ev.i + 1} + interval starting at rank {ev.j + 1}")
 
 print("\nfinal state with cycle edges counted as excess:")
 for interval, size, excess in filt.components_at(1.0):

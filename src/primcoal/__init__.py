@@ -11,7 +11,6 @@ from .graphs import (
     DisconnectedGraphError,
     DuplicateWeightError,
     GraphError,
-    MergeEvent,
     PrimOrdering,
     ProperlyWeightedGraph,
     component_filtration,
@@ -21,7 +20,7 @@ from .graphs import (
     prim_order_rescan,
     random_complete_graph,
 )
-from .states import AugmentedState, MassVector, d_U
+from .states import AugmentedState, MassVector, MergeHistory, d_U
 from .walks import (
     ExcursionSet,
     LatticePath,

@@ -147,25 +147,26 @@ class ParkingConfiguration:
 
 
 def park(n: int, m: int, rng=None, choices=None) -> ParkingConfiguration:
-    """Park m cars with uniform first choices and rightward probing.
-
-    Pass explicit 1-based `choices` to couple with a walk construction.
-    """
+    """Park m cars with uniform first choices and rightward probing; pass
+    explicit 1-based integer `choices` to couple with a walk construction.
+    Read off the walk of c - 1, c[p] the cars choosing place p, started past
+    its first minimum: a place stays empty where it reaches a new strict minimum."""
     if m >= n:
         raise ValueError("m must be < n (at least one empty place)")
-    if choices is None:
-        choices = (rng.integers(1, n + 1, size=m)).tolist()
-    if len(choices) != m:
+    if choices is None and rng is None:
+        raise ValueError("need rng or choices")
+    ch = np.asarray(rng.integers(1, n + 1, size=m) if choices is None else choices)
+    if ch.shape != (m,):
         raise ValueError("need exactly m choices")
-    if not all(1 <= ch <= n for ch in choices):
+    if m and ch.dtype.kind not in "iu":
+        raise ValueError(f"choices must be integers, got dtype {ch.dtype}")
+    if ((ch < 1) | (ch > n)).any():
         raise ValueError(f"choices must lie in 1..{n}")
-    occupied = np.zeros(n + 1, dtype=bool)  # slot 0 unused
-    for ch in choices:
-        spot = ch
-        while occupied[spot]:
-            spot = spot % n + 1
-        occupied[spot] = True
-    return ParkingConfiguration(n, tuple(int(c) for c in choices), occupied[1:].copy())
+    c = np.bincount(ch.astype(np.int64) - 1, minlength=n)
+    shift = int(np.argmin(np.cumsum(c - 1))) + 1
+    walk = np.cumsum(np.roll(c, -shift) - 1)
+    empty = walk < np.minimum.accumulate(np.append(0, walk))[:-1]
+    return ParkingConfiguration(n, tuple(ch.tolist()), np.roll(~empty, shift))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .states import MergeHistory
+
 
 class GraphError(ValueError):
     pass
@@ -339,15 +341,6 @@ def level_components(
     ]
 
 
-@dataclass(frozen=True)
-class MergeEvent:
-    """One coalescence: the two Prim-rank intervals joined at time `time`."""
-
-    time: float
-    left: tuple[int, int]
-    right: tuple[int, int]
-
-
 @dataclass(frozen=True, eq=False)
 class ComponentFiltration:
     """Full merge history of a percolation system in Prim-rank coordinates.
@@ -382,17 +375,13 @@ class ComponentFiltration:
         ]
 
     @property
-    def merge_events(self) -> list[MergeEvent]:
-        """Chronological merges: at attach_weight[r] the interval ending at
-        rank r - 1 fuses with the one starting at rank r (0-based)."""
-        start_of = list(range(self.n))  # start_of[e]: start of the interval ending at e
-        end_of = list(range(self.n))  # end_of[s]: end of the interval starting at s
-        events = []
-        for r in (np.argsort(self.attach_weight[1:]) + 1).tolist():
-            a, b = start_of[r - 1], end_of[r]
-            events.append(MergeEvent(float(self.attach_weight[r]), (a + 1, r), (r + 1, b + 1)))
-            end_of[a], start_of[b] = b, a
-        return events
+    def history(self) -> MergeHistory:
+        """This filtration as a merge history of one run on 0-based rank slots:
+        at attach_weight[r] the interval holding rank r - 1 absorbs the one
+        starting at rank r, so owner_at(t)[0] is each rank's interval start."""
+        r = np.argsort(self.attach_weight[1:]) + 1
+        rows = (self.attach_weight[r], r - 1, r, np.ones(self.n, dtype=np.int64))
+        return MergeHistory(*(x[None] for x in rows))
 
 
 def _range_max(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

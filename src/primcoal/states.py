@@ -79,9 +79,9 @@ class MergeHistory:
     """Merges of a batch of coalescent runs on fixed block slots.
 
     values0 holds the positive initial block values, (reps, slots); one run
-    is the batch of one.  Merge k of replicate r adds slot j[r, k]
-    into slot i[r, k] < j[r, k] at time times[r, k] and empties slot j;
-    times is inf where replicate r made no k-th merge.
+    is the batch of one.  Merge k of replicate r joins the block holding
+    slot j[r, k] to the block holding slot i[r, k] < j[r, k] at time
+    times[r, k]; no slot is j twice, and an unmade merge has time inf, i = j.
     """
 
     times: np.ndarray
@@ -96,13 +96,25 @@ class MergeHistory:
             (rep, self.times[rep, k], self.i[rep, k], self.j[rep, k]), names="rep,time,i,j"
         )
 
+    def owner_at(self, s: float) -> np.ndarray:
+        """(reps, slots) int64: the block holding each initial slot at time s,
+        named by its lowest slot.  One scatter over flat ids points j at i for
+        every merge made by s; pointers only fall, so jumping own = own[own]
+        reaches each block's lowest slot in O(log slots) rounds."""
+        reps, slots = self.values0.shape
+        base = np.arange(reps)[:, None] * slots
+        own = np.arange(reps * slots)
+        made = self.times <= s
+        own[(self.j + base)[made]] = (self.i + base)[made]
+        up = own[own]
+        while not np.array_equal(up, own):
+            own, up = up, up[up]
+        return own.reshape(reps, slots) - base
+
     def values_at(self, s: float) -> np.ndarray:
         """Block values at time s as (reps, slots) rows, each sorted
-        non-increasing and padded with zeros."""
-        out = self.values0.copy()
-        for k in range(self.times.shape[1]):
-            r = np.flatnonzero(self.times[:, k] <= s)
-            i, j = self.i[r, k], self.j[r, k]
-            out[r, i] += out[r, j]
-            out[r, j] = 0
-        return -np.sort(-out, axis=1)
+        non-increasing and padded with zeros: one bincount over the owners."""
+        own = self.owner_at(s)
+        own += np.arange(len(own))[:, None] * own.shape[1]
+        out = np.bincount(own.ravel(), weights=self.values0.ravel(), minlength=own.size)
+        return -np.sort(-out.reshape(own.shape).astype(self.values0.dtype), axis=1)

@@ -126,6 +126,17 @@ class TestGammaPlus:
             assert gamma_plus(fam, lam).values.sum() == pytest.approx(1.0)
 
 
+def _probe_occupied(n: int, choices) -> list[bool]:
+    """Literal oracle for park: each car probes rightward from its choice
+    around the circle until it finds an empty place."""
+    occupied = [False] * (n + 1)  # slot 0 unused
+    for spot in choices:
+        while occupied[spot]:
+            spot = spot % n + 1
+        occupied[spot] = True
+    return occupied[1:]
+
+
 class TestParking:
     def test_requires_free_place(self, rng):
         with pytest.raises(ValueError):
@@ -151,6 +162,22 @@ class TestParking:
     def test_choice_outside_the_lot_refused(self, choice):
         with pytest.raises(ValueError, match=r"choices must lie in 1\.\.4"):
             park(4, 1, choices=[choice])
+
+    def test_needs_rng_or_choices(self):
+        with pytest.raises(ValueError, match="need rng or choices"):
+            park(4, 1)
+
+    @pytest.mark.parametrize("choices", [[1.5], [True], (2.0,)], ids=["fraction", "bool", "whole-float"])
+    def test_non_integer_choices_refused(self, choices):
+        with pytest.raises(ValueError, match="choices must be integers"):
+            park(4, 1, choices=choices)
+
+    def test_matches_the_probe_loop(self, rng):
+        # the count-walk reading against the literal probing of each car in turn
+        for _ in range(5000):
+            n = int(rng.integers(1, 60))
+            cfg = park(n, int(rng.integers(0, n)), rng)
+            assert cfg.occupied.tolist() == _probe_occupied(n, cfg.choices)
 
     def test_empty_and_full_lots(self):
         # every empty place is its own block; park refuses m = n, so a full

@@ -234,12 +234,25 @@ class TestFiltration:
         assert interval == (1, 5) and size == 5
         assert excess == g.m - g.n + 1
 
-    def test_merge_events_join_adjacent_intervals(self, rng):
-        g = random_complete_graph(12, rng)
-        filt = component_filtration(g, prim_order(g))
-        for ev in filt.merge_events:
-            assert ev.left[1] + 1 == ev.right[0]
-        assert len(filt.merge_events) == g.n - 1
+    def test_history_owner_is_level_interval_start(self, rng):
+        # the filtration as a merge history: n - 1 merges in time order, each
+        # joining adjacent ranks; its owners are the starts of the union-find
+        # oracle's level intervals, and its block sizes those of components_at
+        graphs = [random_complete_graph(12, rng)] + [sparse_connected_graph(20, 15, rng) for _ in range(3)]
+        for g in graphs:
+            ordering = prim_order(g)
+            filt = component_filtration(g, ordering)
+            history = filt.history
+            assert history.times.shape == (1, g.n - 1)
+            assert (history.j == history.i + 1).all() and (np.diff(history.times[0]) > 0).all()
+            for t in [0.0, *filt.attach_weight[1:].tolist(), 1.0]:
+                first = np.empty(g.n, dtype=np.int64)
+                for _, (a, b) in level_components(g, t, ordering):
+                    first[a - 1 : b] = a
+                assert (history.owner_at(t)[0] + 1).tolist() == first.tolist()
+                sizes = history.values_at(t)[0]
+                expected = sorted((size for _, size, _ in filt.components_at(t)), reverse=True)
+                assert sizes[sizes > 0].tolist() == expected
 
     def test_rejects_label_order_when_prim_differs(self, rng):
         # label order with each vertex attached by its lightest edge to an

@@ -1,7 +1,9 @@
 """Import hygiene: no module in src/, demos/ or tests/ imports a name it
-never uses, no function in src/ imports anything, and every module-level
-_private name defined in src/ is read somewhere in src/.  One convention is
-checked the same way: no function in src/ defaults `reps` to None.
+never uses, no function in src/ imports anything, every module-level
+_private name defined in src/ is read somewhere in src/, and every public
+function or class defined in src/ (bar the CLI) is read somewhere in src/,
+demos/, tests/ or bench/.  One convention is checked the same way: no
+function in src/ defaults `reps` to None.
 
 Names imported into a package's __init__.py are its public re-exports and
 are exempt.  A name counts as used when it appears as a bare name anywhere
@@ -89,6 +91,41 @@ def test_private_module_names_are_referenced():
         if name not in read
     ]
     assert not unread, "private names never referenced in src/:\n" + "\n".join(unread)
+
+
+def _reads(path: pathlib.Path) -> set[str]:
+    """Names a file reads: loaded names, attributes, names imported (outside a
+    package's re-exports) and the dotted parts of string constants such as
+    the benchmark tracer's targets."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                read.update(parts)
+    return read
+
+
+def test_public_module_names_are_read():
+    # a public function or class that nothing reads -- not the package, its
+    # demos, its tests or the benchmark -- is dead code with a public name
+    read = set().union(*(_reads(p) for p in _sources("src", "demos", "tests", "bench")))
+    unread = [
+        f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for p in _sources("src")
+        if p.name not in ("__init__.py", "cli.py")
+        for node in ast.parse(p.read_text(), filename=str(p)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert not unread, "public names never read:\n" + "\n".join(unread)
 
 
 def _reps_defaulting_to_none(path: pathlib.Path) -> list[str]:
