@@ -110,19 +110,29 @@ WRITE_BLOCK = 1 << 14
 def _int_csv(block: np.ndarray) -> bytes:
     """csv.writer's bytes for the rows of a 2-d integer array.
 
-    Each column's digits are written right-aligned into a byte matrix, one
-    decimal place per pass; unused places hold NUL, which is then dropped.
+    Each column is cast to one contiguous row of int64 (uint64 for unsigned
+    input, whose values of 2**63 and more are positive), which gives its
+    signs and magnitudes; a column below 2**32 runs its digits in uint32.
+    Its digits are written right-aligned into a byte matrix, one decimal
+    place per pass; unused places hold NUL, which is then dropped.
     """
-    neg = block < 0
-    mag = block.T.astype(np.uint64)
-    mag[neg.T] = -mag[neg.T]  # modulo 2**64, so |int64 min| = 2**63 is exact
-    signs = neg.any(axis=0)
-    widths = [len(str(int(m.max()))) for m in mag]
-    out = np.zeros((len(block), int(signs.sum()) + sum(widths) + len(widths) + 1), np.uint8)
+    signed = block.dtype.kind == "i"
+    cols = []
+    for row in block.T.astype(np.int64 if signed else np.uint64, order="C"):
+        mag = row.view(np.uint64)
+        neg = row < 0 if signed else None
+        if neg is not None and neg.any():
+            np.negative(mag, out=mag, where=neg)  # modulo 2**64, so |int64 min| = 2**63 is exact
+        else:
+            neg = None
+        top = int(mag.max())
+        cols.append((neg, mag.astype(np.uint32) if top < 2**32 else mag, len(str(top))))
+    width_sum = sum(width + (neg is not None) for neg, _, width in cols)
+    out = np.zeros((len(block), width_sum + len(cols) + 1), np.uint8)
     pos = 0
-    for j, (m, width) in enumerate(zip(mag, widths)):
-        if signs[j]:
-            out[:, pos] = neg[:, j] * ord("-")
+    for neg, m, width in cols:
+        if neg is not None:
+            out[:, pos] = neg * ord("-")
             pos += 1
         pos += width
         for k in range(1, width + 1):

@@ -94,8 +94,9 @@ def reorder_field_from_graph(g: ProperlyWeightedGraph, ordering: PrimOrdering) -
     return SparseField(n, 1, 1.0, step, slot, mark)
 
 
-def _frontier(n: int, x: np.ndarray) -> np.ndarray:
-    """m(i) = (Z(i-1) - 1)_+ of walks on n vertices with new-vertex counts x.
+def _frontier(n: int, x: np.ndarray, m: np.ndarray) -> None:
+    """Write into the caller's m, of x's length, m(i) = (Z(i-1) - 1)_+ of
+    walks on n vertices with new-vertex counts x.
 
     x[0] = 0 leads, then one block of n steps per walk.  Z is the Lindley
     walk Z(i) = X(i) + (Z(i-1) - 1)_+, so (Z - 1)_+ is the reflection Psi Y
@@ -104,7 +105,6 @@ def _frontier(n: int, x: np.ndarray) -> np.ndarray:
     Z = X + m.  m is written once and reflected in place: the running
     minimum is the only other array of its size.
     """
-    m = np.empty_like(x)
     m[0] = 0
     y = m[1:].reshape(-1, n)
     # row b is walk b's Y(0..n-1); reflected, it is m at that walk's steps 1..n
@@ -112,32 +112,35 @@ def _frontier(n: int, x: np.ndarray) -> np.ndarray:
     np.subtract(x[1:].reshape(-1, n)[:, :-1], 1, out=y[:, 1:])
     np.cumsum(y, axis=1, out=y)
     y -= np.minimum.accumulate(y, axis=1)
-    return m
 
 
-def _explore(n: int, totals: np.ndarray, step: np.ndarray, pos: np.ndarray):
-    """The exploration recursion: (Z, X, S) over steps 1..len(totals).
+def _explore(n: int, counts: np.ndarray, step: np.ndarray, pos: np.ndarray):
+    """The exploration recursion: (Z, X, S) over steps 1..len(counts) - 1.
 
-    Step i reads row i of a triangular array: totals[i - 1] = T(i) hits, and
-    the hit j with step[j] = i sits at slot pos[j] of the row.  The first
-    m(i) = (Z(i-1) - 1)_+ slots are held by the frontier, so S(i) counts the
-    hits at slots below m(i), and X(i) = T(i) - S(i) vertices are new.  A
-    batch of walks on n vertices is one flat walk: Z is 0 at the end of each
-    block of n steps, and each block is reflected on its own.
+    Step i reads row i of a triangular array: counts[i] = T(i) hits, after
+    counts[0] = 0 for step 0, and the hit j with step[j] = i sits at slot
+    pos[j] of the row.  The first m(i) = (Z(i-1) - 1)_+ slots are held by
+    the frontier, so S(i) counts the hits at slots below m(i), and X(i) =
+    T(i) - S(i) vertices are new.  A batch of walks on n vertices is one
+    flat walk: Z is 0 at the end of each block of n steps, and each block is
+    reflected on its own.
 
     S(i) depends only on the steps before i, so S is the fixed point of
     S -> #{j : step_j = i, pos_j < m(i)} with m from X = T - S: from S = 0,
     each round settles at least one more step, and the first unchanged
-    round is exact.  Returns Z, X and S with a leading 0 at step 0.
+    round is exact.  Returns Z, X and S with a leading 0 at step 0, in new
+    arrays; counts is only read.  Each round rewrites the same x and m, and
+    Z is made in m's place.
     """
-    t = np.append(0, totals)
-    s = np.zeros_like(t)
+    s = np.zeros_like(counts)
+    x, m = np.empty_like(counts), np.empty_like(counts)
     while True:
-        x = t - s
-        m = _frontier(n, x)
-        s_next = np.bincount(step[pos < m[step]], minlength=len(t))
+        np.subtract(counts, s, out=x)
+        _frontier(n, x, m)
+        s_next = np.bincount(step[pos < m[step]], minlength=len(counts))
         if np.array_equal(s_next, s):
-            return x + m, x, s
+            m += x
+            return m, x, s
         s = s_next
 
 
@@ -149,7 +152,8 @@ def _uniform_slots(totals: np.ndarray, width: int, rng):
     row has totals[k] distinct slots.  A round sorts only the keys of the
     rows still short; a row that is full leaves for good, so the draws are
     those of re-sorting the whole batch every round.  Returns (row, slot) of
-    every hit, sorted by row, then slot.
+    every hit, sorted by row, then slot: the keys end sorted, totals[k] of
+    them in row k, so the rows are repeats and need no division.
     """
     short = np.flatnonzero(totals)
     need = totals[short]
@@ -171,7 +175,8 @@ def _uniform_slots(totals: np.ndarray, width: int, rng):
             key, short, need = key[keep], short[~done], need[~done]
     if full:
         key = np.sort(np.concatenate([key, *full]))
-    return np.divmod(key, width)
+    row = np.repeat(np.arange(len(totals)), totals)
+    return row, key - row * width
 
 
 def _triangle_cells(n: int, p_max: float, rng, reps: int):
@@ -223,8 +228,8 @@ class SparseField:
     def walk(self, p: float):
         """(Z, X, S) of the flat walk at p <= p_max, as `_explore` returns them."""
         step, slot = self.at(p)
-        totals = np.bincount(step, minlength=self.n * self.reps + 1)[1:]
-        return _explore(self.n, totals, step, slot)
+        # steps are 1-based, so the count at step 0 is the leading 0
+        return _explore(self.n, np.bincount(step, minlength=self.n * self.reps + 1), step, slot)
 
 
 def _check_field(params: CriticalWindowParams, field: SparseField) -> None:
@@ -365,13 +370,19 @@ def _decode_edge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map linear indices into the strict lower triangle to 0-based (u, v).
 
     Index idx enumerates pairs (u, v) with 0 <= v < u by rows: pair (u, v)
-    has index u(u-1)/2 + v.  Inverts the quadratic with a float sqrt and a
-    one-step integer correction each way to dodge rounding at large n.
+    has index u(u-1)/2 + v.  Inverts the quadratic with a float sqrt, then
+    mends the root, off by at most one at large n, where v falls outside
+    [0, u): one triangular number, not one per correction.
     """
     u = ((1.0 + np.sqrt(1.0 + 8.0 * idx)) / 2.0).astype(np.int64)
-    u -= u * (u - 1) // 2 > idx
-    u += u * (u + 1) // 2 <= idx
-    return u, idx - u * (u - 1) // 2
+    v = idx - (u * (u - 1) >> 1)
+    over = np.flatnonzero(v < 0)
+    u[over] -= 1
+    v[over] += u[over]
+    under = np.flatnonzero(v >= u)
+    v[under] -= u[under]
+    u[under] += 1
+    return u, v
 
 
 def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
@@ -447,21 +458,24 @@ def graph_route(n: int, lambdas, rng, reps: int = 1):
     the first level that keeps it, into one union-find forest whose roots
     are their components' lowest vertices.  Both orders are stable radix
     sorts (_radix_order): the edges by the index of their first level, so
-    each level keeps the sampler's (u, v) order, and each level's components
-    by rep, then decreasing size, as _level makes them, so size ties keep
-    root order.
+    each level keeps the sampler's (u, v) order (one distinct level needs
+    no sort), and each level's components by rep, then decreasing size, as
+    _level makes them, so size ties keep root order.
     """
     ps = [p_lambda(n, lam) for lam in lambdas]
     u, v, w = sample_edge_weights(n, max(ps), rng, reps)
     levels, back = np.unique(ps, return_inverse=True)
-    # edges grouped by the first level that keeps them
-    first = np.searchsorted(levels, w)
-    by_level = _radix_order(first)
-    u, v = u[by_level], v[by_level]
+    stops = [len(w)]  # one level keeps every edge, in the sampler's order
+    if len(levels) > 1:
+        # edges grouped by the first level that keeps them
+        first = np.searchsorted(levels, w)
+        by_level = _radix_order(first)
+        u, v = u[by_level], v[by_level]
+        stops = np.cumsum(np.bincount(first, minlength=len(levels)))
     vertex = np.arange(reps * n)
     r = vertex.copy()
     found, start = [], 0
-    for stop in np.cumsum(np.bincount(first, minlength=len(levels))):
+    for stop in stops:
         a, b = u[start:stop], v[start:stop]
         # until an edge is merged every vertex is its own root, and u > v
         _merge(r, *(_roots(r, a, b) if start else (b, a)))

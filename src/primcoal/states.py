@@ -81,7 +81,8 @@ class MergeHistory:
     values0 holds the positive initial block values, (reps, slots); one run
     is the batch of one.  Merge k of replicate r joins the block holding
     slot j[r, k] to the block holding slot i[r, k] < j[r, k] at time
-    times[r, k]; no slot is j twice, and an unmade merge has time inf, i = j.
+    times[r, k]; the j of a made merge is the j of no other merge, and an
+    unmade merge has time inf, i = j.
     """
 
     times: np.ndarray
@@ -96,25 +97,30 @@ class MergeHistory:
             (rep, self.times[rep, k], self.i[rep, k], self.j[rep, k]), names="rep,time,i,j"
         )
 
-    def owner_at(self, s: float) -> np.ndarray:
-        """(reps, slots) int64: the block holding each initial slot at time s,
-        named by its lowest slot.  One scatter over flat ids points j at i for
-        every merge made by s; pointers only fall, so jumping own = own[own]
-        reaches each block's lowest slot in O(log slots) rounds."""
+    def _owners(self, s: float) -> np.ndarray:
+        """owner_at(s) over flat ids r * slots + slot.  One scatter points
+        every j at i for the merges made by s, and at j itself for the rest,
+        a no-op that no made merge's write can meet; pointers only fall, so
+        jumping own = own[own] reaches each block's lowest slot in
+        O(log slots) rounds."""
         reps, slots = self.values0.shape
-        base = np.arange(reps)[:, None] * slots
+        base = np.arange(0, reps * slots, slots)[:, None]
         own = np.arange(reps * slots)
-        made = self.times <= s
-        own[(self.j + base)[made]] = (self.i + base)[made]
+        own[self.j + base] = np.where(self.times <= s, self.i, self.j) + base
         up = own[own]
         while not np.array_equal(up, own):
             own, up = up, up[up]
-        return own.reshape(reps, slots) - base
+        return own
+
+    def owner_at(self, s: float) -> np.ndarray:
+        """(reps, slots) int64: the block holding each initial slot at time s,
+        named by its lowest slot."""
+        reps, slots = self.values0.shape
+        return self._owners(s).reshape(reps, slots) - np.arange(0, reps * slots, slots)[:, None]
 
     def values_at(self, s: float) -> np.ndarray:
         """Block values at time s as (reps, slots) rows, each sorted
         non-increasing and padded with zeros: one bincount over the owners."""
-        own = self.owner_at(s)
-        own += np.arange(len(own))[:, None] * own.shape[1]
-        out = np.bincount(own.ravel(), weights=self.values0.ravel(), minlength=own.size)
-        return -np.sort(-out.reshape(own.shape).astype(self.values0.dtype), axis=1)
+        own = self._owners(s)
+        out = np.bincount(own, weights=self.values0.ravel(), minlength=own.size)
+        return -np.sort(-out.reshape(self.values0.shape).astype(self.values0.dtype), axis=1)

@@ -124,10 +124,22 @@ class TestWriteRows:
                 np.concatenate([np.arange(WRITE_BLOCK) % 10, -1001 * np.arange(WRITE_BLOCK), np.arange(5)]),
             )),
             np.empty((0, 2), dtype=np.int64),
+            # 2**63 and up are positive in uint64, whatever their top bit
+            np.array([[2**63, 0], [2**64 - 1, 5], [1, 2**63 - 1]], dtype=np.uint64),
+            # digits run in uint32 up to a column maximum of 2**32 - 1
+            np.array([[2**32 - 1, 2**32, -(2**32 - 1)], [0, 9, 4]]),
+            np.array([[-(2**32), 2**32 - 1], [1, -1]]),
+            np.array([[2**32 - 1, 2**32], [2**31, 7]], dtype=np.uint64),
+            # the layout of the array never changes its bytes
+            np.asfortranarray(np.array([[3, -40, 500], [-6, 70, 0], [9, 10, -11]])),
+            np.arange(-9, 12, dtype=np.int32).reshape(3, 7).T,
+            np.arange(-30, 60).reshape(15, 6)[::2, 1::2],
         ],
         ids=[
             "ints", "floats", "int64-array", "empty", "int64-extremes", "zeros", "one-column",
-            "mixed-sign", "int32", "uint8", "blocks", "empty-array",
+            "mixed-sign", "int32", "uint8", "blocks", "empty-array", "uint64-top-bit",
+            "uint32-edge", "uint32-edge-negative", "uint32-edge-unsigned", "fortran-order",
+            "transposed-view", "strided-view",
         ],
     )
     def test_matches_csv_writer(self, tmp_path, rows):

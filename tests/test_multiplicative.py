@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -216,6 +219,24 @@ class TestSparseSampling:
         assert ((0 <= v) & (v < u)).all()
         assert np.array_equal(u * (u - 1) // 2 + v, idx)
 
+    def test_decode_edge_indices_at_row_boundaries(self):
+        # T(u) = u(u-1)/2 is the first index of row u: the float root is
+        # likeliest to land one row off at T(u) - 1, T(u) and T(u) + 1.  Rows
+        # run past n = 4e6 (indices near 8e12) to u = 2**31 (near 2.3e18),
+        # where the root of T(u) - 1 is often one row too high
+        rows = np.unique(np.concatenate([
+            np.arange(2, 3000),
+            np.geomspace(3000, 2**31, 3000).astype(np.int64),
+            np.arange(4_000_000 - 500, 4_000_001),
+            np.arange(2**31 - 500, 2**31 + 1),
+        ]))
+        first = rows * (rows - 1) // 2
+        idx = np.concatenate([first - 1, first, first + 1])
+        u, v = _decode_edge_indices(idx)
+        want_u = [(1 + math.isqrt(1 + 8 * k)) // 2 for k in idx.tolist()]
+        assert u.tolist() == want_u
+        assert v.tolist() == [k - w * (w - 1) // 2 for k, w in zip(idx.tolist(), want_u)]
+
     def test_sample_edge_weights_sorted_and_valid(self, rng):
         u, v, w = sample_edge_weights(100, 0.1, rng)
         # sorted by endpoints: u, then v
@@ -292,12 +313,23 @@ class TestGraphRoute:
             ([30, 3, 2] + [1] * 15, [1] + [0] * 17),
         ]
 
-    @pytest.mark.parametrize("n", [50, 300])
-    @pytest.mark.parametrize("reps", [1, 3])
-    def test_matches_union_find_on_same_edges(self, n, reps):
+    @pytest.mark.parametrize(
+        "n, reps, lambdas",
+        [
+            pytest.param(n, reps, lambdas, id=f"{reps}-{n}{tag}")
+            for tag, lambdas in (
+                ("", [1.5, -2.0, 4.0, 0.0, 1.5, 30.0]),
+                ("-one-level", [0.0]),
+                ("-one-level-repeated", [1.5, 1.5]),
+            )
+            for n in (50, 300)
+            for reps in (1, 3)
+        ],
+    )
+    def test_matches_union_find_on_same_edges(self, n, reps, lambdas):
         # the same seed gives the same edges to the union-find oracle; the
-        # lambdas come unsorted, with a repeat and a supercritical one
-        lambdas = [1.5, -2.0, 4.0, 0.0, 1.5, 30.0]
+        # grid comes unsorted, with a repeat and a supercritical lambda, and
+        # one distinct level takes the route's path that sorts no edges
         ps = [p_lambda(n, lam) for lam in lambdas]
         found = graph_route(n, lambdas, np.random.default_rng(17), reps=reps)
         u, v, w = sample_edge_weights(n, max(ps), np.random.default_rng(17), reps)
@@ -434,8 +466,10 @@ class TestExploreFixedPoint:
             n, reps = int(rng.integers(*n_range)), int(rng.integers(1, 4))
             lam = min(float(rng.uniform(*c_range)), (1 - 1 / n) * n ** (4.0 / 3.0))
             totals, step, pos = _given_slots(n, reps, p_lambda(n, lam), rng)
-            z, x, s = _explore(n, totals, step, pos)
+            counts = np.append(0, totals)
+            z, x, s = _explore(n, counts, step, pos)
             want_z, want_s = _literal_explore(totals, step, pos)
+            assert np.array_equal(counts[1:], totals)  # only read
             assert np.array_equal(z, want_z)
             assert np.array_equal(s, want_s)
             assert np.array_equal(x, np.append(0, totals) - want_s)
@@ -611,6 +645,20 @@ class TestSparseWalk:
             assert (x >= 0).all() and (s >= 0).all()
         with pytest.raises(ValueError):
             field.walk(p_lambda(n, 3.0))
+
+    def test_walks_share_no_memory(self, rng):
+        # _explore reuses its buffers within a call, never across calls
+        n, reps = 300, 3
+        field = SparseField.sample(n, p_lambda(n, 2.0), rng, reps)
+        for p in (p_lambda(n, 0.0), field.p_max):
+            first, second = field.walk(p), field.walk(p)
+            for a, b in zip(first, second):
+                assert np.array_equal(a, b)
+                assert not np.shares_memory(a, b)
+            for a, b in itertools.combinations(first, 2):
+                assert not np.shares_memory(a, b)
+            for a in first:
+                assert not any(np.shares_memory(a, f) for f in (field.step, field.slot, field.mark))
 
     def test_outcomes_partition_each_replicate(self, rng):
         n, reps = 9, 3000
