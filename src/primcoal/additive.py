@@ -28,16 +28,19 @@ class ConditionedWalk:
     increments: np.ndarray
 
     def __init__(self, n: int, increments):
-        x = np.asarray(increments, dtype=int)
-        if n < 1 or len(x) != n:
+        x = np.asarray(increments)
+        if n < 1 or x.shape != (n,):
             raise ValueError("need n >= 1 increments")
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"increments must be integers, got dtype {x.dtype}")
+        x = x.astype(np.int64)
         if (x < 0).any() or x.sum() != n - 1:
             raise ValueError("increments must be non-negative and sum to n-1")
         y = np.cumsum(x - 1)
         if (y[:-1] < 0).any() or y[-1] != -1:
             raise ValueError("walk must first hit -1 at time n")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "increments", x.copy())
+        object.__setattr__(self, "increments", x)
 
     def path(self) -> LatticePath:
         """Y(0..n) with Y(m) = sum_{j<=m} (X(j) - 1)."""
@@ -45,21 +48,26 @@ class ConditionedWalk:
         return LatticePath(vals)
 
 
-def sample_conditioned_walk(n: int, rng) -> ConditionedWalk:
-    """Exact O(n) sampler via the cycle lemma.
+def _cycle_rotation(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """c rotated to start just past the first minimum of cumsum(c - 1), and
+    the shift.  By the cycle lemma, for counts summing to len(c) - 1 this is
+    the one rotation whose walk of c - 1 first reaches -1 at its end."""
+    shift = int(np.argmin(np.cumsum(c - 1))) + 1
+    return np.roll(c, -shift), shift
 
-    Multinomial(n-1; uniform over n cells) is the law of i.i.d. Poisson(1)
-    conditioned on total n-1; exactly one cyclic rotation of the increments
-    is a first-passage path, and rotating to start right after the first
-    minimum of the partial sums finds it.
+
+def sample_conditioned_walk(n: int, rng) -> ConditionedWalk:
+    """Exact O(n) sampler: counts of n - 1 uniform cars on n places, the
+    Multinomial(n - 1; uniform) law, rotated by the cycle lemma.
+
+    That multinomial is the law of i.i.d. Poisson(1) increments conditioned
+    on total n - 1, and exactly one cyclic rotation of them is a
+    first-passage path.  The draws are those of `park(n, n - 1, rng)`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = rng.multinomial(n - 1, np.full(n, 1.0 / n))
-    y = np.cumsum(x - 1)
-    pivot = int(np.argmin(y)) + 1  # first index (1-based) attaining the min
-    rotated = np.concatenate([x[pivot:], x[:pivot]]) if pivot < n else x
-    return ConditionedWalk(n, rotated)
+    cars = np.bincount(rng.integers(0, n, n - 1), minlength=n)
+    return ConditionedWalk(n, _cycle_rotation(cars)[0])
 
 
 def rejection_sample_conditioned_walk(n: int, rng, max_tries: int = 10**7) -> ConditionedWalk:
@@ -162,9 +170,8 @@ def park(n: int, m: int, rng=None, choices=None) -> ParkingConfiguration:
         raise ValueError(f"choices must be integers, got dtype {ch.dtype}")
     if ((ch < 1) | (ch > n)).any():
         raise ValueError(f"choices must lie in 1..{n}")
-    c = np.bincount(ch.astype(np.int64) - 1, minlength=n)
-    shift = int(np.argmin(np.cumsum(c - 1))) + 1
-    walk = np.cumsum(np.roll(c, -shift) - 1)
+    c, shift = _cycle_rotation(np.bincount(ch.astype(np.int64) - 1, minlength=n))
+    walk = np.cumsum(c - 1)
     empty = walk < np.minimum.accumulate(np.append(0, walk))[:-1]
     return ParkingConfiguration(n, tuple(ch.tolist()), np.roll(~empty, shift))
 

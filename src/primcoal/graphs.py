@@ -75,7 +75,9 @@ class ProperlyWeightedGraph:
         if len(bad):
             raise GraphError(f"vertex id out of range: ({u[bad[0]]}, {v[bad[0]]})")
         a, b = np.minimum(u, v), np.maximum(u, v)
-        pair = _first_repeat(a * (n + 1) + b)
+        key = a * (n + 1) + b
+        # pairs listed in increasing order (K_n's triu pairs) need no sort
+        pair = None if (key[1:] > key[:-1]).all() else _first_repeat(key)
         if pair is not None:
             raise GraphError(f"parallel edge ({pair // (n + 1)}, {pair % (n + 1)})")
         bad = np.flatnonzero(~(w > 0.0))

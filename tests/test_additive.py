@@ -28,6 +28,7 @@ from primcoal.oracles import (
     empirical_counts,
     tv_distance,
 )
+from primcoal.walks import excursions_above_min
 
 
 class TestConditionedWalk:
@@ -38,6 +39,26 @@ class TestConditionedWalk:
             ConditionedWalk(3, [0, 1, 1])  # dips below 0 before the end
         ConditionedWalk(3, [2, 0, 0])
         ConditionedWalk(3, [1, 1, 0])
+
+    @pytest.mark.parametrize(
+        "increments",
+        [[2.7, 0.2, 0.0], [True, True, False], [2.0, 0.0, 0.0]],
+        ids=["fraction", "bool", "whole-float"],
+    )
+    def test_non_integer_increments_refused(self, increments):
+        with pytest.raises(ValueError, match="increments must be integers"):
+            ConditionedWalk(3, increments)
+
+    def test_sampler_is_parking_count_walk(self, rng):
+        # the sampler's draws are those of n - 1 parked cars: its walk is
+        # their count walk, rotated past the first minimum (cycle lemma)
+        for n in [1, 2] + rng.integers(3, 400, size=60).tolist():
+            seed = int(rng.integers(2**32))
+            cfg = park(n, n - 1, np.random.default_rng(seed))
+            c = np.bincount(np.asarray(cfg.choices, dtype=np.int64) - 1, minlength=n)
+            shift = int(np.argmin(np.cumsum(c - 1))) + 1
+            walk = sample_conditioned_walk(n, np.random.default_rng(seed))
+            assert walk.increments.tolist() == np.roll(c, -shift).tolist()
 
     def test_cycle_sampler_always_valid(self, rng):
         for _ in range(500):
@@ -201,13 +222,23 @@ class TestParking:
             # place n is empty: the walk's first-passage property says cars
             # choosing 1..k never overflow past place k onto n
             assert not cfg.occupied[n - 1]
-            from primcoal.walks import excursions_above_min
-
             ladder = sorted(
                 excursions_above_min(walk.path()).lengths().astype(int),
                 reverse=True,
             )
             assert cfg.block_sizes() == ladder
+
+    def test_thinned_walk_is_parking_of_kept_units(self, rng):
+        # unit j of the base walk is a car choosing place _owner[j] + 1; at
+        # every t the level-t ladder lengths are the blocks of the kept cars
+        for _ in range(150):
+            n = int(rng.integers(1, 120))
+            fam = ThinnedWalkFamily(sample_conditioned_walk(n, rng), rng)
+            for t in [0.0, 1.0, *rng.random(3).tolist()]:
+                kept = fam._uniforms <= t
+                cfg = park(n, int(kept.sum()), choices=fam._owner[kept] + 1)
+                ladder = excursions_above_min(fam.path(t)).lengths().tolist()
+                assert sorted(ladder, reverse=True) == cfg.block_sizes()
 
 
 class TestForestProcess:

@@ -71,6 +71,12 @@ class TestConstruction:
         with pytest.raises(GraphError):
             ProperlyWeightedGraph(2, [(1, 2, 0.5), (2, 1, 0.7)])
 
+    def test_rejects_repeat_among_increasing_pairs(self):
+        # sorted pairs skip the sort, so a repeat next to itself must still be seen
+        edges = [(1, 2, 0.1), (1, 3, 0.2), (1, 3, 0.3), (2, 3, 0.4)]
+        with pytest.raises(GraphError, match=r"parallel edge \(1, 3\)"):
+            ProperlyWeightedGraph(3, edges)
+
     def test_rejects_duplicate_weight(self):
         with pytest.raises(DuplicateWeightError):
             ProperlyWeightedGraph(3, [(1, 2, 0.5), (2, 3, 0.5)])
