@@ -138,11 +138,12 @@ class ParkingConfiguration:
 
     Places are 1..n.  A block is a maximal run of occupied places plus the
     empty place terminating it ("cars + 1"); an empty place flanked by
-    empty places is its own block of size 1.
+    empty places is its own block of size 1.  `choices` holds the cars'
+    first choices in arrival order, as a read-only int64 array.
     """
 
     n: int
-    choices: tuple[int, ...]
+    choices: np.ndarray
     occupied: np.ndarray
 
     def block_sizes(self) -> list[int]:
@@ -159,6 +160,8 @@ def park(n: int, m: int, rng=None, choices=None) -> ParkingConfiguration:
     explicit 1-based integer `choices` to couple with a walk construction.
     Read off the walk of c - 1, c[p] the cars choosing place p, started past
     its first minimum: a place stays empty where it reaches a new strict minimum."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got m = {m}")
     if m >= n:
         raise ValueError("m must be < n (at least one empty place)")
     if choices is None and rng is None:
@@ -170,10 +173,12 @@ def park(n: int, m: int, rng=None, choices=None) -> ParkingConfiguration:
         raise ValueError(f"choices must be integers, got dtype {ch.dtype}")
     if ((ch < 1) | (ch > n)).any():
         raise ValueError(f"choices must lie in 1..{n}")
-    c, shift = _cycle_rotation(np.bincount(ch.astype(np.int64) - 1, minlength=n))
+    ch = ch.astype(np.int64)  # a copy: the caller's array stays writeable
+    ch.setflags(write=False)
+    c, shift = _cycle_rotation(np.bincount(ch - 1, minlength=n))
     walk = np.cumsum(c - 1)
     empty = walk < np.minimum.accumulate(np.append(0, walk))[:-1]
-    return ParkingConfiguration(n, tuple(ch.tolist()), np.roll(~empty, shift))
+    return ParkingConfiguration(n, ch, np.roll(~empty, shift))
 
 
 # ---------------------------------------------------------------------------

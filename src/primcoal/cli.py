@@ -333,20 +333,21 @@ def _limit_add_brownian(args):
     return limit_gamma(simulate_excursion(lam, np.random.default_rng(seed), dx=dx))[0]
 
 
-# kind -> (discrete side, Brownian side, verdict description); each side maps
-# (seed, n, lam, horizon, dx) to one sample
+# kind -> (default lam, discrete side, Brownian side, verdict description);
+# each side maps (seed, n, lam, horizon, dx) to one sample.  Additive lam 0
+# is retention t = 1, one block, so its sides would agree on any code.
 _LIMIT_SIDES = {
     "additive": (
-        _limit_add_rep, _limit_add_brownian, "largest additive block vs largest tilted-excursion excursion"
+        1.0, _limit_add_rep, _limit_add_brownian, "largest additive block vs largest tilted-excursion excursion"
     ),
     "multiplicative": (
-        _limit_mult_rep, _limit_mult_brownian, "largest multiplicative mass vs largest parabolic excursion"
+        0.0, _limit_mult_rep, _limit_mult_brownian, "largest multiplicative mass vs largest parabolic excursion"
     ),
 }
 
 
 def cmd_limit_compare(cfg, outdir):
-    *sides, desc = _LIMIT_SIDES[cfg["kind"]]
+    _, *sides, desc = _LIMIT_SIDES[cfg["kind"]]
     args = (cfg["n"], cfg["lam"], cfg["horizon"], cfg["dx"])
     # one child stream per side, so no run shares a stream with another seed
     discrete, brownian = (
@@ -434,7 +435,7 @@ _DEFAULTS = {
     "limit-compare": {
         "kind": "multiplicative",
         "n": 50000,
-        "lam": 0.0,
+        "lam": None,  # the kind's, from _LIMIT_SIDES
         "horizon": 10.0,
         "dx": 1e-3,
     },
@@ -494,7 +495,7 @@ def main(argv=None) -> int:
             parser.add_argument(f"--{key}", type=flag)
     args = parser.parse_args(argv)
 
-    cfg = {**_COMMON, **_DEFAULTS[args.command]}
+    cfg, file_cfg = {**_COMMON, **_DEFAULTS[args.command]}, {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -506,11 +507,14 @@ def main(argv=None) -> int:
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
     flags = {key: val for key, val in vars(args).items() if key in _KEYS and val is not None}
     for key in sorted(flags.keys() - cfg.keys()):
         parser.error(f"--{key} not applicable to {args.command}")
-    cfg.update(flags)
+    given = {**file_cfg, **flags}
+    cfg.update(given)
+    # limit-compare's lam, unless given, is its kind's
+    if cfg.get("kind") in _LIMIT_SIDES and "lam" not in given:
+        cfg["lam"] = _LIMIT_SIDES[cfg["kind"]][0]
     for key, value in cfg.items():
         flag, test, want = _KEYS[key]
         if not test(value):

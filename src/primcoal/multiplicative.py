@@ -15,6 +15,7 @@ routes agree realisation by realisation, not just in law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,13 @@ from .walks import LatticePath, excursions_above_min, psi
 
 def p_lambda(n: int, lam: float) -> float:
     """Critical-window edge probability 1/n + lambda/n^{4/3}."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n = {n}")
     p = 1.0 / n + lam / n ** (4.0 / 3.0)
-    if not (0.0 <= p <= 1.0):
-        # tolerate pure floating-point spill at the endpoints
-        if -1e-9 < p < 0.0:
-            return 0.0
-        if 1.0 < p < 1.0 + 1e-9:
-            return 1.0
-        raise ValueError(f"p_lambda(n={n}, lam={lam}) = {p} outside [0, 1]")
-    return p
+    # tolerate pure floating-point spill at the endpoints
+    if -1e-9 < p < 1.0 + 1e-9:
+        return min(max(p, 0.0), 1.0)
+    raise ValueError(f"p_lambda(n={n}, lam={lam}) = {p} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -144,48 +143,35 @@ def _explore(n: int, counts: np.ndarray, step: np.ndarray, pos: np.ndarray):
         s = s_next
 
 
-def _uniform_slots(totals: np.ndarray, width: int, rng):
-    """Row k gets a uniform totals[k]-subset of the same `width` slots.
-
-    One uniform slot per hit, then repeats dropped by sort-and-diff (numpy
-    2.4's hashing np.unique is slower) and the shortfall redrawn until every
-    row has totals[k] distinct slots.  A round sorts only the keys of the
-    rows still short; a row that is full leaves for good, so the draws are
-    those of re-sorting the whole batch every round.  Returns (row, slot) of
-    every hit, sorted by row, then slot: the keys end sorted, totals[k] of
-    them in row k, so the rows are repeats and need no division.
-    """
-    short = np.flatnonzero(totals)
-    need = totals[short]
-    key = np.empty(0, dtype=np.int64)
-    full = []
-    while len(short):
-        drawn = np.repeat(short, need) * width + rng.integers(0, width, need.sum())
-        key = np.sort(np.concatenate([key, drawn]))
-        key = key[np.diff(key, prepend=-1) != 0]
-        # row k's keys start at k * width, and only short rows have keys here
-        have = np.diff(np.searchsorted(key, short * width), append=len(key))
-        need = totals[short] - have
-        done = need == 0
-        if done.all():
-            break
-        if done.any():
-            keep = np.repeat(~done, have)
-            full.append(key[~keep])
-            key, short, need = key[keep], short[~done], need[~done]
-    if full:
-        key = np.sort(np.concatenate([key, *full]))
-    row = np.repeat(np.arange(len(totals)), totals)
-    return row, key - row * width
-
-
 def _triangle_cells(n: int, p_max: float, rng, reps: int):
     """(rep, cell) of the hits, sorted, of `reps` triangles of n(n-1)/2
-    cells, each hit with probability p_max independently."""
+    cells, each hit with probability p_max independently.
+
+    The triangles are one run of Bernoulli(p_max) cells end to end, so the
+    gaps between hits are i.i.d. Geometric(p_max), ceil(E / -log(1 - p_max))
+    for E standard exponential, and their running sums are the hits,
+    distinct and sorted as drawn.  Gaps clip to [1, total + 1], so none is
+    0 and an oversized one leaves the run; they come in blocks of the
+    expected count plus about 4 sd, until the run is passed.
+    """
     if not 0.0 <= p_max <= 1.0:
         raise ValueError(f"p_max = {p_max} outside [0, 1]")
     ne = n * (n - 1) // 2
-    return _uniform_slots(rng.binomial(ne, p_max, size=reps), ne, rng)
+    total = reps * ne
+    block = int(total * p_max + 4.0 * math.sqrt(total * p_max * (1.0 - p_max))) + 16
+    hits, last = [np.empty(0, dtype=np.int64)], -1
+    # -log1p(-1) is inf, and E over a tiny scale overflows to inf: both clip
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = -np.log1p(-p_max)
+        while p_max > 0.0 and last < total - 1:
+            gap = np.clip(np.ceil(rng.standard_exponential(block) / scale), 1, total + 1)
+            hits.append(last + np.cumsum(gap.astype(np.int64)))
+            last = hits[-1][-1]
+    cell = np.concatenate(hits)
+    # replicate r holds the cells r ne .. (r + 1) ne - 1; the rest is past the run
+    cut = np.searchsorted(cell, np.arange(reps + 1) * ne)
+    rep = np.repeat(np.arange(reps), np.diff(cut))
+    return rep, cell[: cut[-1]] - rep * ne
 
 
 @dataclass(frozen=True)
@@ -212,7 +198,8 @@ class SparseField:
         the dense field: the cells of sample_edge_weights, cell c read as the
         edge (u, v) = _decode_edge_indices(n(n-1)/2 - 1 - c) at row n - u, slot
         u - 1 - v, so rows, then slots, rise with c.  Then one uniform mark
-        per hit.  Exact in law, O(n reps) memory near p = 1/n."""
+        per hit.  Exact in law up to double rounding, in the geometric skips
+        as in the marks; O(n reps) memory near p = 1/n."""
         rep, cell = _triangle_cells(n, p_max, rng, reps)
         u, v = _decode_edge_indices(n * (n - 1) // 2 - 1 - cell)
         step = rep * n + n - u
@@ -390,9 +377,10 @@ def sample_edge_weights(n: int, p_max: float, rng, reps: int = 1):
 
     Copy r sits on the 0-based vertices r n .. r n + n - 1.  Returns endpoint
     arrays (u, v) with u > v, sorted by u, then v (so grouped by copy), and
-    the weights aligned to them; the level set {w <= p} is exactly G(n, p)
-    for any p <= p_max, coupled monotonically across p.  Memory stays
-    O(#edges), never O(n^2).
+    the weights aligned to them; the level set {w <= p} is G(n, p) for any
+    p <= p_max, coupled monotonically across p.  The edges come from
+    geometric skips over the pairs, exact in law up to double rounding, as
+    the weights are.  Memory stays O(#edges), never O(n^2).
     """
     rep, idx = _triangle_cells(n, p_max, rng, reps)
     u, v = _decode_edge_indices(idx)
@@ -498,8 +486,7 @@ def replicate_rows(rep: np.ndarray, values: np.ndarray, reps: int, width: int) -
 
 def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
     """Walk-route Z(0..n+1) of a sparse field at p_lambda: O(n) memory, one
-    binomial draw of the hit count, one uniform cell per hit (plus redraws
-    of repeated cells), and a few whole-array rounds of the fixed point.
+    geometric skip per hit, and a few whole-array rounds of the fixed point.
     """
     p = p_lambda(n, lam)
     return np.append(SparseField.sample(n, p, rng).walk(p)[0], 0)

@@ -163,6 +163,20 @@ class TestParking:
         with pytest.raises(ValueError):
             park(5, 5, rng)
 
+    def test_negative_car_count_refused(self, rng):
+        with pytest.raises(ValueError, match="m must be >= 0, got m = -1"):
+            park(5, -1, rng)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_choices_are_a_read_only_copy(self, rng, dtype):
+        given = np.array([2, 2, 5], dtype=dtype)
+        cfg = park(6, 3, choices=given)
+        given[0] = 1  # the caller's array stays writeable, and apart
+        assert cfg.choices.tolist() == [2, 2, 5]
+        for choices, m in ((cfg.choices, 3), (park(50, 30, rng).choices, 30)):
+            assert choices.dtype == np.int64 and choices.shape == (m,)
+            assert not choices.flags.writeable
+
     def test_block_sizes_sum_to_n(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 30))

@@ -392,13 +392,14 @@ class TestSizeFlags:
             (["simulate-multiplicative"], {"lambdas": "0"}, "--lambdas must be a list of numbers, got '0'"),
             (["trace"], {"lambdas": [0, "1"]}, "--lambdas must be a list of numbers, got [0, '1']"),
             (["limit-compare"], {"lam": "0"}, "--lam must be a number, got '0'"),
+            (["limit-compare"], {"kind": "additive", "lam": None}, "--lam must be a number, got None"),
             (["ml-oracle"], {"s_obs": True}, "config s_obs must be a number at least 0, got True"),
             (["ml-oracle"], {"s_obs": -0.5}, "config s_obs must be a number at least 0, got -0.5"),
             (["ml-oracle"], {"tv": 0.02}, "unknown config keys: ['tv']"),
         ],
         ids=[
             "dx", "horizon", "horizon-inf", "dx-inf", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry",
-            "lam-string", "s_obs-bool", "s_obs-negative", "tv-unknown",
+            "lam-string", "lam-null", "s_obs-bool", "s_obs-negative", "tv-unknown",
         ],
     )
     def test_bad_config_number_refused_early(self, tmp_path, capsys, argv, config, message):
@@ -488,6 +489,32 @@ class TestLimitCompare:
         assert code == 0
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["passed"] is True
+
+    @pytest.mark.parametrize(
+        "argv, config, lam",
+        [
+            (["--kind", "additive"], None, 1.0),
+            ([], {"kind": "additive"}, 1.0),
+            ([], None, 0.0),
+            (["--kind", "additive", "--lam", "0.5"], None, 0.5),
+            ([], {"kind": "additive", "lam": 0.5}, 0.5),
+            (["--kind", "additive"], {"lam": 2.0}, 2.0),
+        ],
+        ids=["additive-flag", "additive-config", "multiplicative", "lam-flag", "lam-config", "config-lam-flag-kind"],
+    )
+    def test_default_lam_is_the_kinds(self, tmp_path, argv, config, lam):
+        # additive lam 0 is retention t = 1: one block on both sides, so a
+        # run at that default would pass on any code
+        argv = ["limit-compare", "--n", "300", "--replicates", "4", "--seed", "3"] + argv
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        out = tmp_path / "run"
+        run(argv + ["--out", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["config"]["lam"] == lam
+        samples = (out / "samples.csv").read_text().splitlines()[1:]
+        assert not any(row.endswith(",1.0,1.0") for row in samples)
 
 
 class TestMlOracle:

@@ -20,7 +20,7 @@ from primcoal.multiplicative import (
     _explore,
     _level,
     _radix_order,
-    _uniform_slots,
+    _triangle_cells,
     augmented_state,
     component_surpluses,
     gamma_times,
@@ -51,6 +51,20 @@ class TestPLambda:
             p_lambda(4, 10.0)
         with pytest.raises(ValueError):
             p_lambda(4, -2.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: p_lambda(0, 0.0),
+            lambda: graph_route(0, [0.0], np.random.default_rng(0)),
+            lambda: walk_route(0, [0.0], np.random.default_rng(0)),
+            lambda: p_lambda(-3, 0.0),
+        ],
+        ids=["p_lambda", "graph_route", "walk_route", "negative"],
+    )
+    def test_no_vertices_refused(self, call):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call()
 
 
 def _dense_field(n, rng):
@@ -303,14 +317,15 @@ class TestGraphRoute:
         assert tv_distance(sparse, empirical_counts(dense)) < 0.025
 
     def test_batch_of_one_draws_are_stable(self):
-        # recorded before graph_route had a replicate axis: the batch of one
-        # still makes exactly the same draws
+        # re-recorded when the edges became geometric skips over one
+        # Bernoulli run of cells, in place of a binomial count and uniform
+        # slot sets
         rng = np.random.default_rng(20240607)
         got = [(s.tolist(), e.tolist()) for _, s, e in graph_route(50, [-1.0, 0.0, 1.5], rng)]
         assert got == [
-            ([5, 3, 3] + [2] * 6 + [1] * 27, [0] * 36),
-            ([8, 6, 6, 3] + [2] * 4 + [1] * 19, [0] * 27),
-            ([30, 3, 2] + [1] * 15, [1] + [0] * 17),
+            ([5, 4] + [2] * 7 + [1] * 27, [0] * 36),
+            ([6, 6] + [2] * 8 + [1] * 22, [0] * 32),
+            ([9, 6, 3] + [2] * 7 + [1] * 18, [1] + [0] * 27),
         ]
 
     @pytest.mark.parametrize(
@@ -372,25 +387,22 @@ class TestWalkRoute:
                 assert (surplus == 0).all()
 
     def test_draws_are_stable(self):
-        # recorded when a field first drew its hits as sample_edge_weights
-        # draws edges, one binomial per replicate over the whole triangle;
-        # listed by decreasing size, ties in exploration order
+        # re-recorded when a field's hits, drawn as sample_edge_weights draws
+        # edges, became geometric skips over one Bernoulli run of cells in
+        # place of a binomial count and uniform slot sets; listed by
+        # decreasing size, ties in exploration order
         _, sizes, surplus = walk_route(40, [3.0], np.random.default_rng(2024))[0]
-        assert list(zip(sizes.tolist(), surplus.tolist())) == [(27, 7), (4, 0), (3, 0), (2, 0)] + [
-            (1, 0)
-        ] * 4
+        assert list(zip(sizes.tolist(), surplus.tolist())) == [(33, 7)] + [(1, 0)] * 7
         assert sample_walk_outcomes(4, 0.5, 30, np.random.default_rng(2025)) == {
-            (1, 0, 1, 0, 1, 0, 1, 0): 2,
-            (2, 0, 1, 0, 1, 0, 0, 0): 10,
+            (1, 0, 1, 0, 1, 0, 1, 0): 5,
+            (2, 0, 1, 0, 1, 0, 0, 0): 4,
             (2, 0, 2, 0, 0, 0, 0, 0): 3,
-            (3, 0, 1, 0, 0, 0, 0, 0): 6,
-            (3, 1, 1, 0, 0, 0, 0, 0): 1,
-            (4, 0, 0, 0, 0, 0, 0, 0): 2,
-            (4, 1, 0, 0, 0, 0, 0, 0): 5,
-            (4, 2, 0, 0, 0, 0, 0, 0): 1,
+            (3, 0, 1, 0, 0, 0, 0, 0): 12,
+            (4, 0, 0, 0, 0, 0, 0, 0): 5,
+            (4, 1, 0, 0, 0, 0, 0, 0): 1,
         }
         z = sparse_z_trace(30, 1.0, np.random.default_rng(2026))
-        assert z.tolist() == [0, 1, 1, 1, 0, 0, 2, 2, 2, 1, 0, 0, 2, 1, 2, 1, 1, 0, 1, 1, 0, 1] + [0] * 10
+        assert z.tolist() == [0, 1, 2, 3, 3, 4, 4, 4, 3, 3, 2, 1, 1, 0, 2, 2, 2, 2, 2, 1, 1, 0] + [0] * 10
 
     def test_walk_vs_graph_outcomes_small_tv(self, rng):
         counts_w = sample_walk_outcomes(5, 0.5, 20000, rng)
@@ -441,20 +453,6 @@ def _given_slots(n, reps, p, rng):
     return totals, step, pos.astype(np.int64)
 
 
-def _whole_batch_slots(totals, width, rng):
-    """Reference _uniform_slots: every redraw round re-sorts the keys of
-    the whole batch."""
-    rows = np.arange(len(totals))
-    key = np.empty(0, dtype=np.int64)
-    short = totals
-    while short.any():
-        row = np.repeat(rows, short)
-        key = np.sort(np.concatenate([key, row * width + rng.integers(0, width, len(row))]))
-        key = key[np.diff(key, prepend=-1) != 0]
-        short = totals - np.bincount(key // width, minlength=len(totals))
-    return np.divmod(key, width)
-
-
 class TestExploreFixedPoint:
     @pytest.mark.parametrize(
         "n_range, c_range",
@@ -474,38 +472,6 @@ class TestExploreFixedPoint:
             assert np.array_equal(s, want_s)
             assert np.array_equal(x, np.append(0, totals) - want_s)
             assert (z[::n] == 0).all()
-
-    def test_uniform_slots_are_distinct_and_counted(self, rng):
-        # totals near a small width force many collisions and redraws; a
-        # width of 0 has no slots and no hits
-        for width, p in [(3, 0.9), (10, 1.0), (4950, 0.02), (0, 0.5)]:
-            totals = rng.binomial(width, p, size=300)
-            row, slot = _uniform_slots(totals, width, rng)
-            assert np.array_equal(np.bincount(row, minlength=len(totals)), totals)
-            assert ((0 <= slot) & (slot < width)).all()
-            assert (np.diff(row * width + slot) > 0).all()
-
-    @pytest.mark.parametrize(
-        "width, p, reps", [(6, 0.95, 20000), (6, 0.7, 20000), (3, 0.9, 300), (4950, 0.02, 300), (0, 0.5, 30)]
-    )
-    def test_uniform_slots_match_whole_batch_resort(self, width, p, reps):
-        # merging only the short rows' keys makes the same draws as
-        # re-sorting the whole batch every round
-        totals = np.random.default_rng(5).binomial(width, p, size=reps)
-        got = _uniform_slots(totals, width, np.random.default_rng(6))
-        want = _whole_batch_slots(totals, width, np.random.default_rng(6))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    def test_uniform_slots_pick_uniform_subsets(self, rng):
-        # 2 of 4 slots: each of the 6 pairs has probability 1/6
-        reps = 30000
-        row, slot = _uniform_slots(np.full(reps, 2), 4, rng)
-        order = np.lexsort((slot, row))
-        pair = slot[order].reshape(reps, 2)
-        counts = np.bincount(4 * pair[:, 0] + pair[:, 1], minlength=16)
-        expect, sd = reps / 6, np.sqrt(reps * (1 / 6) * (5 / 6))
-        assert counts[[1, 2, 3, 6, 7, 11]] == pytest.approx(np.full(6, expect), abs=5 * sd)
-        assert counts.sum() == reps
 
 
 class TestComponentOrder:
@@ -630,6 +596,44 @@ class TestSparseFieldSample:
     def test_edge_weights_empty_at_p_zero(self, rng):
         u, v, w = sample_edge_weights(6, 0.0, rng, 3)
         assert len(u) == len(v) == len(w) == 0
+
+
+class _ZeroExponentials:
+    """A generator whose exponentials are all 0, so every gap is 1."""
+
+    def __init__(self):
+        self.blocks = 0
+
+    def standard_exponential(self, size):
+        self.blocks += 1
+        return np.zeros(size)
+
+
+class TestTriangleCells:
+    def test_unit_gaps_hit_every_cell_over_several_blocks(self):
+        n, reps = 7, 4
+        rng = _ZeroExponentials()
+        rep, cell = _triangle_cells(n, 0.1, rng, reps)
+        assert rng.blocks > 1
+        assert rep.tolist() == np.repeat(np.arange(reps), 21).tolist()
+        assert cell.tolist() == list(range(21)) * reps
+
+    @pytest.mark.parametrize("p_max", [5e-324, 1e-300, 1e-18])
+    def test_tiny_p_max_hits_nothing(self, rng, p_max):
+        # a gap past the run is clipped there, not cast from inf or onto
+        # the last cell
+        rep, cell = _triangle_cells(50, p_max, rng, 3)
+        assert len(rep) == len(cell) == 0
+
+    def test_p_max_one_hits_every_cell(self, rng):
+        rep, cell = _triangle_cells(6, 1.0, rng, 3)
+        assert rep.tolist() == np.repeat(np.arange(3), 15).tolist()
+        assert cell.tolist() == list(range(15)) * 3
+
+    @pytest.mark.parametrize("p_max", [0.0, 0.5, 1.0])
+    def test_one_vertex_has_no_cells(self, rng, p_max):
+        rep, cell = _triangle_cells(1, p_max, rng, 3)
+        assert len(rep) == len(cell) == 0
 
 
 class TestSparseWalk:
