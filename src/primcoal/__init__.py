@@ -79,7 +79,6 @@ from .oracles import (
     TestVerdict,
     cayley_outdegree_law,
     conditioned_walk_law,
-    empirical_counts,
     enumerate_weight_orders,
     ks_statistic,
     ks_threshold,

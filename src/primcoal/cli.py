@@ -1,11 +1,13 @@
 """Experiment runner: seeded, reproducible simulations with file outputs.
 
-Every subcommand resolves a config (defaults < --config JSON < flags),
-derives per-replicate generators from the master seed through
-numpy.random.SeedSequence spawning, writes CSV outputs plus a manifest.json
-recording the resolved config and its hash, and exits 0 only if all
-statistical verdicts in the run passed.  Identical (config, seed) reruns
-produce byte-identical outputs regardless of --workers.
+Every subcommand resolves a config of only the keys it reads (defaults <
+--config JSON < flags), writes its outputs plus a manifest.json recording
+the resolved config and its hash, and exits 0 only if every check and
+verdict in the run passed.  simulate-*, augmented, limit-compare and
+ml-oracle spawn child generators from the master seed through
+numpy.random.SeedSequence; trace and verify-invariants draw one
+default_rng(seed) stream, and compare-orders none.  Identical (config,
+seed) reruns produce byte-identical outputs regardless of --workers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -183,31 +184,34 @@ def _replicate_csv(cfg, outdir, name, header, rep_fn, *args):
     return [], True
 
 
+# the largest masses (and surpluses) each row of a state CSV lists
+TOP = 5
+
+
 def _additive_rep(args):
-    seed, n, lambdas, top = args
+    seed, n, lambdas = args
     rng = np.random.default_rng(seed)
     fam = ThinnedWalkFamily(sample_conditioned_walk(n, rng), rng)
     gams = [gamma_plus(fam, lam) for lam in lambdas]
-    return [[lam] + [gam[i] for i in range(top)] for lam, gam in zip(lambdas, gams)]
+    return [[lam] + [gam[i] for i in range(TOP)] for lam, gam in zip(lambdas, gams)]
 
 
 def cmd_simulate_additive(cfg, outdir):
-    header = ["lambda"] + [f"gamma_{i+1}" for i in range(cfg["top"])]
+    header = ["lambda"] + [f"gamma_{i+1}" for i in range(TOP)]
     return _replicate_csv(cfg, outdir, "gamma_plus.csv", header, _additive_rep,
-                          cfg["n"], cfg["lambdas"], cfg["top"])
+                          cfg["n"], cfg["lambdas"])
 
 
-def _state_row(lam, st, top) -> list:
-    """lambda, then the top masses and surpluses of state st (0 past its end)."""
+def _state_row(lam, st) -> list:
+    """lambda, then the TOP largest masses and surpluses of state st (0 past its end)."""
     return (
         [lam]
-        + [st.masses[i] for i in range(top)]
-        + [int(st.surpluses[i]) if i < len(st.surpluses) else 0 for i in range(top)]
+        + [st.masses[i] for i in range(TOP)]
+        + [int(st.surpluses[i]) if i < len(st.surpluses) else 0 for i in range(TOP)]
     )
 
 
-def _state_header(top) -> list[str]:
-    return ["lambda"] + [f"gamma_{i+1}" for i in range(top)] + [f"s_{i+1}" for i in range(top)]
+_STATE_HEADER = ["lambda"] + [f"gamma_{i+1}" for i in range(TOP)] + [f"s_{i+1}" for i in range(TOP)]
 
 
 def _route_states(seed, n, lambdas, route) -> list:
@@ -222,29 +226,27 @@ def _route_states(seed, n, lambdas, route) -> list:
 
 
 def _multiplicative_rep(args):
-    seed, n, lambdas, top, route = args
+    seed, n, lambdas, route = args
     states = _route_states(seed, n, lambdas, route)
-    return [_state_row(lam, st, top) for lam, st in zip(lambdas, states)]
+    return [_state_row(lam, st) for lam, st in zip(lambdas, states)]
 
 
 def _augmented_rep(args):
-    seed, n, lambdas, top = args
+    seed, n, lambdas = args
     states = _route_states(seed, n, lambdas, "walk")
     steps = [0.0] + [d_U(a, b) for a, b in zip(states, states[1:])]
-    return [_state_row(lam, st, top) + [step] for lam, st, step in zip(lambdas, states, steps)]
+    return [_state_row(lam, st) + [step] for lam, st, step in zip(lambdas, states, steps)]
 
 
 def cmd_simulate_multiplicative(cfg, outdir):
-    header = _state_header(cfg["top"])
-    return _replicate_csv(cfg, outdir, "gamma_times.csv", header, _multiplicative_rep,
-                          cfg["n"], cfg["lambdas"], cfg["top"], cfg["route"])
+    return _replicate_csv(cfg, outdir, "gamma_times.csv", _STATE_HEADER, _multiplicative_rep,
+                          cfg["n"], cfg["lambdas"], cfg["route"])
 
 
 def cmd_augmented(cfg, outdir):
     """Walk-route augmented states along a lambda grid, with d_U increments."""
-    header = _state_header(cfg["top"]) + ["d_U_from_prev"]
-    return _replicate_csv(cfg, outdir, "augmented.csv", header, _augmented_rep,
-                          cfg["n"], cfg["lambdas"], cfg["top"])
+    return _replicate_csv(cfg, outdir, "augmented.csv", _STATE_HEADER + ["d_U_from_prev"],
+                          _augmented_rep, cfg["n"], cfg["lambdas"])
 
 
 def cmd_compare_orders(cfg, outdir):
@@ -312,30 +314,29 @@ def cmd_verify_invariants(cfg, outdir):
 
 
 def _limit_mult_rep(args):
-    seed, n, lam, _, _ = args
+    seed, n, lam = args
     _, sizes, _ = graph_route(n, [lam], np.random.default_rng(seed))[0]
     return float(sizes[0]) / n ** (2.0 / 3.0)
 
 
 def _limit_mult_brownian(args):
-    seed, _, lam, horizon, dx = args
-    path = simulate_parabolic(lam, np.random.default_rng(seed), horizon=horizon, dx=dx)
-    return limit_gamma(path)[0]
+    seed, _, lam = args
+    return limit_gamma(simulate_parabolic(lam, np.random.default_rng(seed)))[0]
 
 
 def _limit_add_rep(args):
-    seed, n, lam, _, _ = args
-    return _additive_rep((seed, n, [lam], 1))[0][1]
+    seed, n, lam = args
+    return _additive_rep((seed, n, [lam]))[0][1]
 
 
 def _limit_add_brownian(args):
-    seed, _, lam, _, dx = args
-    return limit_gamma(simulate_excursion(lam, np.random.default_rng(seed), dx=dx))[0]
+    seed, _, lam = args
+    return limit_gamma(simulate_excursion(lam, np.random.default_rng(seed)))[0]
 
 
 # kind -> (default lam, discrete side, Brownian side, verdict description);
-# each side maps (seed, n, lam, horizon, dx) to one sample.  Additive lam 0
-# is retention t = 1, one block, so its sides would agree on any code.
+# each side maps (seed, n, lam) to one sample.  Additive lam 0 is retention
+# t = 1, one block, so its sides would agree on any code.
 _LIMIT_SIDES = {
     "additive": (
         1.0, _limit_add_rep, _limit_add_brownian, "largest additive block vs largest tilted-excursion excursion"
@@ -348,7 +349,7 @@ _LIMIT_SIDES = {
 
 def cmd_limit_compare(cfg, outdir):
     _, *sides, desc = _LIMIT_SIDES[cfg["kind"]]
-    args = (cfg["n"], cfg["lam"], cfg["horizon"], cfg["dx"])
+    args = (cfg["n"], cfg["lam"])
     # one child stream per side, so no run shares a stream with another seed
     discrete, brownian = (
         _run_replicates(fn, [(s, *args) for s in side.spawn(cfg["replicates"])], cfg["workers"])
@@ -368,6 +369,8 @@ def cmd_limit_compare(cfg, outdir):
 
 # replicates per ml-oracle batch; larger batches gain no speed, only memory
 ORACLE_BLOCK = 1024
+# ml-oracle's additive observation time, criterion 9's
+S_OBS = 0.5
 
 
 def _block_counts(sample, reps: int) -> Counter:
@@ -379,23 +382,23 @@ def _block_counts(sample, reps: int) -> Counter:
 
 
 def cmd_ml_oracle(cfg, outdir):
-    n, reps, lam, s_obs = cfg["n"], cfg["replicates"], cfg["lam"], cfg["s_obs"]
-    rng = np.random.default_rng(cfg["seed"])
-    p = p_lambda(n, lam)
+    """ML vs the graph route at lambda 0 and vs the forest at S_OBS, each sampler on its own stream."""
+    n, reps, p = cfg["n"], cfg["replicates"], p_lambda(cfg["n"], 0.0)
+    ml_mult_rng, graph_rng, ml_add_rng, forest_rng = map(np.random.default_rng, _replicate_seeds(cfg["seed"], 4))
 
     def graph_sizes(b):
-        rep, sizes, _ = graph_route(n, [lam], rng, reps=b)[0]
+        rep, sizes, _ = graph_route(n, [0.0], graph_rng, reps=b)[0]
         return replicate_rows(rep, sizes, b, n)
 
     ml_mult = _block_counts(
-        lambda b: ml_multiplicative_sizes(n, p, rng, reps=b).astype(np.int64), reps
+        lambda b: ml_multiplicative_sizes(n, p, ml_mult_rng, reps=b).astype(np.int64), reps
     )
     graph = _block_counts(graph_sizes, reps)
     v1 = tv_two_sample(ml_mult, graph, "ML multiplicative vs graph route", seeds=(cfg["seed"],))
     ml_add = _block_counts(
-        lambda b: np.rint(ml_additive_sizes(n, s_obs, rng, reps=b) * n).astype(np.int64), reps
+        lambda b: np.rint(ml_additive_sizes(n, S_OBS, ml_add_rng, reps=b) * n).astype(np.int64), reps
     )
-    forest = _block_counts(lambda b: pitman_forest(n, rng, reps=b).tree_sizes_at(s_obs), reps)
+    forest = _block_counts(lambda b: pitman_forest(n, forest_rng, reps=b).tree_sizes_at(S_OBS), reps)
     v2 = tv_two_sample(ml_add, forest, "ML additive vs forest process", seeds=(cfg["seed"],))
     with open(os.path.join(outdir, "verdicts.json"), "w") as fh:
         fh.write(v1.to_json() + "\n" + v2.to_json() + "\n")
@@ -425,22 +428,19 @@ def _trace_name(lam: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-_COMMON = {"seed": 0, "replicates": 10, "workers": 1}
+# workers only schedules; every other key is listed under the commands that read it
+_COMMON = {"workers": 1}
+_REPLICATED = {"seed": 0, "replicates": 10}
 _DEFAULTS = {
-    "simulate-additive": {"n": 1000, "lambdas": [1.0], "top": 5},
-    "simulate-multiplicative": {"n": 1000, "lambdas": [0.0], "top": 5, "route": "graph"},
-    "augmented": {"n": 200, "lambdas": [-1.0, 0.0, 1.0], "top": 5},
+    "simulate-additive": {**_REPLICATED, "n": 1000, "lambdas": [1.0]},
+    "simulate-multiplicative": {**_REPLICATED, "n": 1000, "lambdas": [0.0], "route": "graph"},
+    "augmented": {**_REPLICATED, "n": 200, "lambdas": [-1.0, 0.0, 1.0]},
     "compare-orders": {},
-    "verify-invariants": {},
-    "limit-compare": {
-        "kind": "multiplicative",
-        "n": 50000,
-        "lam": None,  # the kind's, from _LIMIT_SIDES
-        "horizon": 10.0,
-        "dx": 1e-3,
-    },
-    "ml-oracle": {"n": 6, "lam": 0.0, "s_obs": 0.5},
-    "trace": {"n": 1000, "lambdas": [-1.0, 0.0, 1.0]},
+    "verify-invariants": {**_REPLICATED},
+    # lam None: the kind's, from _LIMIT_SIDES
+    "limit-compare": {**_REPLICATED, "kind": "multiplicative", "n": 50000, "lam": None},
+    "ml-oracle": {**_REPLICATED, "n": 6},
+    "trace": {"seed": 0, "n": 1000, "lambdas": [-1.0, 0.0, 1.0]},
 }
 
 
@@ -456,8 +456,8 @@ def _one_of(*allowed: str):
     return str, lambda x: x in allowed, f"one of {', '.join(allowed)}"
 
 
-# config key -> (its flag's type, or None when only --config sets it; the test
-# its value must pass; what it must be).  Defaults < --config < flags, each key.
+# config key -> (its flag's type; the test its value must pass; what it must
+# be).  Defaults < --config < flags, each key.
 _KEYS = {
     "seed": (int, _int_at_least(0), "at least 0 and an integer"),
     "replicates": (int, _int_at_least(1), "at least 1 and an integer"),
@@ -467,10 +467,6 @@ _KEYS = {
     "lambdas": (_float_list, lambda x: type(x) is list and all(map(_number(), x)), "a list of numbers"),
     "kind": _one_of(*_LIMIT_SIDES),
     "route": _one_of("graph", "walk"),
-    "top": (None, _int_at_least(1), "an integer at least 1"),
-    "dx": (None, _number(lambda x: 0 < x < math.inf), "a number greater than 0"),
-    "horizon": (None, _number(lambda x: 0 < x < math.inf), "a number greater than 0"),
-    "s_obs": (None, _number(lambda x: x >= 0), "a number at least 0"),
 }
 
 _HANDLERS = {
@@ -491,8 +487,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default="runs/latest")
     for key, (flag, _, _) in _KEYS.items():
-        if flag:
-            parser.add_argument(f"--{key}", type=flag)
+        parser.add_argument(f"--{key}", type=flag)
     args = parser.parse_args(argv)
 
     cfg, file_cfg = {**_COMMON, **_DEFAULTS[args.command]}, {}
@@ -516,9 +511,11 @@ def main(argv=None) -> int:
     if cfg.get("kind") in _LIMIT_SIDES and "lam" not in given:
         cfg["lam"] = _LIMIT_SIDES[cfg["kind"]][0]
     for key, value in cfg.items():
-        flag, test, want = _KEYS[key]
+        _, test, want = _KEYS[key]
         if not test(value):
-            parser.error(f"{'--' + key if flag else 'config ' + key} must be {want}, got {value!r}")
+            parser.error(f"--{key} must be {want}, got {value!r}")
+    if args.command == "ml-oracle" and cfg["n"] < 2:
+        parser.error("--n must be at least 2 for ml-oracle: p_lambda(1, 0) = 1 puts ML's horizon at infinity")
     if "lambdas" in cfg or "lam" in cfg:
         key = "lambdas" if "lambdas" in cfg else "lam"
         lambdas = cfg[key] if key == "lambdas" else [cfg[key]]

@@ -209,14 +209,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def empirical_counts(samples) -> dict:
-    """Hashable-sample list to count dict."""
-    counts: dict = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    return counts
-
-
 def row_counts(rows) -> dict:
     """Count dict of the distinct rows of a 2-d array, keyed by row tuples
     in lexicographic order."""

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,6 @@ from primcoal.graphs import GraphError, ProperlyWeightedGraph, level_components,
 from primcoal.oracles import (
     cayley_outdegree_law,
     conditioned_walk_law,
-    empirical_counts,
     tv_distance,
 )
 from primcoal.walks import excursions_above_min
@@ -70,7 +70,7 @@ class TestConditionedWalk:
         # with probabilities 1/3 and 2/3
         law = conditioned_walk_law(3)
         assert law == {(2, 0, 0): Fraction(1, 3), (1, 1, 0): Fraction(2, 3)}
-        counts = empirical_counts(
+        counts = Counter(
             tuple(sample_conditioned_walk(3, rng).increments) for _ in range(20000)
         )
         emp = {k: v / 20000 for k, v in counts.items()}
@@ -79,10 +79,10 @@ class TestConditionedWalk:
 
     def test_cycle_sampler_matches_rejection_oracle(self, rng):
         n, reps = 5, 20000
-        fast = empirical_counts(
+        fast = Counter(
             tuple(sample_conditioned_walk(n, rng).increments) for _ in range(reps)
         )
-        slow = empirical_counts(
+        slow = Counter(
             tuple(rejection_sample_conditioned_walk(n, rng).increments)
             for _ in range(reps)
         )
@@ -91,7 +91,7 @@ class TestConditionedWalk:
     def test_cycle_sampler_matches_exact_law(self, rng):
         n, reps = 4, 50000
         law = conditioned_walk_law(n)
-        counts = empirical_counts(
+        counts = Counter(
             tuple(sample_conditioned_walk(n, rng).increments) for _ in range(reps)
         )
         exact = {k: float(v) for k, v in law.items()}
@@ -282,11 +282,11 @@ class TestCayleyTrees:
 
     def test_aldous_broder_agrees_in_law(self, rng):
         reps = 6000
-        a = empirical_counts(
+        a = Counter(
             tuple(sorted(tuple(sorted(e)) for e in uniform_cayley_tree(4, rng)))
             for _ in range(reps)
         )
-        b = empirical_counts(
+        b = Counter(
             tuple(
                 sorted(
                     tuple(sorted(e))
@@ -383,7 +383,7 @@ class TestPrimThinnedLaw:
     def test_walk_thinning_matches_exact_law(self, rng):
         n, t, reps = 5, 0.6, 30000
         law = exact_thinned_law(n, t)
-        counts = empirical_counts(
+        counts = Counter(
             tuple(
                 ThinnedWalkFamily(sample_conditioned_walk(n, rng), rng)
                 .thinned_increments(t)
@@ -403,5 +403,5 @@ class TestPrimThinnedLaw:
             g = weighted_cayley_tree(n, rng)
             ordering = prim_order(g, root=1)
             tree_side.append(prim_thinned_outdegrees(g, ordering, t))
-        counts = empirical_counts(tree_side)
+        counts = Counter(tree_side)
         assert tv_to_exact(counts, law) < tv_noise_bound(law, reps)

@@ -225,7 +225,7 @@ class TestConfigHandling:
     def test_flags_beat_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3, "replicates": 2}))
-        args = ["trace", "--n", "20", "--seed", "5", "--replicates", "7"]
+        args = ["simulate-multiplicative", "--n", "20", "--seed", "5", "--replicates", "7"]
         both, flags = tmp_path / "both", tmp_path / "flags"
         assert run(args + ["--config", str(cfg), "--out", str(both)]) == 0
         assert run(args + ["--out", str(flags)]) == 0
@@ -261,6 +261,33 @@ class TestConfigHandling:
     def test_every_config_key_has_one_row(self):
         used = set(_COMMON).union(*_DEFAULTS.values())
         assert used == set(_KEYS)
+        assert all(callable(flag) for flag, _, _ in _KEYS.values())
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["compare-orders", "--seed", "1"], None, "--seed not applicable to compare-orders"),
+            (["trace", "--replicates", "2"], None, "--replicates not applicable to trace"),
+            (["ml-oracle", "--lam", "0"], None, "--lam not applicable to ml-oracle"),
+            (
+                ["limit-compare"],
+                {"top": 5, "dx": 1e-3, "horizon": 10.0, "s_obs": 0.5},
+                "unknown config keys: ['dx', 'horizon', 's_obs', 'top']",
+            ),
+        ],
+        ids=["compare-orders-seed", "trace-replicates", "ml-oracle-lam", "constants"],
+    )
+    def test_key_not_taken_refused_early(self, tmp_path, capsys, argv, config, message):
+        out = tmp_path / "run"
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_readme_lists_every_config_key(self):
         readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -271,7 +298,7 @@ class TestConfigHandling:
             for key in re.findall(r"`(\w+)`", names):
                 assert key not in listed, f"{key} listed twice"
                 listed[key] = tag
-        assert listed == {key: "flag or config" if flag else "config only" for key, (flag, _, _) in _KEYS.items()}
+        assert listed == dict.fromkeys(_KEYS, "flag or config")
 
 
 class TestWalkRouteSize:
@@ -317,8 +344,9 @@ class TestSizeFlags:
             (["trace", "--n", "8", "--lambdas=-5"], "--lambdas: p_lambda"),
             (["augmented", "--n", "8", "--lambdas=0,30"], "--lambdas: p_lambda"),
             (["limit-compare", "--n", "8", "--lam", "30"], "--lam: p_lambda"),
-            (["ml-oracle", "--lam=-9"], "--lam: p_lambda"),
+            (["ml-oracle", "--lam=-9"], "--lam not applicable to ml-oracle"),
             (["trace", "--lambdas="], "--lambdas must list at least one lambda"),
+            (["ml-oracle", "--n", "1"], "--n must be at least 2 for ml-oracle"),
             (
                 ["limit-compare", "--kind", "additive", "--n", "500", "--lam", "30"],
                 "--lam: lambda=30.0 outside [0, sqrt(n)]",
@@ -339,7 +367,7 @@ class TestSizeFlags:
             ),
         ],
         ids=[
-            "simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty",
+            "simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty", "ml-oracle-n-1",
             "limit-compare-additive", "simulate-additive", "trace-same-file", "trace-repeat",
             "simulate-additive-nan", "limit-compare-additive-nan",
         ],
@@ -377,11 +405,11 @@ class TestSizeFlags:
     @pytest.mark.parametrize(
         "argv, config, message",
         [
-            (["limit-compare"], {"dx": 0}, "config dx must be a number greater than 0, got 0"),
-            (["limit-compare"], {"horizon": -1}, "config horizon must be a number greater than 0, got -1"),
-            (["limit-compare"], {"horizon": float("inf")}, "config horizon must be a number greater than 0, got inf"),
-            (["limit-compare"], {"dx": float("inf")}, "config dx must be a number greater than 0, got inf"),
-            (["simulate-multiplicative"], {"top": 2.5}, "config top must be an integer at least 1, got 2.5"),
+            (["limit-compare"], {"dx": 0}, "unknown config keys: ['dx']"),
+            (["limit-compare"], {"horizon": -1}, "unknown config keys: ['horizon']"),
+            (["limit-compare"], {"horizon": float("inf")}, "unknown config keys: ['horizon']"),
+            (["limit-compare"], {"dx": float("inf")}, "unknown config keys: ['dx']"),
+            (["simulate-multiplicative"], {"top": 2.5}, "unknown config keys: ['top']"),
             (["simulate-multiplicative"], {"n": 50.5}, "--n must be at least 1 and an integer, got 50.5"),
             (["simulate-multiplicative"], {"n": True}, "--n must be at least 1 and an integer, got True"),
             (
@@ -393,8 +421,8 @@ class TestSizeFlags:
             (["trace"], {"lambdas": [0, "1"]}, "--lambdas must be a list of numbers, got [0, '1']"),
             (["limit-compare"], {"lam": "0"}, "--lam must be a number, got '0'"),
             (["limit-compare"], {"kind": "additive", "lam": None}, "--lam must be a number, got None"),
-            (["ml-oracle"], {"s_obs": True}, "config s_obs must be a number at least 0, got True"),
-            (["ml-oracle"], {"s_obs": -0.5}, "config s_obs must be a number at least 0, got -0.5"),
+            (["ml-oracle"], {"s_obs": True}, "unknown config keys: ['s_obs']"),
+            (["ml-oracle"], {"s_obs": -0.5}, "unknown config keys: ['s_obs']"),
             (["ml-oracle"], {"tv": 0.02}, "unknown config keys: ['tv']"),
         ],
         ids=[
@@ -517,6 +545,16 @@ class TestLimitCompare:
         assert not any(row.endswith(",1.0,1.0") for row in samples)
 
 
+    def test_brownian_side_not_capped_at_ten(self, tmp_path):
+        # at lambda 8 the parabola's drift stays positive until x = 16, so a
+        # horizon fixed at 10 would end every largest excursion at 10 exactly
+        out = tmp_path / "run"
+        argv = ["limit-compare", "--kind", "multiplicative", "--lam", "8", "--n", "2000"]
+        run(argv + ["--replicates", "5", "--seed", "3", "--out", str(out)])
+        rows = list(csv.DictReader(io.StringIO((out / "samples.csv").read_text())))
+        assert len(rows) == 5 and max(float(row["brownian"]) for row in rows) > 10
+
+
 class TestMlOracle:
     def test_verdicts_record_the_seed(self, tmp_path):
         out = tmp_path / "run"
@@ -529,7 +567,7 @@ class TestMlOracle:
         assert [json.loads(line)["threshold"] for line in lines] == pytest.approx([0.2, 0.2])
 
     def test_default_run_passes(self, tmp_path):
-        # 10 replicates a side: threshold 0.894, and seed 0 reads TV 0.60 on both
+        # 10 replicates a side: threshold 0.894, and seed 0 reads TV 0.60 and 0.50
         out = tmp_path / "run"
         assert run(["ml-oracle", "--out", str(out)]) == 0
 

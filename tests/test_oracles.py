@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from primcoal.oracles import (
     all_cayley_trees,
     cayley_outdegree_law,
     conditioned_walk_law,
-    empirical_counts,
     enumerate_weight_orders,
     ks_statistic,
     ks_threshold,
@@ -155,10 +155,6 @@ class TestExactLaws:
             list(all_cayley_trees(6))
 
 
-def test_empirical_counts():
-    assert empirical_counts(["x", "y", "x"]) == {"x": 2, "y": 1}
-
-
 @given(
     arrays(
         np.int64,
@@ -171,5 +167,5 @@ def test_empirical_counts():
 def test_row_counts_matches_counter(a):
     # an independent counter: row_counts feeds both sides of every TV gate
     counts = row_counts(a)
-    assert counts == empirical_counts(map(tuple, a.tolist()))
+    assert counts == Counter(map(tuple, a.tolist()))
     assert list(counts) == sorted(counts)
