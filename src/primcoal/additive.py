@@ -70,16 +70,20 @@ def sample_conditioned_walk(n: int, rng) -> ConditionedWalk:
     return ConditionedWalk(n, _cycle_rotation(cars)[0])
 
 
-def rejection_sample_conditioned_walk(n: int, rng, max_tries: int = 10**7) -> ConditionedWalk:
+# proposals the rejection sampler draws before it gives up
+REJECTION_TRIES = 10**7
+
+
+def rejection_sample_conditioned_walk(n: int, rng) -> ConditionedWalk:
     """Literal rejection sampler (test oracle, practical only for small n)."""
-    for _ in range(max_tries):
+    for _ in range(REJECTION_TRIES):
         x = rng.poisson(1.0, size=n)
         if x.sum() != n - 1:
             continue
         y = np.cumsum(x - 1)
         if (y[:-1] >= 0).all() and y[-1] == -1:
             return ConditionedWalk(n, x)
-    raise RuntimeError("rejection sampler exhausted max_tries")
+    raise RuntimeError(f"rejection sampler found no walk in {REJECTION_TRIES} tries")
 
 
 class ThinnedWalkFamily:
@@ -250,35 +254,11 @@ def prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def uniform_cayley_tree(n: int, rng, method: str = "prufer") -> list[tuple[int, int]]:
-    """Uniform labelled tree on 1..n (Prufer decoding by default).
-
-    method="aldous-broder" runs the random-walk sampler for cross-checks.
-    """
+def uniform_cayley_tree(n: int, rng) -> list[tuple[int, int]]:
+    """Uniform labelled tree on 1..n, decoded from a uniform Prufer sequence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if method == "prufer":
-        if n <= 2:
-            return prufer_decode([], n)
-        seq = (rng.integers(1, n + 1, size=n - 2)).tolist()
-        return prufer_decode(seq, n)
-    if method == "aldous-broder":
-        visited = [False] * (n + 1)
-        current = int(rng.integers(1, n + 1))
-        visited[current] = True
-        count = 1
-        edges = []
-        while count < n:
-            nxt = int(rng.integers(1, n + 1))
-            if nxt == current:
-                continue
-            if not visited[nxt]:
-                visited[nxt] = True
-                count += 1
-                edges.append((current, nxt))
-            current = nxt
-        return edges
-    raise ValueError(f"unknown method {method!r}")
+    return prufer_decode(rng.integers(1, n + 1, size=max(n - 2, 0)).tolist(), n)
 
 
 def weighted_cayley_tree(n: int, rng) -> ProperlyWeightedGraph:
@@ -320,11 +300,11 @@ def rooted_children(edges: list[tuple[int, int]], n: int, root: int = 1) -> list
     return children
 
 
-def bfs_outdegrees(edges: list[tuple[int, int]], n: int, root: int = 1) -> tuple[int, ...]:
-    """Out-degree sequence in breadth-first order, children by label."""
-    children = rooted_children(edges, n, root)
+def bfs_outdegrees(edges: list[tuple[int, int]], n: int) -> tuple[int, ...]:
+    """Out-degree sequence in breadth-first order from vertex 1, children by label."""
+    children = rooted_children(edges, n)
     order = []
-    queue = [root]
+    queue = [1]
     while queue:
         v = queue.pop(0)
         order.append(v)

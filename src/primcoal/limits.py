@@ -4,8 +4,8 @@ Grid discretisations of the parabolically drifted Brownian motion
 B(x) + lambda x - x^2/2 (multiplicative limit) and of the tilted normalised
 excursion (additive limit), their excursion lengths above the running
 minimum, planar Poisson points under the reflected path for the limiting
-surplus counts, and an event-driven stochastic coalescent with pluggable
-collision kernel.
+surplus counts, and an event-driven stochastic coalescent with the additive
+or the multiplicative kernel.
 """
 
 from __future__ import annotations
@@ -102,16 +102,16 @@ def marcus_lushnikov(masses, kernel, rng, t_max: float) -> MLTrajectory:
     """Event-driven Marcus-Lushnikov process for a batch of runs.
 
     `masses` is (reps, m0), the positive initial masses of `reps`
-    independent runs.  Blocks i, j merge at rate K(x_i, x_j);
-    `kernel` is "additive", "multiplicative" or a callable on arrays (a
-    scalar result broadcasts).  Exact event-by-event simulation in which
-    every live replicate makes one event per round: total rate, exponential
-    waiting time, pair chosen by its rate share.  A replicate freezes once
-    its clock passes t_max or its total rate is 0.  A round costs
-    O(reps m0^2); there are at most m0 - 1 rounds.
+    independent runs.  Blocks i, j merge at rate K(x_i, x_j), where
+    `kernel` names K: "additive" (x + y) or "multiplicative" (x y).  Exact
+    event-by-event simulation in which every live replicate makes one event
+    per round: total rate, exponential waiting time, pair chosen by its rate
+    share.  A replicate freezes once its clock passes t_max or its total
+    rate is 0.  A round costs O(reps m0^2); there are at most m0 - 1 rounds.
     """
-    if isinstance(kernel, str):
-        kernel = _KERNELS[kernel]
+    if not isinstance(kernel, str) or kernel not in _KERNELS:
+        raise ValueError(f"kernel must be one of {', '.join(map(repr, _KERNELS))}, got {kernel!r}")
+    rate = _KERNELS[kernel]
     masses0 = np.asarray(masses, dtype=float)
     if masses0.ndim != 2 or (masses0 <= 0).any():
         raise ValueError("masses must be a positive (reps, m0) array")
@@ -125,7 +125,7 @@ def marcus_lushnikov(masses, kernel, rng, t_max: float) -> MLTrajectory:
     for k in range(times.shape[1]):
         # a merged-away slot holds mass 0 and is dead
         b = blocks[live]
-        rates = np.where((b[:, iu] > 0) & (b[:, ju] > 0), kernel(b[:, iu], b[:, ju]), 0.0)
+        rates = np.where((b[:, iu] > 0) & (b[:, ju] > 0), rate(b[:, iu], b[:, ju]), 0.0)
         cum = np.cumsum(rates, axis=1)
         keep = cum[:, -1] > 0
         live, cum = live[keep], cum[keep]
@@ -148,7 +148,8 @@ def ml_multiplicative_sizes(n: int, p: float, rng, reps: int = 1) -> np.ndarray:
     """Unit masses, multiplicative kernel, run to tau = -ln(1 - p).
 
     At that horizon the partition law coincides with the components of the
-    Erdos-Renyi graph G(n, p).  `reps` runs give (reps, n) padded rows.
+    Erdos-Renyi graph G(n, p).  `reps` runs give (reps, n) padded rows of
+    int64 block sizes.
     """
     if not (0.0 <= p < 1.0):
         raise ValueError("p must lie in [0, 1)")
@@ -157,12 +158,13 @@ def ml_multiplicative_sizes(n: int, p: float, rng, reps: int = 1) -> np.ndarray:
     # independent rate-1 clock, so by time tau an edge exists w.p. 1 - e^{-tau}
     masses = np.ones((reps, n))
     traj = marcus_lushnikov(masses, "multiplicative", rng, t_max=tau)
-    return traj.masses_at(tau)
+    return traj.masses_at(tau).astype(np.int64)  # sums of unit masses: exact
 
 
 def ml_additive_sizes(n: int, s: float, rng, reps: int = 1) -> np.ndarray:
     """Masses 1/n, additive kernel, observed at time s; matches the forest
-    process tree sizes (reported in units of 1/n).  `reps` as above."""
+    process tree sizes, so the masses are reported times n, rounded to int64
+    block sizes.  `reps` as above."""
     masses = np.full((reps, n), 1.0 / n)
     traj = marcus_lushnikov(masses, "additive", rng, t_max=s)
-    return traj.masses_at(s)
+    return np.rint(traj.masses_at(s) * n).astype(np.int64)

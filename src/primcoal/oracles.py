@@ -160,12 +160,12 @@ def all_cayley_trees(n: int):
         yield prufer_decode(list(seq), n)
 
 
-def cayley_outdegree_law(n: int, root: int = 1) -> dict[tuple, Fraction]:
+def cayley_outdegree_law(n: int) -> dict[tuple, Fraction]:
     """Exact law of the BFS out-degree sequence of a uniform Cayley tree."""
     counts: dict[tuple, int] = {}
     total = 0
     for edges in all_cayley_trees(n):
-        seq = bfs_outdegrees(edges, n, root=root)
+        seq = bfs_outdegrees(edges, n)
         counts[seq] = counts.get(seq, 0) + 1
         total += 1
     return {k: Fraction(v, total) for k, v in counts.items()}

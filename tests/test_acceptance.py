@@ -229,14 +229,12 @@ def test_criterion_09_kernel_oracles_tv():
     n, reps, lam = 6, 100000, 0.0
     rng = np.random.default_rng(SEED + 9)
     p = p_lambda(n, lam)
-    ml_mult = row_counts(ml_multiplicative_sizes(n, p, rng, reps=reps).astype(np.int64))
+    ml_mult = row_counts(ml_multiplicative_sizes(n, p, rng, reps=reps))
     rep, sizes, _ = graph_route(n, [lam], rng, reps=reps)[0]
     graph = row_counts(replicate_rows(rep, sizes, reps, n))
     tv_mult = tv_distance(ml_mult, graph)
     s_obs = 0.5
-    ml_add = row_counts(
-        np.rint(ml_additive_sizes(n, s_obs, rng, reps=reps) * n).astype(np.int64)
-    )
+    ml_add = row_counts(ml_additive_sizes(n, s_obs, rng, reps=reps))
     forest = row_counts(pitman_forest(n, rng, reps=reps).tree_sizes_at(s_obs))
     tv_add = tv_distance(ml_add, forest)
     ok = tv_mult < 0.02 and tv_add < 0.02

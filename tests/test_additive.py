@@ -269,6 +269,27 @@ class TestForestProcess:
             assert sum(fp.tree_sizes_at(float(s))[0]) == 10
 
 
+def _aldous_broder_tree(n, rng):
+    """Uniform labelled tree on 1..n by the Aldous-Broder random walk on K_n:
+    the first entrance edge of each vertex but the start, an oracle that
+    shares nothing with Prufer decoding."""
+    visited = [False] * (n + 1)
+    current = int(rng.integers(1, n + 1))
+    visited[current] = True
+    count = 1
+    edges = []
+    while count < n:
+        nxt = int(rng.integers(1, n + 1))
+        if nxt == current:
+            continue
+        if not visited[nxt]:
+            visited[nxt] = True
+            count += 1
+            edges.append((current, nxt))
+        current = nxt
+    return edges
+
+
 class TestCayleyTrees:
     def test_prufer_decode_small(self):
         assert prufer_decode([], 2) == [(1, 2)]
@@ -287,12 +308,7 @@ class TestCayleyTrees:
             for _ in range(reps)
         )
         b = Counter(
-            tuple(
-                sorted(
-                    tuple(sorted(e))
-                    for e in uniform_cayley_tree(4, rng, method="aldous-broder")
-                )
-            )
+            tuple(sorted(tuple(sorted(e)) for e in _aldous_broder_tree(4, rng)))
             for _ in range(reps)
         )
         assert tv_distance(a, b) < 0.05

@@ -347,6 +347,7 @@ class TestSizeFlags:
             (["ml-oracle", "--lam=-9"], "--lam not applicable to ml-oracle"),
             (["trace", "--lambdas="], "--lambdas must list at least one lambda"),
             (["ml-oracle", "--n", "1"], "--n must be at least 2 for ml-oracle"),
+            (["ml-oracle", "--n", "8"], "--n must be at most 7 for ml-oracle: its TV threshold assumes"),
             (
                 ["limit-compare", "--kind", "additive", "--n", "500", "--lam", "30"],
                 "--lam: lambda=30.0 outside [0, sqrt(n)]",
@@ -368,7 +369,7 @@ class TestSizeFlags:
         ],
         ids=[
             "simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty", "ml-oracle-n-1",
-            "limit-compare-additive", "simulate-additive", "trace-same-file", "trace-repeat",
+            "ml-oracle-n-8", "limit-compare-additive", "simulate-additive", "trace-same-file", "trace-repeat",
             "simulate-additive-nan", "limit-compare-additive-nan",
         ],
     )
@@ -570,6 +571,10 @@ class TestMlOracle:
         # 10 replicates a side: threshold 0.894, and seed 0 reads TV 0.60 and 0.50
         out = tmp_path / "run"
         assert run(["ml-oracle", "--out", str(out)]) == 0
+
+    def test_largest_n_runs(self, tmp_path):
+        # n = 7 is the largest the parser takes; seeds 0-9 read at most 0.70 against 0.894
+        assert run(["ml-oracle", "--n", "7", "--out", str(tmp_path / "run")]) == 0
 
 
 class _SerialPool:

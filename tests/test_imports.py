@@ -2,8 +2,10 @@
 never uses, no function in src/ imports anything, every module-level
 _private name defined in src/ is read somewhere in src/, and every public
 function or class defined in src/ (bar the CLI) is read somewhere in src/,
-demos/, tests/ or bench/.  One convention is checked the same way: no
-function in src/ defaults `reps` to None.
+demos/, tests/ or bench/.  Every parameter with a default, in every
+function or method defined in src/, is passed by some call in those four
+trees.  One convention is checked the same way: no function in src/
+defaults `reps` to None.
 
 Names imported into a package's __init__.py are its public re-exports and
 are exempt.  A name counts as used when it appears as a bare name anywhere
@@ -150,3 +152,53 @@ def test_no_reps_default_of_none_in_src():
     # and returns its one batched schema, never a second one-run shape
     found = [entry for p in _sources("src") for entry in _reps_defaulting_to_none(p)]
     assert not found, "reps defaulting to None:\n" + "\n".join(found)
+
+
+def _defaulted_parameters(path: pathlib.Path) -> list[tuple[str, int, str, object]]:
+    """(function name, its line, parameter, its position in a call or None)
+    for each parameter with a default.  A method's positions skip its first
+    parameter, and `__init__` goes by its class's name, which its calls use."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {f: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(func)
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+        skip = 1 if cls and not static else 0
+        name = cls.name if cls and func.name == "__init__" else func.name
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found += [(name, func.lineno, arg.arg, k - skip) for k, arg in enumerate(positional) if k >= first]
+        found += [(name, func.lineno, arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _passed(paths) -> set[tuple[str, object]]:
+    """(callee name, keyword or position) for every argument of every call;
+    a *args or **kwargs splat passes every position or keyword ("*", "**")."""
+    passed = set()
+    for path in paths:
+        for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            for k, arg in enumerate(call.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else k))
+            passed.update((name, kw.arg or "**") for kw in call.keywords)
+    return passed
+
+
+def test_defaulted_parameters_are_passed():
+    # a default that no call overrides is a constant dressed as an option
+    passed = _passed(_sources("src", "demos", "tests", "bench"))
+    dead = [
+        f"{p.relative_to(ROOT)}:{line}: {name}({param})"
+        for p in _sources("src")
+        for name, line, param, pos in _defaulted_parameters(p)
+        if not {(name, param), (name, "**"), (name, pos), (name, "*")} & passed
+    ]
+    assert not dead, "parameters no call passes:\n" + "\n".join(dead)

@@ -114,22 +114,40 @@ class TestMarcusLushnikov:
         for s in (0.0, 0.5, 10.0):
             assert traj.masses_at(s).sum() == pytest.approx(6.0)
 
-    def test_callable_kernel(self, rng):
-        traj = marcus_lushnikov(np.ones((1, 4)), lambda a, b: 1.0, rng, t_max=100.0)
-        assert len(traj.events) == 3
+    @pytest.mark.parametrize(
+        "kernel", ["Additive", "kingman", lambda a, b: 1.0], ids=["capitalised", "kingman", "callable"]
+    )
+    def test_unknown_kernel_refused(self, rng, kernel):
+        with pytest.raises(ValueError, match="kernel must be one of 'additive', 'multiplicative'"):
+            marcus_lushnikov(np.ones((1, 4)), kernel, rng, t_max=100.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sizes_are_the_runs_block_sizes(self, seed):
+        # the int64 sizes are the unit-mass run's masses, and the 1/n-mass
+        # run's masses times n, on the same draws
+        n, reps, p, s = 6, 300, 0.3, 0.5
+        tau = -np.log1p(-p)
+        mult = ml_multiplicative_sizes(n, p, np.random.default_rng(seed), reps=reps)
+        traj = marcus_lushnikov(np.ones((reps, n)), "multiplicative", np.random.default_rng(seed), t_max=tau)
+        assert mult.dtype == np.int64
+        assert np.array_equal(mult, traj.values_at(tau).astype(np.int64))
+        add = ml_additive_sizes(n, s, np.random.default_rng(seed), reps=reps)
+        traj = marcus_lushnikov(np.full((reps, n), 1 / n), "additive", np.random.default_rng(seed), t_max=s)
+        assert add.dtype == np.int64
+        assert np.array_equal(add, np.rint(traj.values_at(s) * n))
 
     def test_multiplicative_matches_graph_components(self, rng):
         # ML with unit masses run to -ln(1-p) is G(n,p) in law
         n, reps, lam = 5, 20000, 0.5
         p = p_lambda(n, lam)
-        ml = row_counts(ml_multiplicative_sizes(n, p, rng, reps=reps).astype(np.int64))
+        ml = row_counts(ml_multiplicative_sizes(n, p, rng, reps=reps))
         rep, sizes, _ = graph_route(n, [lam], rng, reps=reps)[0]
         graph = row_counts(replicate_rows(rep, sizes, reps, n))
         assert tv_distance(ml, graph) < 0.025
 
     def test_additive_matches_forest_process(self, rng):
         n, reps, s_obs = 5, 20000, 0.7
-        ml = row_counts(np.rint(ml_additive_sizes(n, s_obs, rng, reps=reps) * n).astype(np.int64))
+        ml = row_counts(ml_additive_sizes(n, s_obs, rng, reps=reps))
         forest = row_counts(pitman_forest(n, rng, reps=reps).tree_sizes_at(s_obs))
         assert tv_distance(ml, forest) < 0.025
 
@@ -198,7 +216,7 @@ class TestExactSmallLaws:
         p = p_lambda(n, lam)
         law, _ = _gnp_laws(n, Fraction(p))
         assert sum(law.values()) == 1
-        ml = ml_multiplicative_sizes(n, p, rng, reps=reps).astype(np.int64)
+        ml = ml_multiplicative_sizes(n, p, rng, reps=reps)
         _exact_test(row_counts(ml), law, reps)
         rep, sizes, _ = graph_route(n, [lam], rng, reps=reps)[0]
         _exact_test(row_counts(replicate_rows(rep, sizes, reps, n)), law, reps)
@@ -214,6 +232,6 @@ class TestExactSmallLaws:
         n, s, reps = 3, 0.5, 20000
         e1, e2 = np.exp(-s), np.exp(-2 * s)
         law = {(1, 1, 1): e2, (2, 1, 0): 2 * e1 - 2 * e2, (3, 0, 0): 1 - 2 * e1 + e2}
-        ml = np.rint(ml_additive_sizes(n, s, rng, reps=reps) * n).astype(np.int64)
+        ml = ml_additive_sizes(n, s, rng, reps=reps)
         _exact_test(row_counts(ml), law, reps)
         _exact_test(row_counts(pitman_forest(n, rng, reps=reps).tree_sizes_at(s)), law, reps)

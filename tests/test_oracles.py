@@ -95,8 +95,8 @@ class TestTV:
         def forest(s):
             return row_counts(pitman_forest(n, rng, reps=reps).tree_sizes_at(s))
 
-        mult = ml_multiplicative_sizes(n, p_lambda(n, 0.0), rng, reps=reps).astype(np.int64)
-        add = np.rint(ml_additive_sizes(n, 0.5, rng, reps=reps) * n).astype(np.int64)
+        mult = ml_multiplicative_sizes(n, p_lambda(n, 0.0), rng, reps=reps)
+        add = ml_additive_sizes(n, 0.5, rng, reps=reps)
         mult, add = row_counts(mult), row_counts(add)
         same = [tv_two_sample(mult, graph(0.0), "mult"), tv_two_sample(add, forest(0.5), "add")]
         shifted = [tv_two_sample(mult, graph(0.5), "mult"), tv_two_sample(add, forest(0.6), "add")]
