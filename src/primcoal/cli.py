@@ -60,9 +60,11 @@ from .multiplicative import (
 )
 from .oracles import (
     enumerate_weight_orders,
+    ks_threshold,
     ks_two_sample,
     label_order_probability,
     row_counts,
+    tv_threshold,
     tv_two_sample,
 )
 from .states import d_U
@@ -518,6 +520,12 @@ def main(argv=None) -> int:
             f"--n must be at most {ORACLE_MAX_N} for ml-oracle: its TV threshold assumes a law of small"
             f" support, and the partitions of n outgrow it (22 at n = 8), so correct code fails"
         )
+    if args.command in ("limit-compare", "ml-oracle"):
+        stat, threshold = ("KS", ks_threshold) if args.command == "limit-compare" else ("TV", tv_threshold)
+        thr = threshold(cfg["replicates"], cfg["replicates"])
+        if thr > 1:  # neither statistic exceeds 1, so such a verdict passes any code
+            parser.error(f"--replicates {cfg['replicates']} is too few for {args.command}: its {stat} threshold"
+                         f" {thr:.3f} exceeds 1, the most {stat} can read, so the verdict could not fail")
     if "lambdas" in cfg or "lam" in cfg:
         key = "lambdas" if "lambdas" in cfg else "lam"
         lambdas = cfg[key] if key == "lambdas" else [cfg[key]]

@@ -343,6 +343,14 @@ def level_components(
     ]
 
 
+def _interval_blocks(opens: np.ndarray, weights: np.ndarray):
+    """(starts, sizes, sums) of the blocks of positions 0..len(opens) - 1
+    that open where `opens` holds: block k runs from starts[k] up to the
+    next open, and sums[k] adds `weights` over it.  opens[0] must hold."""
+    starts = np.flatnonzero(opens)
+    return starts, np.diff(starts, append=len(opens)), np.add.reduceat(weights, starts)
+
+
 @dataclass(frozen=True, eq=False)
 class ComponentFiltration:
     """Full merge history of a percolation system in Prim-rank coordinates.
@@ -364,12 +372,9 @@ class ComponentFiltration:
 
     def components_at(self, t: float) -> list[tuple[tuple[int, int], int, int]]:
         """State at level t: list of (rank interval, size, excess)."""
-        split = self.attach_weight > t
-        starts = np.flatnonzero(split)
-        sizes = np.diff(np.append(starts, self.n))
-        comp_of_rank = np.cumsum(split) - 1
-        keep = self.edge_weight <= t
-        edges = np.bincount(comp_of_rank[self.edge_rank[keep]], minlength=len(starts))
+        # a level edge lies in the interval that holds its smaller rank
+        level_edges = np.bincount(self.edge_rank[self.edge_weight <= t], minlength=self.n)
+        starts, sizes, edges = _interval_blocks(self.attach_weight > t, level_edges)
         excess = edges - sizes + 1
         return [
             ((a + 1, a + size), size, exc)

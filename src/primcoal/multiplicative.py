@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProperlyWeightedGraph, PrimOrdering
+from .graphs import ProperlyWeightedGraph, PrimOrdering, _interval_blocks
 from .oracles import row_counts
 from .states import AugmentedState, MassVector
 from .walks import LatticePath, excursions_above_min, psi
@@ -205,18 +205,14 @@ class SparseField:
         step = rep * n + n - u
         return cls(n, reps, p_max, step, u - 1 - v, p_max * (1.0 - rng.random(len(step))))
 
-    def at(self, p: float):
-        """(step, slot) of the hits with mark <= p, the field at p <= p_max."""
+    def walk(self, p: float):
+        """(Z, X, S) of the flat walk at p <= p_max, as `_explore` returns them."""
         if not p <= self.p_max:
             raise ValueError(f"p = {p} above the field's p_max = {self.p_max}")
         keep = self.mark <= p
-        return self.step[keep], self.slot[keep]
-
-    def walk(self, p: float):
-        """(Z, X, S) of the flat walk at p <= p_max, as `_explore` returns them."""
-        step, slot = self.at(p)
+        step = self.step[keep]
         # steps are 1-based, so the count at step 0 is the leading 0
-        return _explore(self.n, np.bincount(step, minlength=self.n * self.reps + 1), step, slot)
+        return _explore(self.n, np.bincount(step, minlength=self.n * self.reps + 1), step, self.slot[keep])
 
 
 def _check_field(params: CriticalWindowParams, field: SparseField) -> None:
@@ -247,8 +243,7 @@ def z_walk(params: CriticalWindowParams, field: SparseField):
         raise AssertionError("Z steps must be >= -1")
     ladder = excursions_above_min(y)
     z_zeros = np.flatnonzero(z == 0)
-    z_intervals = tuple(zip(z_zeros[:-1].tolist(), z_zeros[1:].tolist()))
-    if ladder.intervals != z_intervals:
+    if not (np.array_equal(ladder.starts, z_zeros[:-1]) and np.array_equal(ladder.ends, z_zeros[1:])):
         raise AssertionError("ladder intervals of Y must match zero gaps of Z")
     return LatticePath(np.append(z, 0)), y
 
@@ -258,35 +253,21 @@ def surplus_field(params: CriticalWindowParams, z: LatticePath, field: SparseFie
 
     S(i) counts k with U(i, k) <= p and i < k <= i + (Z(i-1) - 1)_+; summing
     S over a component's interval gives that component's surplus (its number
-    of independent cycles).  S is read off z in one pass, with m(i) =
-    (z(i-1) - 1)_+, and z must be this field's walk at p: by induction from
-    Z(0) = 0, it is exactly when Z = T - S + m at every step.
+    of independent cycles).  S is the field's walk at p, and z must be that
+    walk's Z(0..n), as z_walk returns it; any other z is refused.
     """
     _check_field(params, field)
-    step, slot = field.at(params.p)
-    z = z.values[: params.n + 1]
-    if len(z) != params.n + 1:
-        raise ValueError("z is shorter than the walk of this field")
-    m = np.append(0, np.maximum(z[:-1] - 1, 0))
-    s = np.bincount(step[slot < m[step]], minlength=len(z))
-    if not np.array_equal(z, np.bincount(step, minlength=len(z)) - s + m):
+    walk_z, _, s = field.walk(params.p)
+    if not np.array_equal(z.values[: params.n + 1], walk_z):
         raise ValueError("z is not the walk of this field at p")
     return s
 
 
-def _components(z: np.ndarray, s: np.ndarray):
-    """(open step, size, surplus) per component of a flat walk, in
-    exploration order, from Z and S over steps 0..N with Z(N) = 0."""
-    # step k belongs to the component opened at the last zero of Z before it
-    opens = z[:-1] == 0
-    comp = np.cumsum(opens) - 1
-    return np.flatnonzero(opens), np.bincount(comp), np.bincount(comp, weights=s[1:]).astype(np.int64)
-
-
 def component_surpluses(z: LatticePath, s: np.ndarray) -> list[tuple[int, int]]:
     """(size, surplus) per component in exploration order, from z_walk's
-    Z(0..n+1) and surplus_field's S."""
-    _, sizes, surplus = _components(z.values[:-1], s)
+    Z(0..n+1) and surplus_field's S.  Step k + 1 opens a component where
+    Z(k) = 0."""
+    _, sizes, surplus = _interval_blocks(z.values[:-2] == 0, s[1:])
     return list(zip(sizes.tolist(), surplus.tolist()))
 
 
@@ -324,16 +305,20 @@ def walk_route(n: int, lambdas, rng, reps: int = 1):
     One sparse field at the largest p_lambda serves every lambda in
     `lambdas`, and each lambda gives (rep, sizes, surplus) over `reps`
     independent walks, in graph_route's order; ties in size keep
-    exploration order.  Any n, O(n reps) memory.
+    exploration order.  The field is walked once at each distinct level,
+    in increasing p, and equal lambdas share their result.  Any n, O(n
+    reps) memory.
     """
     ps = [p_lambda(n, lam) for lam in lambdas]
     field = SparseField.sample(n, max(ps), rng, reps)
+    levels, back = np.unique(ps, return_inverse=True)
     found = []
-    for p in ps:
+    for p in levels:
         z, _, s = field.walk(p)
-        opened, sizes, surplus = _components(z, s)
+        # step k + 1 opens a component where Z(k) = 0
+        opened, sizes, surplus = _interval_blocks(z[:-1] == 0, s[1:])
         found.append(_level(opened // n, sizes, surplus))
-    return found
+    return [found[k] for k in back]
 
 
 def gamma_times(n: int, sizes) -> MassVector:

@@ -185,7 +185,7 @@ class TestDeterminism:
         runs = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}"
-            code = run(argv + ["--replicates", "6", "--seed", "13", "--workers", workers, "--out", str(out)])
+            code = run(argv + ["--replicates", "8", "--seed", "13", "--workers", workers, "--out", str(out)])
             runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()}))
         assert len(runs[0][1]) >= 2 and runs[0] == runs[1]
 
@@ -348,6 +348,8 @@ class TestSizeFlags:
             (["trace", "--lambdas="], "--lambdas must list at least one lambda"),
             (["ml-oracle", "--n", "1"], "--n must be at least 2 for ml-oracle"),
             (["ml-oracle", "--n", "8"], "--n must be at most 7 for ml-oracle: its TV threshold assumes"),
+            (["limit-compare", "--replicates", "7"], "--replicates 7 is too few for limit-compare: its KS threshold 1.042"),
+            (["ml-oracle", "--replicates", "7"], "--replicates 7 is too few for ml-oracle: its TV threshold 1.069"),
             (
                 ["limit-compare", "--kind", "additive", "--n", "500", "--lam", "30"],
                 "--lam: lambda=30.0 outside [0, sqrt(n)]",
@@ -369,8 +371,8 @@ class TestSizeFlags:
         ],
         ids=[
             "simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty", "ml-oracle-n-1",
-            "ml-oracle-n-8", "limit-compare-additive", "simulate-additive", "trace-same-file", "trace-repeat",
-            "simulate-additive-nan", "limit-compare-additive-nan",
+            "ml-oracle-n-8", "limit-compare-replicates-7", "ml-oracle-replicates-7", "limit-compare-additive",
+            "simulate-additive", "trace-same-file", "trace-repeat", "simulate-additive-nan", "limit-compare-additive-nan",
         ],
     )
     def test_lambda_outside_window_refused_early(self, tmp_path, capsys, argv, message):
@@ -425,10 +427,11 @@ class TestSizeFlags:
             (["ml-oracle"], {"s_obs": True}, "unknown config keys: ['s_obs']"),
             (["ml-oracle"], {"s_obs": -0.5}, "unknown config keys: ['s_obs']"),
             (["ml-oracle"], {"tv": 0.02}, "unknown config keys: ['tv']"),
+            (["limit-compare"], {"replicates": 4}, "--replicates 4 is too few for limit-compare: its KS threshold"),
         ],
         ids=[
             "dx", "horizon", "horizon-inf", "dx-inf", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry",
-            "lam-string", "lam-null", "s_obs-bool", "s_obs-negative", "tv-unknown",
+            "lam-string", "lam-null", "s_obs-bool", "s_obs-negative", "tv-unknown", "replicates-below-floor",
         ],
     )
     def test_bad_config_number_refused_early(self, tmp_path, capsys, argv, config, message):
@@ -534,7 +537,7 @@ class TestLimitCompare:
     def test_default_lam_is_the_kinds(self, tmp_path, argv, config, lam):
         # additive lam 0 is retention t = 1: one block on both sides, so a
         # run at that default would pass on any code
-        argv = ["limit-compare", "--n", "300", "--replicates", "4", "--seed", "3"] + argv
+        argv = ["limit-compare", "--n", "300", "--replicates", "8", "--seed", "3"] + argv
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
@@ -551,9 +554,9 @@ class TestLimitCompare:
         # horizon fixed at 10 would end every largest excursion at 10 exactly
         out = tmp_path / "run"
         argv = ["limit-compare", "--kind", "multiplicative", "--lam", "8", "--n", "2000"]
-        run(argv + ["--replicates", "5", "--seed", "3", "--out", str(out)])
+        run(argv + ["--replicates", "8", "--seed", "3", "--out", str(out)])
         rows = list(csv.DictReader(io.StringIO((out / "samples.csv").read_text())))
-        assert len(rows) == 5 and max(float(row["brownian"]) for row in rows) > 10
+        assert len(rows) == 8 and max(float(row["brownian"]) for row in rows) > 10
 
 
 class TestMlOracle:
@@ -575,6 +578,10 @@ class TestMlOracle:
     def test_largest_n_runs(self, tmp_path):
         # n = 7 is the largest the parser takes; seeds 0-9 read at most 0.70 against 0.894
         assert run(["ml-oracle", "--n", "7", "--out", str(tmp_path / "run")]) == 0
+
+    def test_fewest_replicates_run(self, tmp_path):
+        # 8 a side is the fewest the parser takes: threshold 1.0, and seed 0 reads 0.375 and 0.25
+        assert run(["ml-oracle", "--replicates", "8", "--out", str(tmp_path / "run")]) == 0
 
 
 class _SerialPool:
@@ -629,10 +636,11 @@ class TestEmptyGraph:
         ids=["graph-route", "walk-route", "limit-compare"],
     )
     def test_p_lambda_zero_gives_singletons(self, tmp_path, argv, name, columns):
+        # 8 replicates: fewer would leave limit-compare's KS threshold above 1
         out = tmp_path / "run"
-        assert run(argv + ["--n", "8", "--replicates", "3", "--out", str(out)]) == 0
+        assert run(argv + ["--n", "8", "--replicates", "8", "--out", str(out)]) == 0
         rows = list(csv.DictReader(io.StringIO((out / name).read_text())))
-        assert len(rows) == 3
+        assert len(rows) == 8
         for row in rows:
             masses = [float(v) for k, v in row.items() if k.startswith(columns)]
             assert masses and masses == pytest.approx([0.25] * len(masses))

@@ -232,6 +232,10 @@ class TestFiltration:
                 assert [(iv, len(c)) for c, iv in direct] == [
                     (iv, size) for iv, size, _ in state
                 ]
+                # excess counted straight off g's edges: level edges inside the component
+                for (c, _), (_, _, excess) in zip(direct, state):
+                    inside = np.isin(g.u, list(c)) & np.isin(g.v, list(c)) & (g.w <= t)
+                    assert excess == np.count_nonzero(inside) - len(c) + 1
 
     def test_excess_counts_internal_edges(self, rng):
         g = random_complete_graph(5, rng)

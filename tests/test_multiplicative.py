@@ -405,6 +405,22 @@ class TestWalkRoute:
         z = sparse_z_trace(30, 1.0, np.random.default_rng(2026))
         assert z.tolist() == [0, 1, 2, 3, 3, 4, 4, 4, 3, 3, 2, 1, 1, 0, 2, 2, 2, 2, 2, 1, 1, 0] + [0] * 10
 
+    def test_each_level_walked_once(self, monkeypatch):
+        # both grids top out at lambda 1, so one seed gives them the same field
+        walked = []
+        walk = SparseField.walk
+
+        def counted(field, p):
+            walked.append(p)
+            return walk(field, p)
+
+        monkeypatch.setattr(SparseField, "walk", counted)
+        grid = walk_route(300, [1.0, -1.0, 0.0, 1.0], np.random.default_rng(9), reps=3)
+        assert len(walked) == 3 and walked == sorted(walked)
+        plain = walk_route(300, [-1.0, 0.0, 1.0], np.random.default_rng(9), reps=3)
+        for got, want in zip(grid, [plain[2], plain[0], plain[1], plain[2]]):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_walk_vs_graph_outcomes_small_tv(self, rng):
         counts_w = sample_walk_outcomes(5, 0.5, 20000, rng)
         counts_g = sample_graph_outcomes(5, 0.5, 20000, rng)
