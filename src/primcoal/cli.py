@@ -19,6 +19,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,7 @@ from .multiplicative import (
     CriticalWindowParams,
     SparseField,
     augmented_state,
+    check_walk_size,
     component_surpluses,
     graph_route,
     p_lambda,
@@ -153,10 +155,12 @@ def _int_csv(block: np.ndarray) -> bytes:
 def _write_rows(path: str, header: list[str], rows) -> None:
     """Write a CSV of header and rows of numbers only (ints and floats, no
     strings or None), in csv.writer's bytes.  rows is a sized sequence: a
-    2-d integer array or a list of equal-length rows, not a bare zip."""
+    list of equal-length rows, not a bare zip, or a 2-d integer array, or
+    sized rows with an integer dtype whose slices are such arrays
+    (_TraceRows), written by blocks of WRITE_BLOCK rows."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        if isinstance(rows, np.ndarray):
+        if not isinstance(rows, list):
             if rows.dtype.kind not in "iu":
                 raise TypeError(f"array rows must be integers, got {rows.dtype}")
             for k in range(0, len(rows), WRITE_BLOCK):
@@ -164,6 +168,26 @@ def _write_rows(path: str, header: list[str], rows) -> None:
         else:
             flat = [x for row in rows for x in row]
             fh.write(((",".join(["%s"] * len(header)) + "\r\n") * len(rows) % tuple(flat)).encode())
+
+
+@dataclass(frozen=True)
+class _TraceRows:
+    """The rows (index, Z) of a trace, Z(0..n) and then Z(n+1) = 0, made a
+    slice at a time: no array of all n + 2 rows is ever made."""
+
+    z: np.ndarray
+    dtype = np.dtype(np.int64)
+
+    def __len__(self) -> int:
+        return len(self.z) + 1
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(len(self))
+        block = np.zeros((stop - start, 2), dtype=self.dtype)
+        block[:, 0] = np.arange(start, stop)
+        part = self.z[start:stop]
+        block[: len(part), 1] = part
+        return block
 
 
 def _float_list(text: str) -> list[float]:
@@ -409,12 +433,7 @@ def cmd_trace(cfg, outdir):
     ps = [p_lambda(cfg["n"], lam) for lam in cfg["lambdas"]]
     field = SparseField.sample(cfg["n"], max(ps), np.random.default_rng(cfg["seed"]))
     for lam, p in zip(cfg["lambdas"], ps):
-        z = np.append(field.walk(p)[0], 0)
-        _write_rows(
-            os.path.join(outdir, _trace_name(lam)),
-            ["index", "z"],
-            np.column_stack((np.arange(len(z)), z)),
-        )
+        _write_rows(os.path.join(outdir, _trace_name(lam)), ["index", "z"], _TraceRows(field.walk(p)[0]))
     return [], True
 
 
@@ -520,6 +539,11 @@ def main(argv=None) -> int:
             f"--n must be at most {ORACLE_MAX_N} for ml-oracle: its TV threshold assumes a law of small"
             f" support, and the partitions of n outgrow it (22 at n = 8), so correct code fails"
         )
+    if args.command in ("trace", "augmented") or cfg.get("route") == "walk":
+        try:
+            check_walk_size(cfg["n"])
+        except ValueError as exc:
+            parser.error(f"--n {cfg['n']} is too large for the walk route: {exc}")
     if args.command in ("limit-compare", "ml-oracle"):
         stat, threshold = ("KS", ks_threshold) if args.command == "limit-compare" else ("TV", tv_threshold)
         thr = threshold(cfg["replicates"], cfg["replicates"])

@@ -127,20 +127,25 @@ def _explore(n: int, counts: np.ndarray, step: np.ndarray, pos: np.ndarray):
     S(i) depends only on the steps before i, so S is the fixed point of
     S -> #{j : step_j = i, pos_j < m(i)} with m from X = T - S: from S = 0,
     each round settles at least one more step, and the first unchanged
-    round is exact.  Returns Z, X and S with a leading 0 at step 0, in new
-    arrays; counts is only read.  Each round rewrites the same x and m, and
+    round is exact.  A row's hits sit at distinct slots, so S(i) fixes which
+    of them the frontier holds: each round keeps only the steps of the held
+    hits, few near p = 1/n, in field order, and stops when that list is
+    unchanged.  X moves by those hits each round, and S = T - X is made
+    once, at the end.  Returns Z, X and S with a leading 0 at step 0, in new arrays of counts'
+    dtype; counts is only read.  Each round rewrites the same x and m, and
     Z is made in m's place.
     """
-    s = np.zeros_like(counts)
-    x, m = np.empty_like(counts), np.empty_like(counts)
+    x, m = counts.copy(), np.empty_like(counts)
+    held = step[:0]
     while True:
-        np.subtract(counts, s, out=x)
         _frontier(n, x, m)
-        s_next = np.bincount(step[pos < m[step]], minlength=len(counts))
-        if np.array_equal(s_next, s):
+        now = step[pos < m[step]]
+        if np.array_equal(now, held):
             m += x
-            return m, x, s
-        s = s_next
+            return m, x, counts - x
+        np.add.at(x, held, 1)
+        np.subtract.at(x, now, 1)
+        held = now
 
 
 def _triangle_cells(n: int, p_max: float, rng, reps: int):
@@ -164,14 +169,30 @@ def _triangle_cells(n: int, p_max: float, rng, reps: int):
     with np.errstate(divide="ignore", over="ignore"):
         scale = -np.log1p(-p_max)
         while p_max > 0.0 and last < total - 1:
-            gap = np.clip(np.ceil(rng.standard_exponential(block) / scale), 1, total + 1)
-            hits.append(last + np.cumsum(gap.astype(np.int64)))
+            # clip(ceil(E / scale)) in place: one float array a block
+            gap = rng.standard_exponential(block)
+            gap /= scale
+            np.ceil(gap, out=gap)
+            np.clip(gap, 1, total + 1, out=gap)
+            hits.append(np.cumsum(gap.astype(np.int64)))
+            hits[-1] += last
             last = hits[-1][-1]
     cell = np.concatenate(hits)
+    del hits  # the blocks, before the cut makes two more arrays of the hits
     # replicate r holds the cells r ne .. (r + 1) ne - 1; the rest is past the run
     cut = np.searchsorted(cell, np.arange(reps + 1) * ne)
     rep = np.repeat(np.arange(reps), np.diff(cut))
-    return rep, cell[: cut[-1]] - rep * ne
+    cell = cell[: cut[-1]]
+    cell -= rep * ne
+    return rep, cell
+
+
+def check_walk_size(n: int, reps: int = 1) -> None:
+    """Refuse a flat walk of `reps` blocks of n steps whose n reps + 1
+    positions do not fit the int32 that SparseField holds them in."""
+    top = int(np.iinfo(np.int32).max)
+    if n * reps + 1 > top:
+        raise ValueError(f"a walk of n reps + 1 = {n * reps + 1} positions does not fit int32 (at most {top})")
 
 
 @dataclass(frozen=True)
@@ -182,7 +203,10 @@ class SparseField:
     Hit j sits in row step[j] (1-based; row i of replicate r is r n + i), at
     slot slot[j] of that row's n - i slots, and carries the field's uniform
     mark[j] in (0, p_max].  The hits with mark <= p are the field at p, so
-    one field couples the walks at every p <= p_max.
+    one field couples the walks at every p <= p_max.  Both constructors
+    give int32 positions.  The field holds read-only views of the arrays it
+    is given, so its walks may read them uncopied; the caller's arrays stay
+    writeable.
     """
 
     n: int
@@ -192,6 +216,12 @@ class SparseField:
     slot: np.ndarray
     mark: np.ndarray
 
+    def __post_init__(self):
+        for name in ("step", "slot", "mark"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     @classmethod
     def sample(cls, n: int, p_max: float, rng, reps: int = 1) -> "SparseField":
         """Each entry is a hit with probability p_max, independently, as on
@@ -199,20 +229,40 @@ class SparseField:
         edge (u, v) = _decode_edge_indices(n(n-1)/2 - 1 - c) at row n - u, slot
         u - 1 - v, so rows, then slots, rise with c.  Then one uniform mark
         per hit.  Exact in law up to double rounding, in the geometric skips
-        as in the marks; O(n reps) memory near p = 1/n."""
+        as in the marks; O(n reps) memory near p = 1/n.  A walk too long for
+        int32 positions is refused before any draw."""
+        check_walk_size(n, reps)
         rep, cell = _triangle_cells(n, p_max, rng, reps)
-        u, v = _decode_edge_indices(n * (n - 1) // 2 - 1 - cell)
-        step = rep * n + n - u
-        return cls(n, reps, p_max, step, u - 1 - v, p_max * (1.0 - rng.random(len(step))))
+        np.subtract(n * (n - 1) // 2 - 1, cell, out=cell)
+        u, v = _decode_edge_indices(cell)
+        del cell
+        # rep n + n - u and u - 1 - v in place of rep and u, then int32; each
+        # int64 array goes before the marks are drawn
+        rep *= n
+        rep += n
+        rep -= u
+        u -= 1
+        u -= v
+        step, slot = rep.astype(np.int32), u.astype(np.int32)
+        del rep, u, v
+        mark = rng.random(len(step))
+        np.subtract(1.0, mark, out=mark)
+        mark *= p_max
+        return cls(n, reps, p_max, step, slot, mark)
 
     def walk(self, p: float):
-        """(Z, X, S) of the flat walk at p <= p_max, as `_explore` returns them."""
+        """(Z, X, S) of the flat walk at p <= p_max, as `_explore` returns
+        them, in int32.  At p = p_max every hit is kept, and the field's own
+        arrays are walked."""
         if not p <= self.p_max:
             raise ValueError(f"p = {p} above the field's p_max = {self.p_max}")
-        keep = self.mark <= p
-        step = self.step[keep]
+        step, slot = self.step, self.slot
+        if p < self.p_max:
+            keep = self.mark <= p
+            step, slot = step[keep], slot[keep]
         # steps are 1-based, so the count at step 0 is the leading 0
-        return _explore(self.n, np.bincount(step, minlength=self.n * self.reps + 1), step, self.slot[keep])
+        counts = np.bincount(step, minlength=self.n * self.reps + 1).astype(np.int32)
+        return _explore(self.n, counts, step, slot)
 
 
 def _check_field(params: CriticalWindowParams, field: SparseField) -> None:
@@ -317,7 +367,7 @@ def walk_route(n: int, lambdas, rng, reps: int = 1):
         z, _, s = field.walk(p)
         # step k + 1 opens a component where Z(k) = 0
         opened, sizes, surplus = _interval_blocks(z[:-1] == 0, s[1:])
-        found.append(_level(opened // n, sizes, surplus))
+        found.append(_level(opened // n, sizes, surplus.astype(np.int64)))
     return [found[k] for k in back]
 
 
@@ -346,8 +396,18 @@ def _decode_edge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mends the root, off by at most one at large n, where v falls outside
     [0, u): one triangular number, not one per correction.
     """
-    u = ((1.0 + np.sqrt(1.0 + 8.0 * idx)) / 2.0).astype(np.int64)
-    v = idx - (u * (u - 1) >> 1)
+    # (1 + sqrt(1 + 8 idx)) / 2, each operation in place and in that order
+    root = 8.0 * idx
+    root += 1.0
+    np.sqrt(root, out=root)
+    root += 1.0
+    root /= 2.0
+    u = root.astype(np.int64)
+    del root
+    v = u - 1
+    v *= u
+    v >>= 1
+    np.subtract(idx, v, out=v)
     over = np.flatnonzero(v < 0)
     u[over] -= 1
     v[over] += u[over]

@@ -12,8 +12,8 @@ import pytest
 
 import primcoal
 import primcoal.cli
-from primcoal.cli import WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _run_replicates, _write_rows, main
-from primcoal.multiplicative import sparse_z_trace
+from primcoal.cli import WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _run_replicates, _trace_name, _write_rows, main
+from primcoal.multiplicative import SparseField, p_lambda, sparse_z_trace
 
 
 def run(args):
@@ -159,6 +159,25 @@ class TestWriteRows:
         z = sparse_z_trace(5000, 0.0, np.random.default_rng(5)).tolist()
         expected = _csv_writer_bytes(["index", "z"], list(enumerate(z)))
         assert (out / "trace_lambda_p0_000.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "n, lambdas",
+        [(WRITE_BLOCK - 2, [0.0]), (WRITE_BLOCK - 1, [0.0]), (5000, [-1.0, 0.5, 2.0])],
+        ids=["rows-one-block", "rows-one-block-and-one", "three-lambdas"],
+    )
+    def test_trace_blocks_match_row_array(self, tmp_path, n, lambdas):
+        # the trace's n + 2 rows, written by blocks, give the bytes of the one
+        # (n + 2, 2) row array of index and Z
+        out = tmp_path / "run"
+        argv = ["trace", "--n", str(n), "--lambdas=" + ",".join(map(str, lambdas)), "--seed", "4"]
+        assert run(argv + ["--out", str(out)]) == 0
+        ps = [p_lambda(n, lam) for lam in lambdas]
+        field = SparseField.sample(n, max(ps), np.random.default_rng(4))
+        for lam, p in zip(lambdas, ps):
+            z = field.walk(p)[0]
+            path = tmp_path / "rows.csv"
+            _write_rows(str(path), ["index", "z"], np.column_stack((np.arange(n + 2), np.append(z, 0))))
+            assert (out / _trace_name(lam)).read_bytes() == path.read_bytes()
 
 
 class TestDeterminism:
@@ -381,6 +400,28 @@ class TestSizeFlags:
             run(argv + ["--out", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["trace"], None),
+            (["simulate-multiplicative", "--route", "walk"], None),
+            (["augmented"], None),
+            (["simulate-multiplicative"], {"route": "walk"}),
+        ],
+        ids=["trace", "walk-route", "augmented", "walk-route-config"],
+    )
+    def test_walk_past_int32_refused_early(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "run"
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--n", str(2**31 - 1), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--n 2147483647 is too large for the walk route" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

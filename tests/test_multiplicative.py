@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -179,6 +180,24 @@ class TestFieldRecursion:
             field = reorder_field_from_graph(g, prim_order(g))
             c = float(rng.uniform(-0.9, 2.0))
             self._check(CriticalWindowParams(n, c * n ** (1.0 / 3.0)), field)
+
+    def test_matches_literal_loop_on_unsorted_fields(self, rng):
+        # hits in no order of step or slot: a round's held hits come in field
+        # order, so rounds that hold the same S list it in the same order
+        for n in [int(k) for k in rng.integers(20, 300, size=30)]:
+            lam = min(float(rng.uniform(5.0, 40.0)), (1 - 1 / n) * n ** (4.0 / 3.0))
+            p_max = p_lambda(n, lam)
+            field = SparseField.sample(n, p_max, rng)
+            perm = rng.permutation(len(field.step))
+            shuffled = SparseField(n, 1, p_max, field.step[perm], field.slot[perm], field.mark[perm])
+            for p in (p_max / 2, p_max):
+                want_z, want_y, want_s = _literal_field_walk(n, p, field)
+                z, x, s = shuffled.walk(p)
+                assert np.array_equal(z, want_z[:-1])
+                assert np.array_equal(x[1:], np.diff(want_y) + 1)
+                assert np.array_equal(s, want_s)
+                for a, b in zip(field.walk(p), (z, x, s)):
+                    assert np.array_equal(a, b)
 
     def test_surplus_refuses_another_fields_walk(self, rng):
         n = 200
@@ -661,6 +680,7 @@ class TestSparseWalk:
         for lam in (-1.0, 1.0, 2.0):
             z, x, s = field.walk(p_lambda(n, lam))
             assert len(z) == len(x) == len(s) == n * reps + 1
+            assert z.dtype == x.dtype == s.dtype == np.int32
             assert (z[::n] == 0).all()
             assert (z >= 0).all() and (np.diff(z) >= -1).all()
             assert (x >= 0).all() and (s >= 0).all()
@@ -680,6 +700,52 @@ class TestSparseWalk:
                 assert not np.shares_memory(a, b)
             for a in first:
                 assert not any(np.shares_memory(a, f) for f in (field.step, field.slot, field.mark))
+
+    def test_walk_memory_gate(self, rng):
+        # the field and its walk, every temporary included: 24-28 bytes per
+        # vertex with int32 positions and a sparse fixed point, 61-65 with
+        # int64 positions and a dense count of the held hits every round
+        n = 200_000
+        p = p_lambda(n, 0.0)
+        SparseField.sample(1000, p_lambda(1000, 0.0), rng).walk(p_lambda(1000, 0.0))  # first-call imports
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            field = SparseField.sample(n, p, rng)
+            field.walk(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 32 * n, f"{peak / n:.1f} bytes per vertex"
+        g = random_complete_graph(30, rng)
+        for f in (field, reorder_field_from_graph(g, prim_order(g))):
+            assert f.step.dtype == f.slot.dtype == np.int32
+
+    def test_arrays_held_read_only_uncopied(self):
+        step, slot, mark = np.array([1, 1, 2], np.int32), np.array([0, 2, 0], np.int32), np.array([0.1, 0.2, 0.3])
+        field = SparseField(4, 1, 1.0, step, slot, mark)
+        for given, held in zip((step, slot, mark), (field.step, field.slot, field.mark)):
+            assert given.flags.writeable and not held.flags.writeable
+            assert held.base is given
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+        # step 2's frontier holds slot 0, so its one hit is surplus
+        z, _, s = field.walk(1.0)
+        assert z.tolist() == [0, 2, 1, 0, 0] and s.tolist() == [0, 0, 1, 0, 0]
+
+    def test_int32_overflow_refused_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for n, reps in ((2**31 - 1, 1), (2**16, 2**15)):
+            with pytest.raises(ValueError, match="does not fit int32"):
+                SparseField.sample(n, 0.0, rng, reps)
+        assert rng.bit_generator.state == state
+        # n + 1 = 2**31 - 1 fits; at p_max 0 no hit is drawn, so nothing large is made
+        assert len(SparseField.sample(2**31 - 2, 0.0, rng).step) == 0
 
     def test_outcomes_partition_each_replicate(self, rng):
         n, reps = 9, 3000
