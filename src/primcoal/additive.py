@@ -95,7 +95,6 @@ class ThinnedWalkFamily:
     """
 
     def __init__(self, walk: ConditionedWalk, rng):
-        self.walk = walk
         self.n = walk.n
         # unit j belongs to step _owner[j]; one stored uniform per unit
         self._owner = np.repeat(np.arange(walk.n), walk.increments)
@@ -105,7 +104,7 @@ class ThinnedWalkFamily:
         if not (0.0 <= t <= 1.0):
             raise ValueError("retention t must lie in [0, 1]")
         kept = self._uniforms <= t
-        return np.bincount(self._owner[kept], minlength=self.n).astype(int)
+        return np.bincount(self._owner[kept], minlength=self.n)
 
     def path(self, t: float) -> LatticePath:
         """Y^{(t)}(0..n), the thinned walk with unit drift."""

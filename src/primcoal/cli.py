@@ -111,32 +111,20 @@ WRITE_BLOCK = 1 << 14
 
 
 def _int_csv(block: np.ndarray) -> bytes:
-    """csv.writer's bytes for the rows of a 2-d integer array.
+    """csv.writer's bytes for the rows of a 2-d array of integers in [0, 2**32).
 
-    Each column is cast to one contiguous row of int64 (uint64 for unsigned
-    input, whose values of 2**63 and more are positive), which gives its
-    signs and magnitudes; a column below 2**32 runs its digits in uint32.
-    Its digits are written right-aligned into a byte matrix, one decimal
-    place per pass; unused places hold NUL, which is then dropped.
+    The array is cast once to C-ordered uint32 columns.  Each column's
+    digits are written right-aligned into a byte matrix, one decimal place
+    per pass; unused places hold NUL, which is then dropped.
     """
-    signed = block.dtype.kind == "i"
-    cols = []
-    for row in block.T.astype(np.int64 if signed else np.uint64, order="C"):
-        mag = row.view(np.uint64)
-        neg = row < 0 if signed else None
-        if neg is not None and neg.any():
-            np.negative(mag, out=mag, where=neg)  # modulo 2**64, so |int64 min| = 2**63 is exact
-        else:
-            neg = None
-        top = int(mag.max())
-        cols.append((neg, mag.astype(np.uint32) if top < 2**32 else mag, len(str(top))))
-    width_sum = sum(width + (neg is not None) for neg, _, width in cols)
-    out = np.zeros((len(block), width_sum + len(cols) + 1), np.uint8)
+    lo, hi = block.min(), block.max()
+    if lo < 0 or hi >= 2**32:
+        raise ValueError(f"array rows must lie in [0, 2**32), got {lo} to {hi}")
+    cols = block.T.astype(np.uint32, order="C")
+    widths = [len(str(top)) for top in cols.max(axis=1).tolist()]
+    out = np.zeros((len(block), sum(widths) + len(widths) + 1), np.uint8)
     pos = 0
-    for neg, m, width in cols:
-        if neg is not None:
-            out[:, pos] = neg * ord("-")
-            pos += 1
+    for m, width in zip(cols, widths):
         pos += width
         for k in range(1, width + 1):
             q = m // 10  # m - 10 q is faster than m % 10
@@ -155,9 +143,11 @@ def _int_csv(block: np.ndarray) -> bytes:
 def _write_rows(path: str, header: list[str], rows) -> None:
     """Write a CSV of header and rows of numbers only (ints and floats, no
     strings or None), in csv.writer's bytes.  rows is a sized sequence: a
-    list of equal-length rows, not a bare zip, or a 2-d integer array, or
-    sized rows with an integer dtype whose slices are such arrays
-    (_TraceRows), written by blocks of WRITE_BLOCK rows."""
+    list of equal-length rows, not a bare zip, or a 2-d array of integers in
+    [0, 2**32), or sized rows with an integer dtype whose slices are such
+    arrays (_TraceRows), written by blocks of WRITE_BLOCK rows.  Array rows
+    of another dtype raise TypeError; a negative value, or one of 2**32 or
+    more, raises ValueError."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         if not isinstance(rows, list):
@@ -173,10 +163,11 @@ def _write_rows(path: str, header: list[str], rows) -> None:
 @dataclass(frozen=True)
 class _TraceRows:
     """The rows (index, Z) of a trace, Z(0..n) and then Z(n+1) = 0, made a
-    slice at a time: no array of all n + 2 rows is ever made."""
+    slice at a time in the encoder's uint32: no array of all n + 2 rows is
+    ever made."""
 
     z: np.ndarray
-    dtype = np.dtype(np.int64)
+    dtype = np.dtype(np.uint32)
 
     def __len__(self) -> int:
         return len(self.z) + 1
@@ -184,7 +175,7 @@ class _TraceRows:
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, _ = rows.indices(len(self))
         block = np.zeros((stop - start, 2), dtype=self.dtype)
-        block[:, 0] = np.arange(start, stop)
+        block[:, 0] = np.arange(start, stop, dtype=self.dtype)
         part = self.z[start:stop]
         block[: len(part), 1] = part
         return block
@@ -360,7 +351,7 @@ def _limit_add_brownian(args):
 
 # kind -> (default lam, discrete side, Brownian side, verdict description);
 # each side maps (seed, n, lam) to one sample.  Additive lam 0 is retention
-# t = 1, one block, so its sides would agree on any code.
+# t = 1, one block, so its sides would agree on any code; main refuses it.
 _LIMIT_SIDES = {
     "additive": (
         1.0, _limit_add_rep, _limit_add_brownian, "largest additive block vs largest tilted-excursion excursion"
@@ -561,6 +552,9 @@ def main(argv=None) -> int:
                 (retention_level if additive else p_lambda)(cfg["n"], lam)
             except ValueError as exc:
                 parser.error(f"--{key}: {exc}")
+        if cfg.get("kind") == "additive" and cfg["lam"] == 0:
+            parser.error("--lam 0 is refused for kind additive: retention t = 1 leaves one block of mass 1,"
+                         " and the tilted excursion one excursion of length 1, so the verdict could not fail")
         if args.command == "trace":
             seen = {}
             for lam in lambdas:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import primcoal.additive
 from primcoal.additive import (
     ConditionedWalk,
     ParkingConfiguration,
@@ -60,6 +61,20 @@ class TestConditionedWalk:
             walk = sample_conditioned_walk(n, np.random.default_rng(seed))
             assert walk.increments.tolist() == np.roll(c, -shift).tolist()
 
+    @pytest.mark.parametrize("n, increments", [(0, []), (3, [2, 0])], ids=["no-steps", "too-few"])
+    def test_size_refused(self, n, increments):
+        with pytest.raises(ValueError, match="need n >= 1 increments"):
+            ConditionedWalk(n, increments)
+
+    def test_sampler_refuses_no_steps(self, rng):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_conditioned_walk(0, rng)
+
+    def test_rejection_sampler_gives_up(self, rng, monkeypatch):
+        monkeypatch.setattr(primcoal.additive, "REJECTION_TRIES", 0)
+        with pytest.raises(RuntimeError, match="rejection sampler found no walk in 0 tries"):
+            rejection_sample_conditioned_walk(3, rng)
+
     def test_cycle_sampler_always_valid(self, rng):
         for _ in range(500):
             n = int(rng.integers(1, 40))
@@ -115,6 +130,12 @@ class TestThinning:
             cur = fam.thinned_increments(float(t))
             assert (cur >= prev).all()
             prev = cur
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, float("nan")])
+    def test_level_outside_unit_interval_refused(self, rng, t):
+        fam = ThinnedWalkFamily(sample_conditioned_walk(10, rng), rng)
+        with pytest.raises(ValueError, match=r"retention t must lie in \[0, 1\]"):
+            fam.thinned_increments(t)
 
     def test_retention_level_bounds(self):
         assert retention_level(100, 0.0) == 1.0
@@ -198,6 +219,10 @@ class TestParking:
         with pytest.raises(ValueError, match=r"choices must lie in 1\.\.4"):
             park(4, 1, choices=[choice])
 
+    def test_wrong_choice_count_refused(self):
+        with pytest.raises(ValueError, match="need exactly m choices"):
+            park(5, 2, choices=[1])
+
     def test_needs_rng_or_choices(self):
         with pytest.raises(ValueError, match="need rng or choices"):
             park(4, 1)
@@ -268,6 +293,10 @@ class TestForestProcess:
         for s in np.linspace(0, fp.merges[-1].time, 7):
             assert sum(fp.tree_sizes_at(float(s))[0]) == 10
 
+    def test_no_vertices_refused(self, rng):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            pitman_forest(0, rng)
+
 
 def _aldous_broder_tree(n, rng):
     """Uniform labelled tree on 1..n by the Aldous-Broder random walk on K_n:
@@ -295,6 +324,10 @@ class TestCayleyTrees:
         assert prufer_decode([], 2) == [(1, 2)]
         # sequence (3,): leaves 1 and 2 attach to 3
         assert sorted(prufer_decode([3], 3)) == [(1, 3), (2, 3)]
+
+    def test_no_vertices_refused(self, rng):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            uniform_cayley_tree(0, rng)
 
     def test_tree_edge_count(self, rng):
         for n in (1, 2, 3, 7, 20):

@@ -13,7 +13,9 @@ import pytest
 import primcoal
 import primcoal.cli
 from primcoal.cli import WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _run_replicates, _trace_name, _write_rows, main
+from primcoal.graphs import GraphError
 from primcoal.multiplicative import SparseField, p_lambda, sparse_z_trace
+from primcoal.walks import LatticePath
 
 
 def run(args):
@@ -29,12 +31,33 @@ class TestCompareOrders:
         assert payload["label_probability"] == "1/6"
 
 
+def _raise_graph_error(*args):
+    raise GraphError("not an interval")
+
+
 class TestVerifyInvariants:
     def test_passes_on_seeded_suite(self, tmp_path):
         out = tmp_path / "run"
         assert run(["verify-invariants", "--seed", "3", "--replicates", "20", "--out", str(out)]) == 0
         payload = json.loads((out / "invariants.json").read_text())
         assert payload["failures"] == []
+
+    @pytest.mark.parametrize(
+        "name, fake, failure",
+        [
+            ("level_components", _raise_graph_error, "prim-interval trial {}: not an interval"),
+            ("component_surpluses", lambda z, s: [], "surplus identity trial {}"),
+            ("explore", lambda g, t, o: LatticePath([0]), "explore/z_walk mismatch trial {}"),
+            ("walk_component_sizes", lambda z: [], "excursion/component mismatch trial {}"),
+        ],
+        ids=["prim-interval", "surplus", "explore", "excursion"],
+    )
+    def test_fails_when_an_identity_breaks(self, tmp_path, monkeypatch, name, fake, failure):
+        monkeypatch.setattr(primcoal.cli, name, fake)
+        out = tmp_path / "run"
+        assert run(["verify-invariants", "--seed", "3", "--replicates", "2", "--out", str(out)]) == 1
+        payload = json.loads((out / "invariants.json").read_text())
+        assert payload["failures"] == [failure.format(k) for k in range(2)]
 
 
 class TestSimulate:
@@ -111,35 +134,28 @@ class TestWriteRows:
         [
             [[0, -3, 7], [12, 0, -1]],
             [[1, -0.0, 1e-300], [2, 1e16, float("nan")], [-3, float("inf"), 0.1 + 0.2]],
-            np.arange(-6, 14, dtype=np.int64).reshape(10, 2),
             [],
-            np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1], [0, 1, -10]]),
             np.zeros((4, 3), dtype=np.int64),
-            np.arange(-12, 3).reshape(-1, 1),
-            np.array([[5, -5, 0], [-100, 100, 7], [0, -7, 10]]),
-            np.array([[-(2**31), 2**31 - 1], [3, -4]], dtype=np.int32),
+            np.arange(0, 15).reshape(-1, 1),
+            # the largest accepted value, in the trace's dtype
+            np.array([[0, 2**32 - 1], [2**31 + 3, 2**31 - 4]], dtype=np.uint32),
             np.array([[0, 255], [10, 9]], dtype=np.uint8),
             np.column_stack((
                 np.arange(2 * WRITE_BLOCK + 5),
-                np.concatenate([np.arange(WRITE_BLOCK) % 10, -1001 * np.arange(WRITE_BLOCK), np.arange(5)]),
+                np.concatenate([np.arange(WRITE_BLOCK) % 10, 1001 * np.arange(WRITE_BLOCK), np.arange(5)]),
             )),
             np.empty((0, 2), dtype=np.int64),
-            # 2**63 and up are positive in uint64, whatever their top bit
-            np.array([[2**63, 0], [2**64 - 1, 5], [1, 2**63 - 1]], dtype=np.uint64),
-            # digits run in uint32 up to a column maximum of 2**32 - 1
-            np.array([[2**32 - 1, 2**32, -(2**32 - 1)], [0, 9, 4]]),
-            np.array([[-(2**32), 2**32 - 1], [1, -1]]),
-            np.array([[2**32 - 1, 2**32], [2**31, 7]], dtype=np.uint64),
+            # wider types are cast to uint32 without wrapping at 2**32 - 1
+            np.array([[2**32 - 1, 0, 2**32 - 2], [0, 9, 4]]),
+            np.array([[2**32 - 8, 2**32 - 7], [2**31 - 7, 0]], dtype=np.uint64),
             # the layout of the array never changes its bytes
-            np.asfortranarray(np.array([[3, -40, 500], [-6, 70, 0], [9, 10, -11]])),
-            np.arange(-9, 12, dtype=np.int32).reshape(3, 7).T,
-            np.arange(-30, 60).reshape(15, 6)[::2, 1::2],
+            np.asfortranarray(np.array([[43, 0, 540], [34, 110, 40], [49, 50, 29]])),
+            np.arange(0, 21, dtype=np.int32).reshape(3, 7).T,
+            np.arange(0, 90).reshape(15, 6)[::2, 1::2],
         ],
         ids=[
-            "ints", "floats", "int64-array", "empty", "int64-extremes", "zeros", "one-column",
-            "mixed-sign", "int32", "uint8", "blocks", "empty-array", "uint64-top-bit",
-            "uint32-edge", "uint32-edge-negative", "uint32-edge-unsigned", "fortran-order",
-            "transposed-view", "strided-view",
+            "ints", "floats", "empty", "zeros", "one-column", "uint32-max", "uint8", "blocks", "empty-array",
+            "uint32-edge", "uint32-edge-unsigned", "fortran-order", "transposed-view", "strided-view",
         ],
     )
     def test_matches_csv_writer(self, tmp_path, rows):
@@ -148,6 +164,37 @@ class TestWriteRows:
         _write_rows(str(path), header, rows)
         expected = rows.tolist() if isinstance(rows, np.ndarray) else rows
         assert path.read_bytes() == _csv_writer_bytes(header, expected)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.arange(-6, 14, dtype=np.int64).reshape(10, 2),
+            np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1], [0, 1, -10]]),
+            np.arange(-12, 3).reshape(-1, 1),
+            np.array([[5, -5, 0], [-100, 100, 7], [0, -7, 10]]),
+            np.array([[-(2**31), 2**31 - 1], [3, -4]], dtype=np.int32),
+            np.column_stack((
+                np.arange(2 * WRITE_BLOCK + 5),
+                np.concatenate([np.arange(WRITE_BLOCK) % 10, -1001 * np.arange(WRITE_BLOCK), np.arange(5)]),
+            )),
+            np.array([[2**63, 0], [2**64 - 1, 5], [1, 2**63 - 1]], dtype=np.uint64),
+            np.array([[2**32 - 1, 2**32, -(2**32 - 1)], [0, 9, 4]]),
+            np.array([[-(2**32), 2**32 - 1], [1, -1]]),
+            np.array([[2**32 - 1, 2**32], [2**31, 7]], dtype=np.uint64),
+            np.asfortranarray(np.array([[3, -40, 500], [-6, 70, 0], [9, 10, -11]])),
+            np.arange(-9, 12, dtype=np.int32).reshape(3, 7).T,
+            np.arange(-30, 60).reshape(15, 6)[::2, 1::2],
+        ],
+        ids=[
+            "int64-array", "int64-extremes", "one-column", "mixed-sign", "int32", "blocks", "uint64-top-bit",
+            "uint32-edge", "uint32-edge-negative", "uint32-edge-unsigned", "fortran-order", "transposed-view",
+            "strided-view",
+        ],
+    )
+    def test_out_of_range_array_refused(self, tmp_path, rows):
+        # a negative value, or one of 2**32 or more, is refused, never written wrong
+        with pytest.raises(ValueError, match=r"array rows must lie in \[0, 2\*\*32\)"):
+            _write_rows(str(tmp_path / "rows.csv"), ["a", "b", "c"][: rows.shape[1]], rows)
 
     def test_float_array_refused(self, tmp_path):
         with pytest.raises(TypeError, match="array rows must be integers"):
@@ -387,11 +434,16 @@ class TestSizeFlags:
                 ["limit-compare", "--kind", "additive", "--lam", "nan"],
                 "--lam: lambda=nan outside [0, sqrt(n)]",
             ),
+            (
+                ["limit-compare", "--kind", "additive", "--n", "500", "--lam", "0"],
+                "--lam 0 is refused for kind additive: retention t = 1 leaves one block",
+            ),
         ],
         ids=[
             "simulate-multiplicative", "trace", "augmented", "limit-compare", "ml-oracle", "empty", "ml-oracle-n-1",
             "ml-oracle-n-8", "limit-compare-replicates-7", "ml-oracle-replicates-7", "limit-compare-additive",
             "simulate-additive", "trace-same-file", "trace-repeat", "simulate-additive-nan", "limit-compare-additive-nan",
+            "limit-compare-additive-zero",
         ],
     )
     def test_lambda_outside_window_refused_early(self, tmp_path, capsys, argv, message):
@@ -469,10 +521,12 @@ class TestSizeFlags:
             (["ml-oracle"], {"s_obs": -0.5}, "unknown config keys: ['s_obs']"),
             (["ml-oracle"], {"tv": 0.02}, "unknown config keys: ['tv']"),
             (["limit-compare"], {"replicates": 4}, "--replicates 4 is too few for limit-compare: its KS threshold"),
+            (["limit-compare"], {"kind": "additive", "lam": 0}, "--lam 0 is refused for kind additive"),
         ],
         ids=[
             "dx", "horizon", "horizon-inf", "dx-inf", "top", "n-float", "n-bool", "replicates-float", "lambdas-string", "lambdas-entry",
             "lam-string", "lam-null", "s_obs-bool", "s_obs-negative", "tv-unknown", "replicates-below-floor",
+            "lam-additive-zero",
         ],
     )
     def test_bad_config_number_refused_early(self, tmp_path, capsys, argv, config, message):

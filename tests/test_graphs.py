@@ -140,6 +140,17 @@ class TestPrimOrder:
         with pytest.raises(GraphError, match="needs 3 attach weights and 3 parents in 0..3"):
             PrimOrdering((1, 2, 3), (np.inf, 0.1, 0.2), (0, 1, 4))
 
+    @pytest.mark.parametrize("root", [0, 5])
+    @pytest.mark.parametrize("prim", [prim_order, prim_order_rescan], ids=["prim_order", "rescan"])
+    def test_root_outside_graph_refused(self, prim, root):
+        with pytest.raises(GraphError, match=rf"root {root} not in \[1, 4\]"):
+            prim(path_graph([0.1, 0.2, 0.3]), root=root)
+
+    @pytest.mark.parametrize("oracle", [prim_order_rescan, mst_weight_kruskal], ids=["rescan", "kruskal"])
+    def test_oracles_refuse_disconnected(self, oracle):
+        with pytest.raises(DisconnectedGraphError):
+            oracle(ProperlyWeightedGraph(4, [(1, 2, 0.1), (3, 4, 0.2)]))
+
     def test_rank_inverts_order(self, rng):
         o = prim_order(random_complete_graph(9, rng), root=4)
         assert o.rank[0] == 0
@@ -285,6 +296,16 @@ class TestFiltration:
             rejected += 1
         assert rejected > 0
 
+    def test_rejects_ordering_of_another_size(self, rng):
+        g = random_complete_graph(5, rng)
+        with pytest.raises(GraphError, match="ordering has 6 vertices, graph has 5"):
+            component_filtration(g, prim_order(random_complete_graph(6, rng)))
+
+    def test_rejects_too_few_edges(self):
+        g = ProperlyWeightedGraph(4, [(1, 2, 0.1), (3, 4, 0.2)])
+        with pytest.raises(GraphError, match="2 edges cannot connect 4 vertices"):
+            component_filtration(g, prim_order(path_graph([0.1, 0.3, 0.2])))
+
     def test_rejects_attach_edges_not_in_graph(self):
         g = path_graph([0.1, 0.2, 0.3])
         assert component_filtration(g, prim_order(g)).components_at(1.0) == [((1, 4), 4, 0)]
@@ -295,6 +316,24 @@ class TestFiltration:
         for ordering in (not_an_edge, wrong_weight, later_parent):
             with pytest.raises(GraphError, match="attach edges are not edges of g"):
                 component_filtration(g, ordering)
+
+
+class _RepeatFirstDraw:
+    """A generator whose first draw repeats a weight; later draws are rng's."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def random(self, size):
+        self.draws += 1
+        return np.full(size, 0.5) if self.draws == 1 else self.rng.random(size)
+
+
+def test_random_complete_redraws_a_repeated_weight():
+    stub = _RepeatFirstDraw(np.random.default_rng(1))
+    g = random_complete_graph(4, stub)
+    assert stub.draws == 2
+    assert g.w.tolist() == np.random.default_rng(1).random(6).tolist()
 
 
 def test_random_complete_refuses_huge(rng):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primcoal.graphs import (
+    PrimOrdering,
     ProperlyWeightedGraph,
     component_filtration,
     level_components,
@@ -115,6 +116,29 @@ class TestZWalk:
             assert (np.diff(z.values[:-1]) >= -1).all()
             assert sum(walk_component_sizes(z)) == n
 
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ([0, 3, 1, 0, 0], "Psi Y must equal max"),
+            ([0, 2, 0, 0, 0], "Z steps must be >= -1"),
+            ([0, 2, 1, 1, 0], "ladder intervals of Y must match zero gaps of Z"),
+            ([0, 2, 1, 0, 0], None),
+        ],
+        ids=["psi", "step", "ladder", "consistent"],
+    )
+    def test_each_identity_can_fail(self, rng, monkeypatch, z, message):
+        # at n = 4 with X = (0, 2, 0, 0, 0), each of the first three Z breaks
+        # only the identity named, and the last one none
+        x = np.array([0, 2, 0, 0, 0])
+        monkeypatch.setattr(SparseField, "walk", lambda self, p: (np.array(z), x, np.zeros_like(x)))
+        params = CriticalWindowParams(4, 0.0)
+        field = SparseField.sample(4, params.p, rng)
+        if message is None:
+            assert z_walk(params, field)[0].values.tolist() == z + [0]
+        else:
+            with pytest.raises(AssertionError, match=message):
+                z_walk(params, field)
+
     def test_field_size_mismatch(self, rng):
         with pytest.raises(ValueError):
             z_walk(CriticalWindowParams(5, 0.0), _dense_field(6, rng))
@@ -215,6 +239,13 @@ class TestReorderedField:
         g = ProperlyWeightedGraph(3, [(1, 2, 0.1), (2, 3, 0.2)])
         with pytest.raises(ValueError):
             reorder_field_from_graph(g, prim_order(g))
+
+    def test_non_prim_ordering_refused(self, rng):
+        g = random_complete_graph(8, rng)
+        for _ in range(20):
+            ordering = PrimOrdering(rng.permutation(np.arange(1, 9)), [np.inf] * 8, [0] * 8)
+            with pytest.raises(AssertionError, match="first frontier entrant must be the next Prim vertex"):
+                reorder_field_from_graph(g, ordering)
 
     def test_first_row_is_rank_order(self, rng):
         g = random_complete_graph(6, rng)

@@ -15,6 +15,10 @@ class TestMassVector:
         with pytest.raises(ValueError):
             MassVector([0.5, -0.1])
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="mass vector must be one-dimensional"):
+            MassVector([[0.5, 0.1], [0.3, 0.1]])
+
     def test_zero_tail_indexing(self):
         mv = MassVector([0.5, 0.3])
         assert mv[0] == 0.5

@@ -21,6 +21,12 @@ def from_steps(steps):
     return LatticePath(np.concatenate([[0], np.cumsum(steps)]))
 
 
+@pytest.mark.parametrize("values", [[], [[0, 1]]], ids=["empty", "two-dimensional"])
+def test_lattice_path_refuses_shape(values):
+    with pytest.raises(ValueError, match="path values must be a non-empty 1-d sequence"):
+        LatticePath(values)
+
+
 class TestPsi:
     def test_example(self):
         f = LatticePath([0, 1, 0, -1, 0, 1])
@@ -85,6 +91,10 @@ def _literal_scan(vals, beta):
 
 
 class TestExcursionsAboveMin:
+    def test_requires_start_zero(self):
+        with pytest.raises(ValueError, match="path must start at 0"):
+            excursions_above_min(LatticePath([1, 0, -1]))
+
     def test_ladder_convention_keeps_unit_descents(self):
         # strict descents of a pure down-drift: n unit excursions
         f = LatticePath([0, -1, -2, -3])
@@ -164,6 +174,10 @@ class TestExplore:
             gaps = walk_component_sizes(z)
             ivals = [iv for _, iv in level_components(g, t, ordering)]
             assert [b - a + 1 for a, b in ivals] == gaps
+
+    def test_unknown_order_refused(self, rng):
+        with pytest.raises(ValueError, match="unknown order spec 'bogus'"):
+            explore(random_complete_graph(4, rng), 0.5, "bogus")
 
     def test_extreme_levels(self, rng):
         g = random_complete_graph(5, rng)
