@@ -305,11 +305,16 @@ def cmd_verify_invariants(cfg, outdir):
             level_components(g, t, o)  # raises if not Prim intervals
         except Exception as exc:
             failures.append(f"prim-interval trial {trial}: {exc}")
-        field = reorder_field_from_graph(g, o)
-        lam = (t - 1.0 / n) * n ** (4.0 / 3.0)
-        params = CriticalWindowParams(n, lam)
-        z, y = z_walk(params, field)  # internal asserts: Psi relation, ladder
-        s = surplus_field(params, z, field)
+        params = CriticalWindowParams(n, (t - 1.0 / n) * n ** (4.0 / 3.0))
+        try:
+            # each raises when its identity breaks: the Prim order of the
+            # field, then the Psi relation, Z's steps and the ladder
+            field = reorder_field_from_graph(g, o)
+            z, _ = z_walk(params, field)
+            s = surplus_field(params, z, field)
+        except Exception as exc:
+            failures.append(f"surplus identity trial {trial}: {exc}")
+            continue
         walk_pairs = sorted(component_surpluses(z, s))
         components = component_filtration(g, o).components_at(params.p)
         graph_pairs = sorted((size, exc) for (_, size, exc) in components)

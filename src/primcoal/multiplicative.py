@@ -157,8 +157,11 @@ def _triangle_cells(n: int, p_max: float, rng, reps: int):
     for E standard exponential, and their running sums are the hits,
     distinct and sorted as drawn.  Gaps clip to [1, total + 1], so none is
     0 and an oversized one leaves the run; they come in blocks of the
-    expected count plus about 4 sd, until the run is passed.
+    expected count plus about 4 sd, until the run is passed.  reps < 1 is
+    refused before any draw.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got reps = {reps}")
     if not 0.0 <= p_max <= 1.0:
         raise ValueError(f"p_max = {p_max} outside [0, 1]")
     ne = n * (n - 1) // 2
@@ -344,7 +347,7 @@ def _level(rep, sizes, extra):
     the one key rep (top + 1) + top - size with top the largest size: one
     radix pass while reps (top + 1) < 2**16, more only past that.
     """
-    top = int(sizes.max())
+    top = int(sizes.max(initial=0))
     order = _radix_order(rep * (top + 1) + (top - sizes))
     return rep[order], sizes[order], extra[order]
 
@@ -476,6 +479,34 @@ def _merge(r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     r[:] = r[r]
 
 
+def _singletons_last(n: int, reps: int, rep, sizes, extra):
+    """Complete a level (rep, sizes, extra) of the components with more
+    than one vertex of `reps` graphs on n vertices with their singletons:
+    size 1 and extra 0, after the other components of their rep.  A
+    singleton carries nothing of its own, so a rep's singletons are only
+    counted, as n less the vertices of its other components; they are
+    placed by position and never sorted."""
+    if reps == 1:  # a concatenation: no index arrays, and no scatter
+        k = n - int(sizes.sum())
+        return (
+            np.zeros(len(rep) + k, rep.dtype),
+            np.concatenate([sizes, np.ones(k, sizes.dtype)]),
+            np.concatenate([extra, np.zeros(k, extra.dtype)]),
+        )
+    ones = n - np.bincount(rep, weights=sizes, minlength=reps).astype(np.int64)
+    # a component moves down by the singletons of the reps before its own
+    at = np.arange(len(rep)) + (np.cumsum(ones) - ones)[rep]
+    total = len(rep) + int(ones.sum())
+    out = (
+        np.repeat(np.arange(reps), np.bincount(rep, minlength=reps) + ones),
+        np.ones(total, sizes.dtype),
+        np.zeros(total, extra.dtype),
+    )
+    out[1][at] = sizes
+    out[2][at] = extra
+    return out
+
+
 def graph_route(n: int, lambdas, rng, reps: int = 1):
     """Component sizes and excesses of G(n, p_lambda) on a coupled grid.
 
@@ -489,11 +520,17 @@ def graph_route(n: int, lambdas, rng, reps: int = 1):
 
     The levels are visited in increasing p and each edge is merged once, at
     the first level that keeps it, into one union-find forest whose roots
-    are their components' lowest vertices.  Both orders are stable radix
-    sorts (_radix_order): the edges by the index of their first level, so
-    each level keeps the sampler's (u, v) order (one distinct level needs
-    no sort), and each level's components by rep, then decreasing size, as
-    _level makes them, so size ties keep root order.
+    are their components' lowest vertices.  This union-find is the route's
+    own: it never reads the walk route's intervals, so each route checks
+    the other.  The edges are put in order of the index of their first
+    level by a stable radix sort (_radix_order), so each level keeps the
+    sampler's (u, v) order (one distinct level needs no sort).  The forest
+    is kept flat, so a level comes from one count of the vertices under
+    each root: the roots are the vertices of nonzero count.  Only the
+    components with more than one vertex gather their excess and are
+    ordered, by rep, then decreasing size, as _level makes them, so size
+    ties keep root order.  The singletons, size 1 and excess 0, go last in
+    their rep, placed by position (_singletons_last), never sorted.
     """
     ps = [p_lambda(n, lam) for lam in lambdas]
     u, v, w = sample_edge_weights(n, max(ps), rng, reps)
@@ -505,17 +542,18 @@ def graph_route(n: int, lambdas, rng, reps: int = 1):
         by_level = _radix_order(first)
         u, v = u[by_level], v[by_level]
         stops = np.cumsum(np.bincount(first, minlength=len(levels)))
-    vertex = np.arange(reps * n)
-    r = vertex.copy()
+    r = np.arange(reps * n)
     found, start = [], 0
     for stop in stops:
         a, b = u[start:stop], v[start:stop]
         # until an edge is merged every vertex is its own root, and u > v
         _merge(r, *(_roots(r, a, b) if start else (b, a)))
-        roots = np.flatnonzero(r == vertex)
-        sizes = np.bincount(r, minlength=len(r))[roots]
-        excess = np.bincount(r[u[:stop]], minlength=len(r))[roots] - sizes + 1
-        found.append(_level(roots // n, sizes, excess))
+        # r is flat: size[x] > 0 exactly at the roots x
+        size = np.bincount(r, minlength=len(r))
+        big = np.flatnonzero(size > 1)
+        sizes = size[big]
+        excess = np.bincount(r[u[:stop]], minlength=len(r))[big] - sizes + 1
+        found.append(_singletons_last(n, reps, *_level(big // n, sizes, excess)))
         start = stop
     return [found[k] for k in back]
 

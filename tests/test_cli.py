@@ -35,6 +35,20 @@ def _raise_graph_error(*args):
     raise GraphError("not an interval")
 
 
+_field_walk = SparseField.walk
+_PRIM_CHECK = "first frontier entrant must be the next Prim vertex"
+
+
+def _walk_with_z1_raised(field, p):
+    z, x, s = _field_walk(field, p)
+    z[1] += 2
+    return z, x, s
+
+
+def _prim_check_fails(g, o):
+    raise AssertionError(_PRIM_CHECK)
+
+
 class TestVerifyInvariants:
     def test_passes_on_seeded_suite(self, tmp_path):
         out = tmp_path / "run"
@@ -58,6 +72,24 @@ class TestVerifyInvariants:
         assert run(["verify-invariants", "--seed", "3", "--replicates", "2", "--out", str(out)]) == 1
         payload = json.loads((out / "invariants.json").read_text())
         assert payload["failures"] == [failure.format(k) for k in range(2)]
+
+    @pytest.mark.parametrize(
+        "target, name, fake, message",
+        [
+            (SparseField, "walk", _walk_with_z1_raised, "Psi Y must equal max(Z - 1, 0) pointwise"),
+            (primcoal.cli, "reorder_field_from_graph", _prim_check_fails, _PRIM_CHECK),
+        ],
+        ids=["z-walk", "prim-check"],
+    )
+    def test_raised_identity_is_a_failed_trial(self, tmp_path, monkeypatch, target, name, fake, message):
+        # an identity that raises inside z_walk or the field reordering fails
+        # its trial: the run goes on, writes its files and exits 1
+        monkeypatch.setattr(target, name, fake)
+        out = tmp_path / "run"
+        assert run(["verify-invariants", "--seed", "3", "--replicates", "2", "--out", str(out)]) == 1
+        payload = json.loads((out / "invariants.json").read_text())
+        assert payload["failures"] == [f"surplus identity trial {k}: {message}" for k in range(2)]
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == ["invariants.json"]
 
 
 class TestSimulate:

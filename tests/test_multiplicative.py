@@ -70,6 +70,25 @@ class TestPLambda:
             call()
 
 
+@pytest.mark.parametrize("reps", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng, reps: graph_route(50, [0.0, 1.0], rng, reps=reps),
+        lambda rng, reps: walk_route(50, [0.0, 1.0], rng, reps=reps),
+        lambda rng, reps: sample_edge_weights(50, 0.1, rng, reps),
+        lambda rng, reps: SparseField.sample(50, 0.1, rng, reps),
+    ],
+    ids=["graph_route", "walk_route", "sample_edge_weights", "SparseField.sample"],
+)
+def test_reps_below_one_refused_before_any_draw(call, reps):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"reps must be >= 1, got reps = {reps}"):
+        call(rng, reps)
+    assert rng.bit_generator.state == state
+
+
 def _dense_field(n, rng):
     """The dense i.i.d. field U(i, k), 1 <= i < k <= n, drawn as an (n+1) x
     (n+1) matrix and held as the p_max = 1 field of all its entries."""
@@ -390,29 +409,43 @@ class TestGraphRoute:
             )
             for n in (50, 300)
             for reps in (1, 3)
+        ]
+        + [
+            pytest.param(6, 1024, [-1.0, 0.0, 2.0], id="1024-6"),
+            # p_lambda(n, -n^(1/3)) = 0: every component a singleton, with
+            # no edge drawn at all, or below the other levels' edges
+            pytest.param(300, 3, [-(300 ** (1 / 3))], id="3-300-all-singletons"),
+            pytest.param(50, 3, [0.0, -(50 ** (1 / 3)), 1.5], id="3-50-a-level-of-singletons"),
+            pytest.param(50, 1, [30.0], id="1-50-no-singleton"),
         ],
     )
     def test_matches_union_find_on_same_edges(self, n, reps, lambdas):
         # the same seed gives the same edges to the union-find oracle; the
         # grid comes unsorted, with a repeat and a supercritical lambda, and
-        # one distinct level takes the route's path that sorts no edges
+        # one distinct level takes the route's path that sorts no edges.
+        # The order is exact: in each rep, decreasing size, then lowest
+        # vertex, so the singletons close the rep in vertex order
         ps = [p_lambda(n, lam) for lam in lambdas]
         found = graph_route(n, lambdas, np.random.default_rng(17), reps=reps)
         u, v, w = sample_edge_weights(n, max(ps), np.random.default_rng(17), reps)
         for p, (rep, sizes, excess) in zip(ps, found):
+            assert rep.dtype == sizes.dtype == excess.dtype == np.int64
+            assert (np.diff(rep) >= 0).all()
             for r in range(reps):
                 mine = u // n == r
                 g = ProperlyWeightedGraph.from_arrays(
                     n, u[mine] - r * n + 1, v[mine] - r * n + 1, w[mine]
                 )
                 level = g.w <= p
-                pairs = []
+                comps = []
                 for comp in level_components(g, p):
                     inside = np.isin(g.u[level], list(comp))
-                    pairs.append((len(comp), int(inside.sum()) - len(comp) + 1))
+                    comps.append((len(comp), int(inside.sum()) - len(comp) + 1, min(comp)))
+                want = [(size, exc) for size, exc, _ in sorted(comps, key=lambda c: (-c[0], c[2]))]
                 ours = rep == r
-                assert sorted(zip(sizes[ours].tolist(), excess[ours].tolist())) == sorted(pairs)
-                assert sizes[ours].tolist() == sorted((s for s, _ in pairs), reverse=True)
+                assert list(zip(sizes[ours].tolist(), excess[ours].tolist())) == want
+        if lambdas == [30.0]:
+            assert sizes.min() > 1, "the case must hold a level with no singleton"
 
     @ROUTES
     def test_batch_components_partition_each_replicate(self, rng, route):
