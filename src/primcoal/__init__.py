@@ -15,9 +15,7 @@ from .graphs import (
     ProperlyWeightedGraph,
     component_filtration,
     level_components,
-    mst_weight_kruskal,
     prim_order,
-    prim_order_rescan,
     random_complete_graph,
 )
 from .states import AugmentedState, MassVector, MergeHistory, d_U
@@ -25,7 +23,6 @@ from .walks import (
     ExcursionSet,
     LatticePath,
     excursions_above_min,
-    excursions_above_zero,
     explore,
     psi,
     walk_component_sizes,
@@ -42,7 +39,6 @@ from .additive import (
     pitman_forest,
     prim_thinned_outdegrees,
     prufer_decode,
-    rejection_sample_conditioned_walk,
     retention_level,
     sample_conditioned_walk,
     uniform_cayley_tree,
@@ -58,8 +54,6 @@ from .multiplicative import (
     p_lambda,
     reorder_field_from_graph,
     replicate_rows,
-    sample_graph_outcomes,
-    sample_walk_outcomes,
     sparse_z_trace,
     surplus_field,
     walk_route,

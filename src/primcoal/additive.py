@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, ProperlyWeightedGraph, PrimOrdering, component_filtration, prim_order
-from .states import MassVector, MergeHistory
+from .graphs import GraphError, ProperlyWeightedGraph, PrimOrdering, _check_ordering, component_filtration, prim_order
+from .states import MassVector, MergeHistory, _check_reps
 from .walks import LatticePath, excursions_above_min
 
 
@@ -68,22 +68,6 @@ def sample_conditioned_walk(n: int, rng) -> ConditionedWalk:
         raise ValueError("n must be >= 1")
     cars = np.bincount(rng.integers(0, n, n - 1), minlength=n)
     return ConditionedWalk(n, _cycle_rotation(cars)[0])
-
-
-# proposals the rejection sampler draws before it gives up
-REJECTION_TRIES = 10**7
-
-
-def rejection_sample_conditioned_walk(n: int, rng) -> ConditionedWalk:
-    """Literal rejection sampler (test oracle, practical only for small n)."""
-    for _ in range(REJECTION_TRIES):
-        x = rng.poisson(1.0, size=n)
-        if x.sum() != n - 1:
-            continue
-        y = np.cumsum(x - 1)
-        if (y[:-1] >= 0).all() and y[-1] == -1:
-            return ConditionedWalk(n, x)
-    raise RuntimeError(f"rejection sampler found no walk in {REJECTION_TRIES} tries")
 
 
 class ThinnedWalkFamily:
@@ -206,6 +190,7 @@ def pitman_forest(n: int, rng, reps: int = 1) -> ForestProcess:
     run to a single tree (see ForestProcess)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_reps(reps)
     sizes0 = np.ones((reps, n), dtype=np.int64)
     sizes = sizes0.copy()
     rows = np.arange(reps)
@@ -320,5 +305,6 @@ def prim_thinned_outdegrees(g: ProperlyWeightedGraph, ordering: PrimOrdering, t:
     """
     if g.m != g.n - 1:
         raise GraphError(f"{g.m} edges on {g.n} vertices: not a tree")
+    _check_ordering(g, ordering)
     parents = ordering.attach_parent[1:][ordering.attach_weight[1:] <= t]  # the root has no attach edge
     return tuple(np.bincount(ordering.rank[parents] - 1, minlength=g.n).tolist())

@@ -142,6 +142,12 @@ class PrimOrdering:
             object.__setattr__(self, name, arr)
 
 
+def _check_ordering(g: ProperlyWeightedGraph, ordering: PrimOrdering) -> None:
+    """Refuse an ordering of another number of vertices than g's."""
+    if len(ordering.order) != g.n:
+        raise GraphError(f"ordering has {len(ordering.order)} vertices, graph has {g.n}")
+
+
 def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
     """Prim order from `root`.
 
@@ -212,61 +218,6 @@ def _prim_dense(g: ProperlyWeightedGraph, root: int) -> PrimOrdering:
     return PrimOrdering(order, attach_weight, attach_parent)
 
 
-def prim_order_rescan(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
-    """Literal O(n*m) Prim order: rescan every cut edge at every step.
-
-    Test oracle for prim_order; follows the defining minimisation verbatim.
-    """
-    if not (1 <= root <= g.n):
-        raise GraphError(f"root {root} not in [1, {g.n}]")
-    visited = {root}
-    order, attach_weight, attach_parent = [root], [np.inf], [0]
-    edges = g.edges
-    while len(order) < g.n:
-        best = None
-        for u, v, w in edges:
-            if (u in visited) != (v in visited):
-                if best is None or w < best[0]:
-                    inside, outside = (u, v) if u in visited else (v, u)
-                    best = (w, outside, inside)
-        if best is None:
-            raise DisconnectedGraphError("graph disconnected")
-        w, v, parent = best
-        visited.add(v)
-        order.append(v)
-        attach_weight.append(w)
-        attach_parent.append(parent)
-    return PrimOrdering(order, attach_weight, attach_parent)
-
-
-class UnionFind:
-    """Union-find with path compression, union by size, per-root counters."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_components = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_components -= 1
-        return True
-
-
 def _least_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """lab[v] = least vertex of v's component, for the graph on 0..n whose
     edges are (a[k], b[k]) with a[k] < b[k].
@@ -327,8 +278,7 @@ def level_components(
     comps = {root: frozenset(vs) for root, vs in groups.items()}
     if ordering is None:
         return list(comps.values())
-    if len(ordering.order) != g.n:
-        raise GraphError(f"ordering has {len(ordering.order)} vertices, graph has {g.n}")
+    _check_ordering(g, ordering)
     by_rank = np.empty(g.n, dtype=np.int64)  # label of the vertex at each rank
     by_rank[ordering.rank[1:] - 1] = lab
     cut = (by_rank[1:] != by_rank[:-1]).nonzero()[0] + 1  # where a run of labels starts
@@ -425,8 +375,7 @@ def component_filtration(
     raises GraphError.
     """
     n = g.n
-    if len(ordering.order) != n:
-        raise GraphError(f"ordering has {len(ordering.order)} vertices, graph has {n}")
+    _check_ordering(g, ordering)
     if g.m < n - 1:
         raise GraphError(f"{g.m} edges cannot connect {n} vertices")
     rank = ordering.rank - 1  # 0-based; the root's parent 0 has rank -1
@@ -445,18 +394,6 @@ def component_filtration(
             "merges non-adjacent Prim intervals"
         )
     return ComponentFiltration(attach_weight=aw, edge_rank=a, edge_weight=g.w)
-
-
-def mst_weight_kruskal(g: ProperlyWeightedGraph) -> float:
-    """Independent MST total weight (sort edges + union-find)."""
-    uf = UnionFind(g.n)
-    total = 0.0
-    for u, v, w in sorted(g.edges, key=lambda e: e[2]):
-        if uf.union(u - 1, v - 1):
-            total += w
-    if uf.n_components != 1:
-        raise DisconnectedGraphError("graph disconnected")
-    return total
 
 
 def random_complete_graph(n, rng) -> ProperlyWeightedGraph:

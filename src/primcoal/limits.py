@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import MassVector, MergeHistory
+from .states import MassVector, MergeHistory, _check_reps
 from .walks import LatticePath, excursions_above_min, psi
 
 
@@ -101,7 +101,7 @@ class MLTrajectory(MergeHistory):
 def marcus_lushnikov(masses, kernel, rng, t_max: float) -> MLTrajectory:
     """Event-driven Marcus-Lushnikov process for a batch of runs.
 
-    `masses` is (reps, m0), the positive initial masses of `reps`
+    `masses` is (reps, m0), the positive initial masses of `reps` >= 1
     independent runs.  Blocks i, j merge at rate K(x_i, x_j), where
     `kernel` names K: "additive" (x + y) or "multiplicative" (x y).  Exact
     event-by-event simulation in which every live replicate makes one event
@@ -115,6 +115,7 @@ def marcus_lushnikov(masses, kernel, rng, t_max: float) -> MLTrajectory:
     masses0 = np.asarray(masses, dtype=float)
     if masses0.ndim != 2 or (masses0 <= 0).any():
         raise ValueError("masses must be a positive (reps, m0) array")
+    _check_reps(len(masses0))
     blocks = masses0.copy()
     reps, m0 = blocks.shape
     iu, ju = np.triu_indices(m0, 1)
@@ -153,6 +154,7 @@ def ml_multiplicative_sizes(n: int, p: float, rng, reps: int = 1) -> np.ndarray:
     """
     if not (0.0 <= p < 1.0):
         raise ValueError("p must lie in [0, 1)")
+    _check_reps(reps)
     tau = -np.log1p(-p)
     # per-pair clock rate x_i * x_j with unit masses: each vertex pair is an
     # independent rate-1 clock, so by time tau an edge exists w.p. 1 - e^{-tau}
@@ -165,6 +167,7 @@ def ml_additive_sizes(n: int, s: float, rng, reps: int = 1) -> np.ndarray:
     """Masses 1/n, additive kernel, observed at time s; matches the forest
     process tree sizes, so the masses are reported times n, rounded to int64
     block sizes.  `reps` as above."""
+    _check_reps(reps)
     masses = np.full((reps, n), 1.0 / n)
     traj = marcus_lushnikov(masses, "additive", rng, t_max=s)
     return np.rint(traj.masses_at(s) * n).astype(np.int64)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProperlyWeightedGraph, PrimOrdering, _interval_blocks
-from .oracles import row_counts
-from .states import AugmentedState, MassVector
+from .graphs import ProperlyWeightedGraph, PrimOrdering, _check_ordering, _interval_blocks
+from .states import AugmentedState, MassVector, _check_reps
 from .walks import LatticePath, excursions_above_min, psi
 
 
@@ -61,6 +60,7 @@ def reorder_field_from_graph(g: ProperlyWeightedGraph, ordering: PrimOrdering) -
     n = g.n
     if g.m != n * (n - 1) // 2:
         raise ValueError("field reordering requires a complete graph")
+    _check_ordering(g, ordering)
     rank = ordering.rank
     a, b = rank[g.u], rank[g.v]
     wr = np.full((n + 1, n + 1), np.inf)
@@ -160,8 +160,7 @@ def _triangle_cells(n: int, p_max: float, rng, reps: int):
     expected count plus about 4 sd, until the run is passed.  reps < 1 is
     refused before any draw.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got reps = {reps}")
+    _check_reps(reps)
     if not 0.0 <= p_max <= 1.0:
         raise ValueError(f"p_max = {p_max} outside [0, 1]")
     ne = n * (n - 1) // 2
@@ -359,8 +358,10 @@ def walk_route(n: int, lambdas, rng, reps: int = 1):
     `lambdas`, and each lambda gives (rep, sizes, surplus) over `reps`
     independent walks, in graph_route's order; ties in size keep
     exploration order.  The field is walked once at each distinct level,
-    in increasing p, and equal lambdas share their result.  Any n, O(n
-    reps) memory.
+    in increasing p, and equal lambdas share their result.  As in
+    graph_route, only the components with more than one vertex are ordered
+    (_level); the singletons, size 1 and surplus 0, go last in their rep,
+    placed by position (_singletons_last).  Any n, O(n reps) memory.
     """
     ps = [p_lambda(n, lam) for lam in lambdas]
     field = SparseField.sample(n, max(ps), rng, reps)
@@ -370,7 +371,9 @@ def walk_route(n: int, lambdas, rng, reps: int = 1):
         z, _, s = field.walk(p)
         # step k + 1 opens a component where Z(k) = 0
         opened, sizes, surplus = _interval_blocks(z[:-1] == 0, s[1:])
-        found.append(_level(opened // n, sizes, surplus.astype(np.int64)))
+        big = sizes > 1
+        level = _level(opened[big] // n, sizes[big], surplus[big].astype(np.int64))
+        found.append(_singletons_last(n, reps, *level))
     return [found[k] for k in back]
 
 
@@ -574,30 +577,3 @@ def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
     p = p_lambda(n, lam)
     return np.append(SparseField.sample(n, p, rng).walk(p)[0], 0)
 
-
-# ---------------------------------------------------------------------------
-# Small-n replicate samplers (outcome distributions for two-sample tests)
-
-
-def _outcome_counts(rep, sizes, extra, reps: int, n: int) -> dict[tuple, int]:
-    """Count dict of the per-replicate multisets {(size, extra)}.
-
-    Components come as flat arrays grouped by increasing rep.  A key lists
-    a replicate's pairs by decreasing size, then extra, as the flat tuple
-    (size_1, extra_1, size_2, extra_2, ...) padded with zeros to length 2n.
-    """
-    order = np.lexsort((extra, -sizes, rep))
-    pairs = np.stack([sizes[order], extra[order]], axis=1)
-    return row_counts(replicate_rows(rep[order], pairs, reps, n).reshape(reps, 2 * n))
-
-
-def sample_walk_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:
-    """Empirical law of the multiset {(size, surplus)} under the walk route,
-    keyed as in _outcome_counts, from one flat batch of sparse walks."""
-    return _outcome_counts(*walk_route(n, [lam], rng, reps=reps)[0], reps, n)
-
-
-def sample_graph_outcomes(n: int, lam: float, reps: int, rng) -> dict[tuple, int]:
-    """Empirical law of the multiset {(size, excess)} of the components of
-    G(n, p_lambda), keyed as in _outcome_counts, from the batched graph route."""
-    return _outcome_counts(*graph_route(n, [lam], rng, reps=reps)[0], reps, n)

@@ -74,6 +74,12 @@ def d_U(a: AugmentedState, b: AugmentedState) -> float:
     return float(np.sqrt(((xa - xb) ** 2).sum()) + np.abs(xa * sa - xb * sb).sum())
 
 
+def _check_reps(reps: int) -> None:
+    """Refuse a batch of fewer than one run; samplers call it before any draw."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got reps = {reps}")
+
+
 @dataclass(frozen=True)
 class MergeHistory:
     """Merges of a batch of coalescent runs on fixed block slots.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProperlyWeightedGraph, PrimOrdering
+from .graphs import ProperlyWeightedGraph, PrimOrdering, _check_ordering
 
 
 @dataclass(frozen=True)
@@ -62,29 +62,6 @@ class ExcursionSet:
         return self.ends - self.starts
 
 
-def excursions_above_zero(f: LatticePath) -> ExcursionSet:
-    """Maximal intervals between successive zeros of a non-negative path.
-
-    Requires f >= 0 and f(0) = 0.  A trailing stretch that never returns to
-    zero is reported as a final (incomplete) excursion.
-    """
-    vals = f.values
-    if vals[0] != 0:
-        raise ValueError("path must start at 0")
-    if (vals < 0).any():
-        raise ValueError("path must be non-negative")
-    zeros = np.flatnonzero(vals == 0)
-    # A unit gap between zeros is flat at 0 under interpolation, hence not
-    # an excursion (a constant-zero path has none).
-    intervals = [
-        (int(a), int(b)) for a, b in zip(zeros[:-1], zeros[1:]) if b - a >= 2
-    ]
-    if zeros[-1] != len(vals) - 1:
-        intervals.append((int(zeros[-1]), len(vals) - 1))
-    starts, ends = np.array(intervals, dtype=np.int64).reshape(-1, 2).T
-    return ExcursionSet(starts, ends)
-
-
 def excursions_above_min(f: LatticePath, weak: bool = False) -> ExcursionSet:
     """Excursions of f above its running minimum.
 
@@ -127,6 +104,7 @@ def explore(
     """
     n = g.n
     if isinstance(order, PrimOrdering):
+        _check_ordering(g, order)
         key = order.rank.tolist()
     elif order == "labels":
         key = list(range(n + 1))

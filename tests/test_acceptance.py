@@ -41,8 +41,6 @@ from primcoal.multiplicative import (
     p_lambda,
     reorder_field_from_graph,
     replicate_rows,
-    sample_graph_outcomes,
-    sample_walk_outcomes,
     sparse_z_trace,
     surplus_field,
     z_walk,
@@ -59,11 +57,12 @@ from primcoal.oracles import (
 from primcoal.walks import (
     LatticePath,
     excursions_above_min,
-    excursions_above_zero,
     explore,
     psi,
     walk_component_sizes,
 )
+
+from _oracles import excursions_above_zero, sample_graph_outcomes, sample_walk_outcomes
 
 SEED = 987654321
 

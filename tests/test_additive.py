@@ -1,10 +1,10 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import primcoal.additive
 from primcoal.additive import (
     ConditionedWalk,
     ParkingConfiguration,
@@ -16,7 +16,6 @@ from primcoal.additive import (
     pitman_forest,
     prim_thinned_outdegrees,
     prufer_decode,
-    rejection_sample_conditioned_walk,
     retention_level,
     rooted_children,
     sample_conditioned_walk,
@@ -30,6 +29,22 @@ from primcoal.oracles import (
     tv_distance,
 )
 from primcoal.walks import excursions_above_min
+
+
+# proposals the rejection sampler draws before it gives up
+REJECTION_TRIES = 10**7
+
+
+def rejection_sample_conditioned_walk(n: int, rng) -> ConditionedWalk:
+    """Literal rejection sampler (test oracle, practical only for small n)."""
+    for _ in range(REJECTION_TRIES):
+        x = rng.poisson(1.0, size=n)
+        if x.sum() != n - 1:
+            continue
+        y = np.cumsum(x - 1)
+        if (y[:-1] >= 0).all() and y[-1] == -1:
+            return ConditionedWalk(n, x)
+    raise RuntimeError(f"rejection sampler found no walk in {REJECTION_TRIES} tries")
 
 
 class TestConditionedWalk:
@@ -71,7 +86,7 @@ class TestConditionedWalk:
             sample_conditioned_walk(0, rng)
 
     def test_rejection_sampler_gives_up(self, rng, monkeypatch):
-        monkeypatch.setattr(primcoal.additive, "REJECTION_TRIES", 0)
+        monkeypatch.setattr(sys.modules[__name__], "REJECTION_TRIES", 0)
         with pytest.raises(RuntimeError, match="rejection sampler found no walk in 0 tries"):
             rejection_sample_conditioned_walk(3, rng)
 

@@ -7,15 +7,14 @@ from primcoal.graphs import (
     GraphError,
     PrimOrdering,
     ProperlyWeightedGraph,
-    UnionFind,
     component_filtration,
     level_components,
-    mst_weight_kruskal,
     prim_order,
-    prim_order_rescan,
     random_complete_graph,
 )
-from primcoal.additive import weighted_cayley_tree
+from primcoal.additive import prim_thinned_outdegrees, weighted_cayley_tree
+from primcoal.multiplicative import reorder_field_from_graph
+from primcoal.walks import explore
 
 
 def path_graph(weights):
@@ -35,6 +34,73 @@ def sparse_connected_graph(n, extra, rng):
             pairs.add((u, v))
             edges.append((u, v, float(rng.random())))
     return ProperlyWeightedGraph(n, edges)
+
+
+def prim_order_rescan(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
+    """Literal O(n*m) Prim order: rescan every cut edge at every step.
+
+    Test oracle for prim_order; follows the defining minimisation verbatim.
+    """
+    if not (1 <= root <= g.n):
+        raise GraphError(f"root {root} not in [1, {g.n}]")
+    visited = {root}
+    order, attach_weight, attach_parent = [root], [np.inf], [0]
+    edges = g.edges
+    while len(order) < g.n:
+        best = None
+        for u, v, w in edges:
+            if (u in visited) != (v in visited):
+                if best is None or w < best[0]:
+                    inside, outside = (u, v) if u in visited else (v, u)
+                    best = (w, outside, inside)
+        if best is None:
+            raise DisconnectedGraphError("graph disconnected")
+        w, v, parent = best
+        visited.add(v)
+        order.append(v)
+        attach_weight.append(w)
+        attach_parent.append(parent)
+    return PrimOrdering(order, attach_weight, attach_parent)
+
+
+class UnionFind:
+    """Union-find with path compression, union by size, per-root counters."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.n_components = n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.n_components -= 1
+        return True
+
+
+def mst_weight_kruskal(g: ProperlyWeightedGraph) -> float:
+    """Independent MST total weight (sort edges + union-find)."""
+    uf = UnionFind(g.n)
+    total = 0.0
+    for u, v, w in sorted(g.edges, key=lambda e: e[2]):
+        if uf.union(u - 1, v - 1):
+            total += w
+    if uf.n_components != 1:
+        raise DisconnectedGraphError("graph disconnected")
+    return total
 
 
 def _sequential_level_components(g, t, ordering=None):
@@ -316,6 +382,28 @@ class TestFiltration:
         for ordering in (not_an_edge, wrong_weight, later_parent):
             with pytest.raises(GraphError, match="attach edges are not edges of g"):
                 component_filtration(g, ordering)
+
+
+@pytest.mark.parametrize("other", [4, 6], ids=["n-minus-one", "n-plus-one"])
+@pytest.mark.parametrize(
+    "read, make",
+    [
+        (lambda g, o: level_components(g, 0.5, o), random_complete_graph),
+        (component_filtration, random_complete_graph),
+        (lambda g, o: explore(g, 0.5, o), random_complete_graph),
+        (lambda g, o: prim_thinned_outdegrees(g, o, 0.5), weighted_cayley_tree),
+        (reorder_field_from_graph, random_complete_graph),
+    ],
+    ids=["level_components", "component_filtration", "explore", "prim_thinned_outdegrees", "reorder_field_from_graph"],
+)
+def test_every_reader_refuses_an_ordering_of_another_size(rng, read, make, other):
+    # each reader gets a graph it otherwise takes (a tree for the thinned
+    # out-degrees, a complete graph for the rest) and the Prim order of
+    # another graph of its kind on 4 or 6 vertices
+    g = make(5, rng)
+    ordering = prim_order(make(other, rng))
+    with pytest.raises(GraphError, match=f"ordering has {other} vertices, graph has 5"):
+        read(g, ordering)
 
 
 class _RepeatFirstDraw:

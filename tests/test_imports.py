@@ -5,7 +5,9 @@ function or class defined in src/ (bar the CLI) is read somewhere in src/,
 demos/, tests/ or bench/.  Every parameter with a default, in every
 function or method defined in src/, is passed by some call in those four
 trees.  One convention is checked the same way: no function in src/
-defaults `reps` to None.
+defaults `reps` to None.  And one layering: no simulation module imports
+the verdict layer, `primcoal.oracles`, so the oracles stay independent of
+what they judge.
 
 Names imported into a package's __init__.py are its public re-exports and
 are exempt.  A name counts as used when it appears as a bare name anywhere
@@ -202,3 +204,32 @@ def test_defaulted_parameters_are_passed():
         if not {(name, param), (name, "**"), (name, pos), (name, "*")} & passed
     ]
     assert not dead, "parameters no call passes:\n" + "\n".join(dead)
+
+
+def _imported_modules(path: pathlib.Path) -> set[str]:
+    """The modules a file of the package imports from, relative ones named
+    in full (`from .oracles import x` and `from . import oracles` both give
+    primcoal.oracles)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "primcoal" if node.level else ""
+            if node.module is None:
+                found.update(f"{base}.{alias.name}" for alias in node.names)
+            else:
+                found.add(f"{base}.{node.module}" if base else node.module)
+    return found
+
+
+def test_simulation_layer_does_not_import_the_verdict_layer():
+    # the samplers and encodings are what the verdicts judge: an oracle or
+    # a test statistic imported into them would no longer be independent
+    simulation = ("graphs", "walks", "states", "additive", "multiplicative", "limits")
+    found = [
+        f"src/primcoal/{name}.py"
+        for name in simulation
+        if "primcoal.oracles" in _imported_modules(ROOT / "src" / "primcoal" / f"{name}.py")
+    ]
+    assert not found, "simulation modules importing primcoal.oracles:\n" + "\n".join(found)

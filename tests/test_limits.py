@@ -14,9 +14,11 @@ from primcoal.limits import (
     simulate_excursion,
     simulate_parabolic,
 )
-from primcoal.multiplicative import graph_route, p_lambda, replicate_rows, sample_walk_outcomes
+from primcoal.multiplicative import graph_route, p_lambda, replicate_rows
 from primcoal.oracles import row_counts, tv_distance
 from primcoal.walks import LatticePath, excursions_above_min
+
+from _oracles import sample_walk_outcomes
 
 
 class TestParabolicPath:

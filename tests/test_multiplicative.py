@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from primcoal.additive import pitman_forest
 from primcoal.graphs import (
     PrimOrdering,
     ProperlyWeightedGraph,
+    _interval_blocks,
     component_filtration,
     level_components,
     prim_order,
     random_complete_graph,
 )
+from primcoal.limits import marcus_lushnikov, ml_additive_sizes, ml_multiplicative_sizes
 from primcoal.multiplicative import (
     CriticalWindowParams,
     SparseField,
@@ -32,8 +35,6 @@ from primcoal.multiplicative import (
     reorder_field_from_graph,
     replicate_rows,
     sample_edge_weights,
-    sample_graph_outcomes,
-    sample_walk_outcomes,
     sparse_z_trace,
     surplus_field,
     walk_route,
@@ -41,6 +42,8 @@ from primcoal.multiplicative import (
 )
 from primcoal.oracles import ks_two_sample, row_counts, tv_distance
 from primcoal.walks import LatticePath, walk_component_sizes
+
+from _oracles import sample_graph_outcomes, sample_walk_outcomes
 
 
 class TestPLambda:
@@ -70,16 +73,28 @@ class TestPLambda:
             call()
 
 
-@pytest.mark.parametrize("reps", [0, -1])
+_BATCH_SAMPLERS = {
+    "graph_route": lambda rng, reps: graph_route(50, [0.0, 1.0], rng, reps=reps),
+    "walk_route": lambda rng, reps: walk_route(50, [0.0, 1.0], rng, reps=reps),
+    "sample_edge_weights": lambda rng, reps: sample_edge_weights(50, 0.1, rng, reps),
+    "SparseField.sample": lambda rng, reps: SparseField.sample(50, 0.1, rng, reps),
+    "pitman_forest": lambda rng, reps: pitman_forest(5, rng, reps=reps),
+    "ml_multiplicative_sizes": lambda rng, reps: ml_multiplicative_sizes(5, 0.3, rng, reps=reps),
+    "ml_additive_sizes": lambda rng, reps: ml_additive_sizes(5, 0.7, rng, reps=reps),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda rng, reps: graph_route(50, [0.0, 1.0], rng, reps=reps),
-        lambda rng, reps: walk_route(50, [0.0, 1.0], rng, reps=reps),
-        lambda rng, reps: sample_edge_weights(50, 0.1, rng, reps),
-        lambda rng, reps: SparseField.sample(50, 0.1, rng, reps),
+    "call, reps",
+    [pytest.param(call, reps, id=f"{name}-{reps}") for name, call in _BATCH_SAMPLERS.items() for reps in (0, -1)]
+    # the masses give marcus_lushnikov its batch, and no array has -1 rows
+    + [
+        pytest.param(
+            lambda rng, reps: marcus_lushnikov(np.ones((reps, 5)), "additive", rng, t_max=1.0),
+            0,
+            id="marcus_lushnikov-0",
+        )
     ],
-    ids=["graph_route", "walk_route", "sample_edge_weights", "SparseField.sample"],
 )
 def test_reps_below_one_refused_before_any_draw(call, reps):
     rng = np.random.default_rng(0)
@@ -503,6 +518,29 @@ class TestWalkRoute:
         plain = walk_route(300, [-1.0, 0.0, 1.0], np.random.default_rng(9), reps=3)
         for got, want in zip(grid, [plain[2], plain[0], plain[1], plain[2]]):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_levels_are_the_field_blocks_in_lexsort_order(self):
+        # the same seed gives the route's field; the grid comes unsorted and
+        # repeated, with a level at p = 0 (every block a singleton) and one
+        # with no singleton.  Each level is the field's own blocks at p, by
+        # rep, then decreasing size, ties in exploration order
+        n, reps = 50, 3
+        lambdas = [1.5, 30.0, -(n ** (1 / 3)), 0.0, 1.5]
+        ps = [p_lambda(n, lam) for lam in lambdas]
+        assert min(ps) == 0.0
+        found = walk_route(n, lambdas, np.random.default_rng(23), reps=reps)
+        field = SparseField.sample(n, max(ps), np.random.default_rng(23), reps)
+        for p, got in zip(ps, found):
+            z, _, s = field.walk(p)
+            opened, sizes, surplus = _interval_blocks(z[:-1] == 0, s[1:])
+            rep = opened // n
+            order = np.lexsort((-sizes, rep))
+            for a, b in zip(got, (rep, sizes, surplus.astype(np.int64))):
+                assert a.dtype == np.int64
+                assert np.array_equal(a, b[order])
+            if p == 0.0:
+                assert (got[1] == 1).all()
+        assert found[1][1].min() > 1, "the grid must hold a level with no singleton"
 
     def test_walk_vs_graph_outcomes_small_tv(self, rng):
         counts_w = sample_walk_outcomes(5, 0.5, 20000, rng)

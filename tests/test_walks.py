@@ -8,11 +8,12 @@ from primcoal.limits import simulate_excursion, simulate_parabolic
 from primcoal.walks import (
     LatticePath,
     excursions_above_min,
-    excursions_above_zero,
     explore,
     psi,
     walk_component_sizes,
 )
+
+from _oracles import excursions_above_zero
 
 lattice_steps = st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=60)
 
