@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphError, ProperlyWeightedGraph, PrimOrdering, _check_ordering, component_filtration, prim_order
-from .states import MassVector, MergeHistory, _check_reps
+from .states import MassVector, MergeHistory, _check_reps, _running_sum
 from .walks import LatticePath, excursions_above_min
 
 
@@ -41,6 +41,15 @@ class ConditionedWalk:
             raise ValueError("walk must first hit -1 at time n")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "increments", x)
+
+    @classmethod
+    def _unchecked(cls, n: int, increments: np.ndarray) -> ConditionedWalk:
+        """A walk the caller guarantees valid (int64 increments of a first
+        passage at n), built without the constructor's checks."""
+        walk = object.__new__(cls)
+        object.__setattr__(walk, "n", n)
+        object.__setattr__(walk, "increments", increments)
+        return walk
 
     def path(self) -> LatticePath:
         """Y(0..n) with Y(m) = sum_{j<=m} (X(j) - 1)."""
@@ -67,7 +76,8 @@ def sample_conditioned_walk(n: int, rng) -> ConditionedWalk:
     if n < 1:
         raise ValueError("n must be >= 1")
     cars = np.bincount(rng.integers(0, n, n - 1), minlength=n)
-    return ConditionedWalk(n, _cycle_rotation(cars)[0])
+    # the cycle lemma makes the rotation a first passage at n: no re-check
+    return ConditionedWalk._unchecked(n, _cycle_rotation(cars)[0])
 
 
 class ThinnedWalkFamily:
@@ -187,29 +197,34 @@ class ForestProcess(MergeHistory):
 
 def pitman_forest(n: int, rng, reps: int = 1) -> ForestProcess:
     """`reps` independent runs of the forest process on n vertices, each
-    run to a single tree (see ForestProcess)."""
+    run to a single tree (see ForestProcess).
+
+    The batch is held slot-major, the tree sizes as (n, reps) rows, so a
+    round is a few whole-row operations; the cumulative sizes and live-slot
+    counts are running sums down the slot rows, the same additions as a
+    per-replicate np.cumsum, so the draws do not depend on the layout.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_reps(reps)
-    sizes0 = np.ones((reps, n), dtype=np.int64)
-    sizes = sizes0.copy()
-    rows = np.arange(reps)
+    sizes = np.ones((n, reps), dtype=np.int64)
+    cols = np.arange(reps)
     clock = np.zeros(reps)
-    times = np.empty((reps, n - 1))
-    pairs = np.empty((2, reps, n - 1), dtype=np.int64)
+    times = np.empty((n - 1, reps))
+    i_out, j_out = np.empty((2,) + times.shape, dtype=np.int64)
     for k in range(n - 1):
         m = n - k
         clock += rng.exponential(size=reps) / (m - 1)
         # P{pair {i,j}} = (s_i+s_j)/(n(m-1)): draw i by size, j uniform other
-        i = (np.cumsum(sizes, axis=1) <= rng.random(reps)[:, None] * n).sum(axis=1)
-        other = sizes > 0
-        other[rows, i] = False
-        j = (np.cumsum(other, axis=1) <= rng.integers(m - 1, size=reps)[:, None]).sum(axis=1)
+        i = (_running_sum(sizes.copy()) <= rng.random(reps) * n).sum(axis=0)
+        other = (sizes > 0).astype(np.int64)
+        other[i, cols] = 0
+        j = (_running_sum(other) <= rng.integers(m - 1, size=reps)).sum(axis=0)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        times[:, k], pairs[0, :, k], pairs[1, :, k] = clock, lo, hi
-        sizes[rows, lo] += sizes[rows, hi]
-        sizes[rows, hi] = 0
-    return ForestProcess(times, *pairs, sizes0)
+        times[k], i_out[k], j_out[k] = clock, lo, hi
+        sizes[lo, cols] += sizes[hi, cols]
+        sizes[hi, cols] = 0
+    return ForestProcess(times.T, i_out.T, j_out.T, np.ones((reps, n), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import MassVector, MergeHistory, _check_reps
+from .states import MassVector, MergeHistory, _check_reps, _running_sum
 from .walks import LatticePath, excursions_above_min, psi
 
 
@@ -88,7 +88,16 @@ def limit_surplus(path: LatticePath, rng) -> list[tuple[float, int]]:
 # Marcus-Lushnikov finite-rate coalescent
 
 
-_KERNELS = {"additive": np.add, "multiplicative": np.multiply}
+def _additive_rates(x, y):
+    """x + y, times 0 on a pair with a dead slot (mass 0)."""
+    r = x + y
+    r *= (x > 0) & (y > 0)
+    return r
+
+
+# pair rates from the two slots' masses, 0 where a slot is dead; a dead slot's
+# mass 0 makes the product 0 by itself
+_KERNELS = {"additive": _additive_rates, "multiplicative": np.multiply}
 
 
 class MLTrajectory(MergeHistory):
@@ -101,48 +110,52 @@ class MLTrajectory(MergeHistory):
 def marcus_lushnikov(masses, kernel, rng, t_max: float) -> MLTrajectory:
     """Event-driven Marcus-Lushnikov process for a batch of runs.
 
-    `masses` is (reps, m0), the positive initial masses of `reps` >= 1
+    `masses` is (reps, m0), the finite positive initial masses of `reps` >= 1
     independent runs.  Blocks i, j merge at rate K(x_i, x_j), where
     `kernel` names K: "additive" (x + y) or "multiplicative" (x y).  Exact
     event-by-event simulation in which every live replicate makes one event
     per round: total rate, exponential waiting time, pair chosen by its rate
-    share.  A replicate freezes once its clock passes t_max or its total
-    rate is 0.  A round costs O(reps m0^2); there are at most m0 - 1 rounds.
+    share.  A replicate freezes once its clock passes t_max (a number, inf
+    allowed) or its total rate is 0.  A round costs O(reps m0^2); there are
+    at most m0 - 1 rounds.
+
+    The batch is held slot-major: the blocks as (m0, live reps) rows and the
+    pair rates as (pairs, live reps) rows, so a round is a few whole-row
+    operations.  The cumulative rates are one running sum down the pair
+    rows, the same float additions as a per-replicate np.cumsum, so the
+    draws do not depend on the layout.
     """
     if not isinstance(kernel, str) or kernel not in _KERNELS:
         raise ValueError(f"kernel must be one of {', '.join(map(repr, _KERNELS))}, got {kernel!r}")
     rate = _KERNELS[kernel]
     masses0 = np.asarray(masses, dtype=float)
-    if masses0.ndim != 2 or (masses0 <= 0).any():
-        raise ValueError("masses must be a positive (reps, m0) array")
+    if masses0.ndim != 2 or not (np.isfinite(masses0) & (masses0 > 0)).all():
+        raise ValueError("masses must be a finite positive (reps, m0) array")
+    if np.isnan(t_max):
+        raise ValueError("t_max must be a number, got nan")
     _check_reps(len(masses0))
-    blocks = masses0.copy()
-    reps, m0 = blocks.shape
+    reps, m0 = masses0.shape
     iu, ju = np.triu_indices(m0, 1)
-    clock = np.zeros(reps)
-    times = np.full((reps, max(m0 - 1, 0)), np.inf)
-    pairs = np.zeros((2,) + times.shape, dtype=np.int64)
-    live = np.arange(reps)
-    for k in range(times.shape[1]):
-        # a merged-away slot holds mass 0 and is dead
-        b = blocks[live]
-        rates = np.where((b[:, iu] > 0) & (b[:, ju] > 0), rate(b[:, iu], b[:, ju]), 0.0)
-        cum = np.cumsum(rates, axis=1)
-        keep = cum[:, -1] > 0
-        live, cum = live[keep], cum[keep]
-        clock[live] += rng.exponential(size=len(live)) / cum[:, -1]
-        keep = clock[live] <= t_max
-        live, cum = live[keep], cum[keep]
+    times = np.full((max(m0 - 1, 0), reps), np.inf)
+    i_out, j_out = np.zeros((2,) + times.shape, dtype=np.int64)
+    # one column per live replicate; a merged-away slot holds mass 0
+    blocks, clock, live = masses0.T.copy(), np.zeros(reps), np.arange(reps)
+    for k in range(len(times)):
+        cum = _running_sum(rate(blocks[iu], blocks[ju]))
+        # a replicate freezes once its total rate is 0, then once its clock passes t_max
+        keep = cum[-1] > 0
+        clock[keep] += rng.exponential(size=np.count_nonzero(keep)) / cum[-1, keep]
+        keep &= clock <= t_max
+        live, clock, blocks, cum = (a.compress(keep, axis=-1) for a in (live, clock, blocks, cum))
         # the first pair whose cumulative rate exceeds a uniform share of the
         # total has positive rate
-        share = rng.random(len(live)) * cum[:, -1]
-        pick = np.minimum((cum <= share[:, None]).sum(axis=1), len(iu) - 1)
-        i, j = iu[pick], ju[pick]
-        times[live, k] = clock[live]
-        pairs[:, live, k] = i, j
-        blocks[live, i] += blocks[live, j]
-        blocks[live, j] = 0.0
-    return MLTrajectory(times, *pairs, masses0)
+        share = rng.random(len(live)) * cum[-1]
+        pick = np.minimum((cum <= share).sum(axis=0), len(iu) - 1)
+        i, j, cols = iu[pick], ju[pick], np.arange(len(live))
+        times[k, live], i_out[k, live], j_out[k, live] = clock, i, j
+        blocks[i, cols] += blocks[j, cols]
+        blocks[j, cols] = 0.0
+    return MLTrajectory(times.T, i_out.T, j_out.T, masses0)
 
 
 def ml_multiplicative_sizes(n: int, p: float, rng, reps: int = 1) -> np.ndarray:
@@ -167,6 +180,8 @@ def ml_additive_sizes(n: int, s: float, rng, reps: int = 1) -> np.ndarray:
     """Masses 1/n, additive kernel, observed at time s; matches the forest
     process tree sizes, so the masses are reported times n, rounded to int64
     block sizes.  `reps` as above."""
+    if not s >= 0.0:
+        raise ValueError(f"s must be >= 0, got s = {s}")
     _check_reps(reps)
     masses = np.full((reps, n), 1.0 / n)
     traj = marcus_lushnikov(masses, "additive", rng, t_max=s)

@@ -80,6 +80,17 @@ def _check_reps(reps: int) -> None:
         raise ValueError(f"reps must be >= 1, got reps = {reps}")
 
 
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """Running sums down the first axis of x, in place; returns x.
+
+    x[k] += x[k - 1] for k = 1..len(x) - 1: on (slots, reps) rows each step
+    is one whole-row add, and every column gets the same left-to-right
+    additions as np.cumsum, so float sums match it bit for bit."""
+    for k in range(1, len(x)):
+        x[k] += x[k - 1]
+    return x
+
+
 @dataclass(frozen=True)
 class MergeHistory:
     """Merges of a batch of coalescent runs on fixed block slots.

@@ -93,7 +93,9 @@ class TestConditionedWalk:
     def test_cycle_sampler_always_valid(self, rng):
         for _ in range(500):
             n = int(rng.integers(1, 40))
-            sample_conditioned_walk(n, rng)  # constructor re-validates
+            walk = sample_conditioned_walk(n, rng)
+            assert walk.increments.dtype == np.int64
+            ConditionedWalk(n, walk.increments)  # the public constructor checks the cycle lemma
 
     def test_exact_law_n3(self, rng):
         # the only first-passage walks on 3 steps are (2,0,0) and (1,1,0),
@@ -295,6 +297,69 @@ class TestParking:
                 assert sorted(ladder, reverse=True) == cfg.block_sizes()
 
 
+# (times, i, j) of pitman_forest(n, default_rng(7), reps) at key (n, reps).
+# Recorded with the batch held as (reps, slots) rows, before the rounds went
+# slot-major.
+_FOREST_DRAWS = {
+    (2, 1): (
+        [[0.7075292557919215]],
+        [[0]],
+        [[1]],
+    ),
+    (2, 3): (
+        [
+            [0.7075292557919215],
+            [1.025203348294905],
+            [0.5685486573832514],
+        ],
+        [[0], [0], [0]],
+        [[1], [1], [1]],
+    ),
+    (6, 1): (
+        [[0.1415058511583843, 0.365283317057175, 1.4931624342025929, 1.7808288123775247, 2.321964706565736]],
+        [[2, 1, 0, 0, 0]],
+        [[5, 4, 2, 3, 1]],
+    ),
+    (6, 3): (
+        [
+            [0.1415058511583843, 0.2853390402458502, 0.35936279437335283, 0.7458156198898782, 1.0390943827100134],
+            [0.205040669658981, 0.2801741727976946, 1.3283986121543299, 2.4263810132317714, 3.440639678470945],
+            [0.11370973147665028, 0.2489937050237032, 0.4942794629061354, 0.7318564148377504, 1.366586793511392],
+        ],
+        [[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [2, 2, 0, 0, 0]],
+        [[5, 4, 2, 3, 1], [1, 3, 2, 5, 4], [5, 3, 1, 2, 4]],
+    ),
+    (7, 1): (
+        [
+            [
+                0.11792154263198691, 0.2969435153510195, 1.142852853210083,
+                1.3346304386600376, 1.6051983857541434, 2.678899047468777,
+            ],
+        ],
+        [[3, 2, 0, 1, 0, 0]],
+        [[6, 4, 2, 5, 3, 1]],
+    ),
+    (7, 3): (
+        [
+            [
+                0.11792154263198691, 0.23298809390195965, 0.2885059094975866,
+                0.5461411265086036, 0.6927805079186713, 3.7676378040512652,
+            ],
+            [
+                0.1708672247158175, 0.23097402722678836, 1.0171423567442648,
+                1.7491306241292257, 2.2562599567488126, 3.660682249270199,
+            ],
+            [
+                0.09475810956387525, 0.20298528840151758, 0.38694960681334173,
+                0.5453342414344184, 0.8626994307712392, 4.658111915614054,
+            ],
+        ],
+        [[1, 1, 1, 1, 1, 0], [0, 0, 0, 0, 0, 0], [2, 2, 0, 0, 4, 0]],
+        [[6, 5, 2, 3, 4, 1], [2, 4, 3, 6, 1, 5], [6, 3, 1, 2, 5, 4]],
+    ),
+}
+
+
 class TestForestProcess:
     def test_starts_as_singletons_ends_as_tree(self, rng):
         fp = pitman_forest(8, rng)
@@ -311,6 +376,15 @@ class TestForestProcess:
     def test_no_vertices_refused(self, rng):
         with pytest.raises(ValueError, match="n must be >= 1"):
             pitman_forest(0, rng)
+
+    @pytest.mark.parametrize("key", list(_FOREST_DRAWS), ids=lambda key: "-".join(map(str, key)))
+    def test_draws_are_stable(self, key):
+        n, reps = key
+        fp = pitman_forest(n, np.random.default_rng(7), reps=reps)
+        times, i, j = _FOREST_DRAWS[key]
+        assert fp.times.tolist() == times
+        assert fp.i.tolist() == i
+        assert fp.j.tolist() == j
 
 
 def _aldous_broder_tree(n, rng):

@@ -710,6 +710,14 @@ class TestMlOracle:
         # 8 a side is the fewest the parser takes: threshold 1.0, and seed 0 reads 0.375 and 0.25
         assert run(["ml-oracle", "--replicates", "8", "--out", str(tmp_path / "run")]) == 0
 
+    def test_statistics_are_stable(self, tmp_path):
+        # two full blocks of ORACLE_BLOCK replicates and a 452-row tail; the
+        # statistics were recorded before the samplers' rounds went slot-major
+        out = tmp_path / "run"
+        assert run(["ml-oracle", "--n", "6", "--replicates", "2500", "--seed", "3", "--out", str(out)]) == 0
+        lines = (out / "verdicts.json").read_text().splitlines()
+        assert [json.loads(line)["statistic"] for line in lines] == [0.03280000000000001, 0.020800000000000013]
+
 
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its size, maps in-process."""

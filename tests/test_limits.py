@@ -1,5 +1,7 @@
 import itertools
+import re
 from fractions import Fraction
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -110,6 +112,209 @@ class TestPoissonSurplus:
         assert limit_surplus(p, rng) == []
 
 
+# (times, i, j) of marcus_lushnikov(masses, kernel, default_rng(seed), t_max) at
+# key (kernel, m0, reps, seed): masses 1/m0 and t_max 1.0 for the additive
+# kernel, unit masses and t_max 0.4 for the multiplicative one.  Recorded with
+# the batch held as (reps, pairs) rows, before the rounds went slot-major.
+_ML_DRAWS = {
+    ("additive", 2, 1, 0): (
+        [[0.6799319039689096]],
+        [[0]],
+        [[1]],
+    ),
+    ("additive", 2, 1, 1): (
+        [[inf]],
+        [[0]],
+        [[0]],
+    ),
+    ("additive", 2, 3, 0): (
+        [
+            [0.6799319039689096],
+            [inf],
+            [0.019806662589055352],
+        ],
+        [[0], [0], [0]],
+        [[1], [0], [1]],
+    ),
+    ("additive", 2, 3, 1): (
+        [
+            [inf],
+            [0.30845314412528435],
+            [inf],
+        ],
+        [[0], [0], [0]],
+        [[0], [1], [0]],
+    ),
+    ("additive", 6, 1, 0): (
+        [[0.13598638079378195, 0.1409380464410458, 0.3243856706540619, 0.6611771469876778, inf]],
+        [[0, 0, 3, 0, 0]],
+        [[5, 1, 4, 3, 0]],
+    ),
+    ("additive", 6, 1, 1): (
+        [[0.21460580527450782, 0.23295775581982636, 0.35510012678643704, inf, inf]],
+        [[4, 3, 0, 0, 0]],
+        [[5, 4, 3, 0, 0]],
+    ),
+    ("additive", 6, 3, 0): (
+        [
+            [0.13598638079378195, 0.30438211896058986, inf, inf, inf],
+            [0.20391942029317298, 0.39274475974952083, 0.416910654722818, inf, inf],
+            [0.0039613325178110715, 0.7081578272867425, inf, inf, inf],
+        ],
+        [[0, 4, 0, 0, 0], [3, 2, 0, 0, 0], [3, 0, 0, 0, 0]],
+        [[1, 5, 0, 0, 0], [4, 5, 2, 0, 0], [5, 1, 0, 0, 0]],
+    ),
+    ("additive", 6, 3, 1): (
+        [
+            [0.21460580527450782, 0.6645550766884546, 0.919243919995671, inf, inf],
+            [0.06169062882505688, 0.18635040328866914, 0.5335032080711708, 0.9266309675894209, inf],
+            [inf, inf, inf, inf, inf],
+        ],
+        [[0, 1, 0, 0, 0], [1, 0, 2, 0, 0], [0, 0, 0, 0, 0]],
+        [[5, 2, 3, 0, 0], [3, 1, 5, 2, 0], [0, 0, 0, 0, 0]],
+    ),
+    ("additive", 7, 1, 0): (
+        [[0.1133219839948183, 0.11728331651262937, 0.25486903467239147, 0.4793966855614688, inf, inf]],
+        [[0, 0, 3, 2, 0, 0]],
+        [[6, 1, 5, 3, 0, 0]],
+    ),
+    ("additive", 7, 1, 1): (
+        [[0.17883817106208985, 0.1935197314983447, 0.28512650972330267, 0.8850588716085652, inf, inf]],
+        [[4, 4, 1, 0, 0, 0]],
+        [[6, 5, 2, 4, 0, 0]],
+    ),
+    ("additive", 7, 3, 0): (
+        [
+            [0.1133219839948183, 0.2480385745282647, 0.815312240594992, 0.9176826204711074, inf, inf],
+            [0.16993285024431082, 0.3209931218093891, 0.339117543039362, 0.8365240140813697, inf, inf],
+            [0.0033011104315092262, 0.5666583062466545, 0.834008381788484, 0.8463431147170466, inf, inf],
+        ],
+        [[0, 4, 0, 0, 0, 0], [3, 3, 3, 1, 0, 0], [4, 0, 2, 2, 0, 0]],
+        [[1, 6, 3, 2, 0, 0], [6, 4, 5, 3, 0, 0], [6, 1, 4, 3, 0, 0]],
+    ),
+    ("additive", 7, 3, 1): (
+        [
+            [0.17883817106208985, 0.27856599063297965, 0.6978696557619752, 0.8519909900298502, inf, inf],
+            [0.05140885735421408, 0.16169313271895555, 0.2138472771423437, 0.44342732511361527, inf, inf],
+            [0.895906145434688, 0.9018488338271432, inf, inf, inf, inf],
+        ],
+        [[1, 3, 0, 1, 0, 0], [1, 1, 1, 0, 0, 0], [3, 1, 0, 0, 0, 0]],
+        [[2, 5, 3, 4, 0, 0], [4, 5, 2, 3, 0, 0], [6, 2, 0, 0, 0, 0]],
+    ),
+    ("multiplicative", 2, 1, 0): (
+        [[inf]],
+        [[0]],
+        [[0]],
+    ),
+    ("multiplicative", 2, 1, 1): (
+        [[inf]],
+        [[0]],
+        [[0]],
+    ),
+    ("multiplicative", 2, 3, 0): (
+        [
+            [inf],
+            [inf],
+            [0.019806662589055352],
+        ],
+        [[0], [0], [0]],
+        [[0], [0], [1]],
+    ),
+    ("multiplicative", 2, 3, 1): (
+        [
+            [inf],
+            [0.30845314412528435],
+            [inf],
+        ],
+        [[0], [0], [0]],
+        [[0], [1], [0]],
+    ),
+    ("multiplicative", 6, 1, 0): (
+        [[0.045328793597927304, 0.04674355521143126, 0.09260546126468527, 0.15384027514352455, inf]],
+        [[0, 0, 2, 0, 0]],
+        [[5, 1, 4, 3, 0]],
+    ),
+    ("multiplicative", 6, 1, 1): (
+        [
+            [0.07153526842483592, 0.0767786828663555, 0.10731427560800816, 0.270932192485807, 0.33985986458877043],
+        ],
+        [[4, 3, 1, 0, 0]],
+        [[5, 4, 2, 3, 1]],
+    ),
+    ("multiplicative", 6, 3, 0): (
+        [
+            [0.045328793597927304, 0.09344186164558672, 0.26798760505073355, 0.2959067995624014, inf],
+            [0.06797314009772432, 0.12192323708525227, 0.12749998207909008, 0.29330213909309266, 0.3760361562600335],
+            [0.00132044417260369, 0.20251944267801267, 0.284781004383191, 0.28814502245461715, 0.377787175124243],
+        ],
+        [[0, 4, 0, 0, 0], [3, 2, 2, 1, 0], [3, 0, 0, 0, 0]],
+        [[1, 5, 3, 2, 0], [4, 5, 3, 2, 1], [5, 1, 4, 3, 2]],
+    ),
+    ("multiplicative", 6, 3, 1): (
+        [
+            [0.07153526842483592, 0.10715234684301084, 0.23616885919039407, 0.28754263727968576, inf],
+            [0.020563542941685622, 0.059950784143379, 0.07733549895117506, 0.1399482393069764, inf],
+            [0.35836245817387513, 0.3604848468854663, inf, inf, inf],
+        ],
+        [[0, 1, 0, 0, 0], [1, 1, 0, 0, 0], [3, 0, 0, 0, 0]],
+        [[5, 4, 1, 3, 0], [3, 4, 5, 1, 0], [4, 5, 0, 0, 0]],
+    ),
+    ("multiplicative", 7, 1, 0): (
+        [
+            [
+                0.032377709712805215, 0.033368042842257986, 0.06394264687776066,
+                0.10356517350524488, 0.29135090544362663, inf,
+            ],
+        ],
+        [[0, 0, 3, 2, 2, 0]],
+        [[6, 1, 5, 3, 4, 0]],
+    ),
+    ("multiplicative", 7, 1, 1): (
+        [
+            [
+                0.05109662030345423, 0.05476701041251794, 0.07512407224028639,
+                0.18099448904356802, 0.2177559141651485, 0.2814281249919526,
+            ],
+        ],
+        [[4, 4, 1, 1, 0, 0]],
+        [[6, 5, 3, 2, 1, 4]],
+    ),
+    ("multiplicative", 7, 3, 0): (
+        [
+            [
+                0.032377709712805215, 0.06605685734616681, 0.18548289230758305,
+                0.20354825346219166, 0.32766814703652397, 0.34874428912435307,
+            ],
+            [
+                0.04855224292694594, 0.0863173108182155, 0.0903449599804317,
+                0.18982625418883325, 0.22743262562835181, inf,
+            ],
+            [
+                0.0009431744090026359, 0.1417824733627889, 0.19806669979264774,
+                0.20012248861407483, 0.23213754313894122, 0.32185824368400506,
+            ],
+        ],
+        [[0, 4, 0, 0, 0, 0], [3, 3, 3, 1, 1, 0], [4, 0, 2, 2, 0, 0]],
+        [[1, 6, 3, 2, 5, 4], [6, 4, 5, 3, 2, 0], [6, 1, 3, 4, 2, 5]],
+    ),
+    ("multiplicative", 7, 3, 1): (
+        [
+            [
+                0.05109662030345423, 0.07602857519617667, 0.1643030310128073,
+                0.20481715712538462, 0.2880913000296939, 0.34432600189205126,
+            ],
+            [
+                0.014688244958346874, 0.04225931379953224, 0.05384912367139627,
+                0.23045074543321048, 0.2539228349084688, 0.2932464280527315,
+            ],
+            [0.2559731844099108, 0.2574588565080246, 0.29884072593099825, 0.364400393615691, inf, inf],
+        ],
+        [[1, 3, 0, 0, 0, 0], [1, 1, 1, 3, 1, 0], [3, 1, 0, 4, 0, 0]],
+        [[2, 5, 3, 4, 1, 6], [4, 5, 2, 6, 3, 1], [6, 2, 3, 5, 0, 0]],
+    ),
+}
+
+
 class TestMarcusLushnikov:
     def test_mass_conservation(self, rng):
         traj = marcus_lushnikov([[1.0, 2.0, 3.0]], "additive", rng, t_max=10.0)
@@ -163,6 +368,19 @@ class TestMarcusLushnikov:
             assert (np.diff(rows, axis=1) <= 0).all()
         assert (traj.events.time <= 0.8).all()
 
+    @pytest.mark.parametrize("key", list(_ML_DRAWS), ids=lambda key: "-".join(map(str, key)))
+    def test_draws_are_stable(self, key):
+        kernel, m0, reps, seed = key
+        if kernel == "additive":
+            masses, t_max = np.full((reps, m0), 1.0 / m0), 1.0
+        else:
+            masses, t_max = np.ones((reps, m0)), 0.4
+        traj = marcus_lushnikov(masses, kernel, np.random.default_rng(seed), t_max)
+        times, i, j = _ML_DRAWS[key]
+        assert traj.times.tolist() == times
+        assert traj.i.tolist() == i
+        assert traj.j.tolist() == j
+
     def test_rejects_non_positive_masses(self, rng):
         with pytest.raises(ValueError):
             marcus_lushnikov([[1.0, 0.0, 2.0]], "additive", rng, t_max=1.0)
@@ -170,6 +388,46 @@ class TestMarcusLushnikov:
     def test_p_validation(self, rng):
         with pytest.raises(ValueError):
             ml_multiplicative_sizes(4, 1.0, rng)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda rng: marcus_lushnikov([[nan, 1, 1]], "additive", rng, 1.0),
+                "masses must be a finite positive (reps, m0) array",
+                id="nan-mass",
+            ),
+            pytest.param(
+                lambda rng: marcus_lushnikov([[inf, 1, 1]], "multiplicative", rng, 1.0),
+                "masses must be a finite positive (reps, m0) array",
+                id="inf-mass",
+            ),
+            pytest.param(
+                lambda rng: marcus_lushnikov([[1, -inf, 1]], "additive", rng, 1.0),
+                "masses must be a finite positive (reps, m0) array",
+                id="minus-inf-mass",
+            ),
+            pytest.param(
+                lambda rng: marcus_lushnikov([[1, 1, 1]], "multiplicative", rng, nan),
+                "t_max must be a number, got nan",
+                id="nan-t_max",
+            ),
+            pytest.param(lambda rng: ml_additive_sizes(4, -1.0, rng), "s must be >= 0, got s = -1.0", id="negative-s"),
+            pytest.param(lambda rng: ml_additive_sizes(4, nan, rng), "s must be >= 0, got s = nan", id="nan-s"),
+            pytest.param(lambda rng: ml_multiplicative_sizes(4, nan, rng), "p must lie in [0, 1)", id="nan-p"),
+        ],
+    )
+    def test_bad_input_refused_before_any_draw(self, call, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(rng)
+        assert rng.bit_generator.state == state
+
+    def test_infinite_horizon_runs_to_one_block(self, rng):
+        traj = marcus_lushnikov(np.ones((3, 4)), "multiplicative", rng, t_max=inf)
+        assert np.isfinite(traj.times).all()
+        assert traj.masses_at(inf).tolist() == [[4.0, 0.0, 0.0, 0.0]] * 3
 
 
 def _exact_test(counts, law, reps):
