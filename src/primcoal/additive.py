@@ -20,7 +20,7 @@ from .states import MassVector, MergeHistory, _check_reps, _running_sum
 from .walks import LatticePath, excursions_above_min
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionedWalk:
     """Increments X(1..n) of the Poisson walk conditioned on tau_{-1} = n."""
 
@@ -129,7 +129,7 @@ def gamma_plus(family: ThinnedWalkFamily, lam: float) -> MassVector:
 # Parking scheme
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParkingConfiguration:
     """m cars parked on the circular lot Z/nZ with rightward probing.
 

@@ -160,7 +160,7 @@ def _write_rows(path: str, header: list[str], rows) -> None:
             fh.write(((",".join(["%s"] * len(header)) + "\r\n") * len(rows) % tuple(flat)).encode())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TraceRows:
     """The rows (index, Z) of a trace, Z(0..n) and then Z(n+1) = 0, made a
     slice at a time in the encoder's uint32: no array of all n + 2 rows is

@@ -131,12 +131,16 @@ class PrimOrdering:
         weight = np.asarray(self.attach_weight, dtype=np.float64)
         parent = np.asarray(self.attach_parent, dtype=np.int64)
         n = len(order)
-        if not np.array_equal(np.sort(order), np.arange(1, n + 1)):
+        # order - 1 read as unsigned is >= n exactly where order leaves 1..n;
+        # inside 1..n, a repeated vertex leaves another one with rank 0
+        if order.ndim != 1 or np.count_nonzero((order - 1).view(np.uint64) >= n):
+            raise GraphError("ordering is not a permutation of 1..n")
+        rank = np.zeros(n + 1, dtype=np.int64)
+        rank[order] = np.arange(1, n + 1)
+        if np.count_nonzero(rank) != n:
             raise GraphError("ordering is not a permutation of 1..n")
         if len(weight) != n or len(parent) != n or ((parent < 0) | (parent > n)).any():
             raise GraphError(f"ordering needs {n} attach weights and {n} parents in 0..{n}")
-        rank = np.zeros(n + 1, dtype=np.int64)
-        rank[order] = np.arange(1, n + 1)
         for name, arr in zip(("order", "attach_weight", "attach_parent", "rank"),
                              (order, weight, parent, rank)):
             object.__setattr__(self, name, arr)
@@ -185,17 +189,32 @@ def prim_order(g: ProperlyWeightedGraph, root: int = 1) -> PrimOrdering:
     return PrimOrdering(order, attach_weight, attach_parent)
 
 
+def _weight_matrix(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The symmetric (n + 1) x (n + 1) matrix holding w[k] at (a[k], b[k]) and
+    (b[k], a[k]), +inf elsewhere (row and column 0 included).  It is filled
+    through the flat indices a (n + 1) + b and b (n + 1) + a, which cost
+    less than 2-D fancy indexing; the two are built in turn in one index array."""
+    wm = np.full((n + 1, n + 1), np.inf)
+    flat = wm.ravel()
+    idx = a * (n + 1)
+    idx += b
+    flat[idx] = w
+    np.multiply(b, n + 1, out=idx)
+    idx += a
+    flat[idx] = w
+    return wm
+
+
 def _prim_dense(g: ProperlyWeightedGraph, root: int) -> PrimOrdering:
     """Prim on a complete graph: argmin of the frontier distances, row-min update.
 
-    Tree vertices hold +inf in `dist`, so the argmin never picks one; a
-    boolean mask of the vertices still off the tree keeps the row-min update
-    from writing the new vertex's weights into their slots.
+    The weights are read from `_weight_matrix` in vertex coordinates.  Tree
+    vertices hold +inf in `dist`, so the argmin never picks one; a boolean
+    mask of the vertices still off the tree keeps the row-min update from
+    writing the new vertex's weights into their slots.
     """
     n = g.n
-    wm = np.full((n + 1, n + 1), np.inf)
-    wm[g.u, g.v] = g.w
-    wm[g.v, g.u] = g.w
+    wm = _weight_matrix(n, g.u, g.v, g.w)
     off_tree = np.ones(n + 1, dtype=bool)
     off_tree[root] = False
     dist = wm[root].copy()

@@ -112,7 +112,9 @@ def marcus_lushnikov(masses, kernel, rng, t_max: float) -> MLTrajectory:
 
     `masses` is (reps, m0), the finite positive initial masses of `reps` >= 1
     independent runs.  Blocks i, j merge at rate K(x_i, x_j), where
-    `kernel` names K: "additive" (x + y) or "multiplicative" (x y).  Exact
+    `kernel` names K: "additive" (x + y) or "multiplicative" (x y); a run
+    whose bound on the total rate, K(total, total) times the pair count,
+    overflows float64 is refused.  Exact
     event-by-event simulation in which every live replicate makes one event
     per round: total rate, exponential waiting time, pair chosen by its rate
     share.  A replicate freezes once its clock passes t_max (a number, inf
@@ -136,6 +138,13 @@ def marcus_lushnikov(masses, kernel, rng, t_max: float) -> MLTrajectory:
     _check_reps(len(masses0))
     reps, m0 = masses0.shape
     iu, ju = np.triu_indices(m0, 1)
+    # a pair's rate is at most K(total, total) for the run's total mass, so a
+    # finite bound keeps every round's cumulative rate finite
+    with np.errstate(over="ignore"):
+        total = masses0.sum(axis=1)
+        bound = rate(total, total) * len(iu)
+    if len(iu) and not np.isfinite(bound).all():
+        raise ValueError("masses too large: the total merge rate overflows float64")
     times = np.full((max(m0 - 1, 0), reps), np.inf)
     i_out, j_out = np.zeros((2,) + times.shape, dtype=np.int64)
     # one column per live replicate; a merged-away slot holds mass 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProperlyWeightedGraph, PrimOrdering, _check_ordering, _interval_blocks
+from .graphs import ProperlyWeightedGraph, PrimOrdering, _check_ordering, _interval_blocks, _weight_matrix
 from .states import AugmentedState, MassVector, _check_reps
 from .walks import LatticePath, excursions_above_min, psi
 
@@ -56,34 +56,49 @@ def reorder_field_from_graph(g: ProperlyWeightedGraph, ordering: PrimOrdering) -
     recursion on this field reproduces, vertex for vertex, the exploration
     of the level graph of g, so surplus and excess can be compared on a
     single realisation.
+
+    In rank coordinates, row i >= 2 sorts the ranks k >= i by the key
+    min over j < i of w(j, k).  The running minima of the weight matrix's
+    rows 1..n - 1 are written into an n x (n + 1) buffer of the rows
+    i = 2..n + 1, +inf at the explored places k < i (row n + 1 is all
+    +inf).  Read with a row pitch of n + 2 from place 2 of its first row,
+    the buffer holds row i's keys for k = i..n left-aligned, with +inf
+    padding after them: a plain reshape and slice, nothing copied.  Two
+    ranks take their minima over different edges, and the weights are
+    finite and distinct, so every key a row keeps is finite and distinct:
+    any sort kind gives the same permutation, and numpy's default one is
+    used.  Row 1, whose keys would all be +inf, is not sorted: it is in rank
+    order.  Each (n + 1)^2 array is dropped once used, so no more than three
+    are ever alive.
     """
     n = g.n
     if g.m != n * (n - 1) // 2:
         raise ValueError("field reordering requires a complete graph")
+    if np.isinf(g.w).any():
+        # an infinite key would tie with the padding
+        raise ValueError("field reordering requires finite weights")
     _check_ordering(g, ordering)
     rank = ordering.rank
-    a, b = rank[g.u], rank[g.v]
-    wr = np.full((n + 1, n + 1), np.inf)
-    wr[a, b] = g.w
-    wr[b, a] = g.w
-    # entry[i, k] = min over the rows j < i of wr[j, k]; the explored k < i go first
-    entry = np.full_like(wr, np.inf)
-    np.minimum.accumulate(wr[1:-1], axis=0, out=entry[2:])
-    entry[np.tri(n + 1, k=-1, dtype=bool)] = -np.inf
-    order = np.argsort(entry, axis=1, kind="stable")
-    rows = np.arange(1, n + 1)
-    if (order[rows, rows] != rows).any():
+    wr = _weight_matrix(n, rank[g.u], rank[g.v], g.w)
+    keys = np.empty((n, n + 1))  # row r is row i = r + 2
+    np.minimum.accumulate(wr[1:n], axis=0, out=keys[:n - 1])
+    keys[np.tri(n, n + 1, k=1, dtype=bool)] = np.inf
+    # place q of row i (i = 2..n) is rank i + q
+    order = np.argsort(keys.ravel()[2:].reshape(n - 1, n + 2)[:, :n + 1], axis=1)
+    del keys
+    if (order[:, 0] != 0).any():
         raise AssertionError("first frontier entrant must be the next Prim vertex")
-    # the weights in sorted place, over entry (order made flat): row i, slot q
-    # holds the weight to the vertex in place i + 1 + q.  Each (n+1)^2 array
-    # is dropped once used, so no more than three are ever alive.
-    order += np.arange(0, wr.size, n + 1)[:, None]
-    np.take(wr, order, out=entry, mode="clip")  # mode "raise" would copy out first
-    del wr, order
-    upper = ~np.tri(n + 1, dtype=bool)
-    upper[0] = False
-    mark = entry[upper]
-    del entry
+    # row i's weight to rank i + q sits at flat i (n + 2) + q of wr; row 1
+    # is in rank order, and row i >= 2 keeps places 1..n - i (place 0, its
+    # own rank, is compared as n + 1 so that no row keeps it)
+    order += (np.arange(2, n + 1) * (n + 2))[:, None]
+    place = np.arange(n + 1)
+    place[0] = n + 1
+    kept = np.greater_equal.outer(np.arange(n - 2, -1, -1), place)
+    mark = np.empty(n * (n - 1) // 2)
+    mark[:n - 1] = wr[1, 2:]
+    np.take(wr.ravel(), order[kept], out=mark[n - 1:], mode="clip")  # mode "raise" would copy out first
+    del wr, order, kept
     # int32 positions built by repeats, not from index arrays of every entry:
     # the field takes the dense matrix's 16 bytes per entry, and no more
     widths = np.arange(n - 1, 0, -1)
@@ -197,7 +212,7 @@ def check_walk_size(n: int, reps: int = 1) -> None:
         raise ValueError(f"a walk of n reps + 1 = {n * reps + 1} positions does not fit int32 (at most {top})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseField:
     """A field held as its hits: the entries <= p_max of `reps` triangular
     arrays on n vertices, laid end to end as one flat array of n reps rows.

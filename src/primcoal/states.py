@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassVector:
     """Finite non-increasing sequence of non-negative reals, zero tail implied."""
 
@@ -41,7 +41,7 @@ class MassVector:
         return np.cumsum(self.values**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedState:
     """Sorted masses plus aligned non-negative integer surpluses."""
 
@@ -91,7 +91,7 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergeHistory:
     """Merges of a batch of coalescent runs on fixed block slots.
 

@@ -16,7 +16,7 @@ import numpy as np
 from .graphs import ProperlyWeightedGraph, PrimOrdering, _check_ordering
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticePath:
     """Finite path f(0..L); x_step is the rescaled width of one index step.
 

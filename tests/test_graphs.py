@@ -206,6 +206,38 @@ class TestPrimOrder:
         with pytest.raises(GraphError, match="needs 3 attach weights and 3 parents in 0..3"):
             PrimOrdering((1, 2, 3), (np.inf, 0.1, 0.2), (0, 1, 4))
 
+    def test_permutation_check_matches_sorted_definition(self, rng):
+        # the constructor's range test and rank scatter accept exactly the
+        # orders whose sort is 1..n: repeats and values outside 1..n refused
+        for k in range(400):
+            n = int(rng.integers(1, 12))
+            order = rng.permutation(np.arange(1, n + 1))
+            if k % 3 == 1:
+                order[rng.integers(n)] = order[rng.integers(n)]
+            elif k % 3 == 2:
+                order[rng.integers(n)] = rng.choice([-n, -1, 0, n + 1, 2 * n])
+            args = (order, np.full(n, np.inf), np.zeros(n, dtype=np.int64))
+            if np.array_equal(np.sort(order), np.arange(1, n + 1)):
+                o = PrimOrdering(*args)
+                assert o.rank[0] == 0 and np.array_equal(o.rank[o.order], np.arange(1, n + 1))
+            else:
+                with pytest.raises(GraphError, match="ordering is not a permutation of 1..n"):
+                    PrimOrdering(*args)
+
+    def test_own_orderings_have_record_dtypes(self, rng):
+        # dense and heap paths alike: int64 order, parent and rank, float64
+        # weights, and rank inverting order
+        for k in range(200):
+            n = int(rng.integers(1, 61))
+            if k % 2:
+                g = random_complete_graph(n, rng)
+            else:
+                g = sparse_connected_graph(n, int(rng.integers(0, n * (n - 1) // 2 - n + 2)), rng)
+            o = prim_order(g, int(rng.integers(1, n + 1)))
+            assert (o.order.dtype, o.attach_weight.dtype) == (np.int64, np.float64)
+            assert (o.attach_parent.dtype, o.rank.dtype) == (np.int64, np.int64)
+            assert o.rank[0] == 0 and np.array_equal(o.rank[o.order], np.arange(1, n + 1))
+
     @pytest.mark.parametrize("root", [0, 5])
     @pytest.mark.parametrize("prim", [prim_order, prim_order_rescan], ids=["prim_order", "rescan"])
     def test_root_outside_graph_refused(self, prim, root):

@@ -381,6 +381,26 @@ class TestMarcusLushnikov:
         assert traj.i.tolist() == i
         assert traj.j.tolist() == j
 
+    @pytest.mark.parametrize("kernel, masses", [
+        ("multiplicative", [[1e200, 1e200, 1.0]]),  # products overflow
+        ("additive", [[1e308, 1e308, 1.0]]),  # the total itself overflows
+    ])
+    def test_overflowing_rates_refused_before_any_draw(self, kernel, masses):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="total merge rate overflows float64"):
+            marcus_lushnikov(masses, kernel, rng, 1.0)
+        assert rng.bit_generator.state == state
+
+    def test_large_finite_rates_still_run(self, rng):
+        # K(total, total) times 3 pairs is about 2.7e301: finite, so the run
+        # goes ahead, and each merge joins a different j
+        traj = marcus_lushnikov(np.full((4, 3), 1e150), "multiplicative", rng, 1.0)
+        assert np.isfinite(traj.times).all()
+        assert (np.sort(traj.j, axis=1) == [1, 2]).all()
+        rows = traj.masses_at(1.0)
+        assert rows[:, 0] == pytest.approx(3e150) and (rows[:, 1:] == 0).all()
+
     def test_rejects_non_positive_masses(self, rng):
         with pytest.raises(ValueError):
             marcus_lushnikov([[1.0, 0.0, 2.0]], "additive", rng, t_max=1.0)

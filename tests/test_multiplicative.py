@@ -266,7 +266,102 @@ class TestFieldRecursion:
             surplus_field(params, z, b)
 
 
+def _literal_reordered_field(g, ordering):
+    """The reordered field built row by row with Python lists: row 1 lists
+    the later ranks in rank order, and row i >= 2 the ranks k > i sorted by
+    (min over j < i of w(j, k), k), once rank i is checked to come first.
+    Returns (step, slot, mark) lists."""
+    n, rank = g.n, ordering.rank.tolist()
+    w = [[None] * (n + 1) for _ in range(n + 1)]
+    for u, v, wt in g.edges:
+        w[rank[u]][rank[v]] = w[rank[v]][rank[u]] = wt
+    key = [math.inf] * (n + 1)  # key[k] = min over j < i of w(j, k)
+    step, slot, mark = [], [], []
+    for i in range(1, n):
+        ranks = list(range(i, n + 1))
+        if i > 1:
+            for k in ranks:
+                key[k] = min(key[k], w[i - 1][k])
+            ranks.sort(key=lambda k: (key[k], k))
+        assert ranks[0] == i
+        for q, k in enumerate(ranks[1:]):
+            step.append(i)
+            slot.append(q)
+            mark.append(w[i][k])
+    return step, slot, mark
+
+
+def _complete_graph(n, weights):
+    """K_n with weights[e] on the e-th pair of np.triu_indices order."""
+    u, v = np.triu_indices(n, 1)
+    return ProperlyWeightedGraph.from_arrays(n, u + 1, v + 1, weights)
+
+
 class TestReorderedField:
+    def _assert_literal(self, g, root=1):
+        o = prim_order(g, root)
+        field = reorder_field_from_graph(g, o)
+        step, slot, mark = _literal_reordered_field(g, o)
+        assert field.step.dtype == field.slot.dtype == np.int32
+        assert field.mark.dtype == np.float64
+        assert field.step.tolist() == step
+        assert field.slot.tolist() == slot
+        assert field.mark.tolist() == mark
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smallest_graphs_match_literal_rows(self, rng, n):
+        g = random_complete_graph(n, rng)
+        for root in range(1, n + 1):
+            self._assert_literal(g, root)
+
+    def test_uniform_graphs_match_literal_rows(self, rng):
+        for n in list(range(4, 41)) + [101, 150, 199]:
+            self._assert_literal(random_complete_graph(n, rng), int(rng.integers(1, n + 1)))
+
+    @pytest.mark.parametrize("n", [5, 12, 30])
+    def test_hand_built_weights_match_literal_rows(self, rng, n):
+        m = n * (n - 1) // 2
+        ramp = np.arange(1, m + 1) / m  # ends at exactly 1.0
+        patterns = [
+            1e-300 * (1 + rng.permutation(m) / m),  # near the bottom of float64
+            ramp,  # weights rise along the pair order
+            ramp[::-1].copy(),  # and fall
+            rng.permutation(ramp),
+            np.where(np.arange(m) == rng.integers(m), 1.0, rng.random(m) / 2),
+        ]
+        for weights in patterns:
+            g = _complete_graph(n, weights)
+            for root in (1, n, int(rng.integers(1, n + 1))):
+                self._assert_literal(g, root)
+
+    def test_infinite_weight_refused(self):
+        g = ProperlyWeightedGraph(3, [(1, 2, 0.1), (1, 3, np.inf), (2, 3, 0.2)])
+        with pytest.raises(ValueError, match="field reordering requires finite weights"):
+            reorder_field_from_graph(g, prim_order(g))
+
+    def test_reordering_memory_gate(self, rng):
+        # the weight matrix, the shifted key rows and their argsort, each
+        # 8 bytes per (n + 1)^2 cell, with the field's 8 bytes per entry:
+        # about 25 bytes per cell, against 32 when a fourth matrix was alive
+        n = 512
+        g = random_complete_graph(n, rng)
+        o = prim_order(g)
+        small = random_complete_graph(8, rng)
+        reorder_field_from_graph(small, prim_order(small))  # first-call costs
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            field = reorder_field_from_graph(g, o)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(field.mark) == n * (n - 1) // 2
+        assert peak <= 26 * (n + 1) ** 2, f"{peak / (n + 1) ** 2:.1f} bytes per cell"
+
     def test_requires_complete_graph(self, rng):
         from primcoal.graphs import ProperlyWeightedGraph
 

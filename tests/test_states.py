@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from primcoal.additive import pitman_forest
+from primcoal.additive import park, pitman_forest, sample_conditioned_walk
+from primcoal.cli import _TraceRows
+from primcoal.graphs import component_filtration, prim_order, random_complete_graph
 from primcoal.limits import marcus_lushnikov
+from primcoal.multiplicative import SparseField
 from primcoal.states import AugmentedState, MassVector, MergeHistory, d_U
+from primcoal.walks import LatticePath, excursions_above_min
 
 
 class TestMassVector:
@@ -134,3 +138,44 @@ class TestMergeHistory:
         traj = marcus_lushnikov(masses, "multiplicative", rng, t_max=0.05)
         assert np.isinf(traj.times).any()  # some replicates froze before their last merge
         assert np.array_equal(traj.masses_at(np.inf).sum(axis=1), masses.sum(axis=1))
+
+
+def _filtration(rng):
+    g = random_complete_graph(5, rng)
+    return component_filtration(g, prim_order(g))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: sample_conditioned_walk(10, rng),
+    lambda rng: park(6, 4, rng),
+    lambda rng: SparseField.sample(10, 0.5, rng),
+    lambda rng: MassVector([1, 2]),
+    lambda rng: AugmentedState(MassVector([0.5, 0.3]), [1, 0]),
+    lambda rng: MergeHistory(np.array([[0.5]]), np.array([[0]]), np.array([[1]]), np.ones((1, 2))),
+    lambda rng: pitman_forest(4, rng),
+    lambda rng: marcus_lushnikov(np.ones((2, 3)), "additive", rng, 1.0),
+    lambda rng: LatticePath([0, 1, 0]),
+    lambda rng: _TraceRows(np.arange(3)),
+    lambda rng: prim_order(random_complete_graph(4, rng)),
+    lambda rng: excursions_above_min(LatticePath([0, 1, 0, -1])),
+    _filtration,
+], ids=["ConditionedWalk", "ParkingConfiguration", "SparseField", "MassVector", "AugmentedState",
+        "MergeHistory", "ForestProcess", "MLTrajectory", "LatticePath", "_TraceRows", "PrimOrdering",
+        "ExcursionSet", "ComponentFiltration"])
+def test_array_records_compare_and_hash(make):
+    # records holding arrays compare by identity: == gives a bool, never an
+    # elementwise array, and hash works; two records built alike are unequal
+    a, b = make(np.random.default_rng(0)), make(np.random.default_rng(0))
+    assert a == a
+    assert isinstance(a == b, bool) and isinstance(a != b, bool)
+    assert a != b
+    assert isinstance(hash(a), int)
+
+
+def test_equal_one_element_records_compare_unequal():
+    # identity, not value: equal one-element records are two records, and
+    # value comparison goes through their arrays
+    a, b = MassVector([1.0]), MassVector([1.0])
+    assert a != b and not a == b
+    assert np.array_equal(a.values, b.values)
+    assert LatticePath([0]) != LatticePath([0])
