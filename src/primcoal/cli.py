@@ -13,6 +13,7 @@ seed) reruns produce byte-identical outputs regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -495,6 +496,32 @@ _HANDLERS = {
 }
 
 
+# glibc's mallopt parameter numbers, and the cap of its sliding mmap
+# threshold on 64-bit hosts (DEFAULT_MMAP_THRESHOLD_MAX)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _pin_malloc() -> None:
+    """Fix glibc's heap thresholds where its sliding threshold settles once
+    a 32 MiB block has been freed: blocks under 32 MiB come from the heap,
+    whose top is given back once 64 MiB of it is free.  Left sliding, the
+    thresholds follow whichever large blocks a process happened to free
+    first, and its peak memory with them: a process that ran `trace --n
+    1000000` and read the CSV back with numpy.loadtxt peaked 12-15 MB
+    higher from some checkout paths than from others, as the read's
+    growing buffer left the heap for a mapping mid-way and both copies
+    were resident.  Does nothing off Linux or where the C library has no
+    mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="primcoal", description="coalescent simulation experiments")
     parser.add_argument("command", choices=sorted(_HANDLERS))
@@ -576,6 +603,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         parser.error(f"--out {args.out} cannot be made a directory: {exc.strerror}")
 
+    _pin_malloc()
     verdicts, ok = _HANDLERS[args.command](cfg, args.out)
     _write_manifest(args.out, {"command": args.command, **cfg})
     for v in verdicts:

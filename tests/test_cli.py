@@ -804,3 +804,46 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.st
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "scipy": []}
+
+
+class TestPinnedMalloc:
+    def test_commands_pin_glibc_heap_thresholds(self, tmp_path):
+        # mallinfo2().hblkhd is the bytes glibc holds in mmapped blocks.  A
+        # fresh process maps a 20 MB block, and freeing it slides the
+        # threshold to 20 MB, so a sliding threshold still maps 24 MB; after
+        # a command the heap serves 24 MB, and a block over the 32 MiB cap
+        # is still mapped
+        code = """
+import ctypes, json, sys
+import numpy as np
+from primcoal.cli import main
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    print(json.dumps(None))
+    sys.exit()
+class Info(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in
+                ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc.mallinfo2.restype = Info
+def mapped(nbytes):
+    base = libc.mallinfo2().hblkhd
+    block = np.ones(nbytes // 8)
+    grown = libc.mallinfo2().hblkhd - base
+    del block
+    return grown >= nbytes
+before = mapped(20 << 20)
+code = main(["trace", "--n", "100", "--lambdas=0", "--out", sys.argv[1]])
+print(json.dumps([before, code, mapped(24 << 20), mapped(40 << 20)]))
+"""
+        if not sys.platform.startswith("linux"):
+            pytest.skip("glibc heap thresholds are pinned on Linux only")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(primcoal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out")], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        if result is None:
+            pytest.skip("C library without mallinfo2")
+        assert result == [True, 0, False, True]
