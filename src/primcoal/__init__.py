@@ -51,6 +51,7 @@ from .multiplicative import (
     component_surpluses,
     gamma_times,
     graph_route,
+    largest_component,
     p_lambda,
     reorder_field_from_graph,
     replicate_rows,

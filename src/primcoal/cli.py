@@ -54,6 +54,7 @@ from .multiplicative import (
     check_walk_size,
     component_surpluses,
     graph_route,
+    largest_component,
     p_lambda,
     reorder_field_from_graph,
     replicate_rows,
@@ -230,26 +231,36 @@ def _state_row(lam, st) -> list:
 _STATE_HEADER = ["lambda"] + [f"gamma_{i+1}" for i in range(TOP)] + [f"s_{i+1}" for i in range(TOP)]
 
 
-def _route_states(seed, n, lambdas, route) -> list:
-    """Augmented state at each lambda of one coupled draw of the route.
+def _route_levels(seed, n, lambdas, route) -> list:
+    """(rep, sizes, extra) at each lambda of one coupled draw of the route.
 
     The route is looked up by its module-level name at call time, so a
     wrapper bound over `cli.graph_route` or `cli.walk_route` sees the call.
     """
     route_fn = graph_route if route == "graph" else walk_route
-    levels = route_fn(n, lambdas, np.random.default_rng(seed))
-    return [augmented_state(n, sizes, extra) for _, sizes, extra in levels]
+    return route_fn(n, lambdas, np.random.default_rng(seed))
+
+
+def _top_prefix(sizes) -> int:
+    """How many leading components of a level, sizes non-increasing, a
+    state row reads: every one of size >= the TOP-th largest, so that ties
+    at the cut still order by ascending surplus."""
+    return len(sizes) if len(sizes) <= TOP else int(np.count_nonzero(sizes >= sizes[TOP - 1]))
 
 
 def _multiplicative_rep(args):
     seed, n, lambdas, route = args
-    states = _route_states(seed, n, lambdas, route)
-    return [_state_row(lam, st) for lam, st in zip(lambdas, states)]
+    rows = []
+    for lam, (_, sizes, extra) in zip(lambdas, _route_levels(seed, n, lambdas, route)):
+        k = _top_prefix(sizes)
+        rows.append(_state_row(lam, augmented_state(n, sizes[:k], extra[:k])))
+    return rows
 
 
 def _augmented_rep(args):
     seed, n, lambdas = args
-    states = _route_states(seed, n, lambdas, "walk")
+    # d_U reads every component, so the states are whole
+    states = [augmented_state(n, sizes, extra) for _, sizes, extra in _route_levels(seed, n, lambdas, "walk")]
     steps = [0.0] + [d_U(a, b) for a, b in zip(states, states[1:])]
     return [_state_row(lam, st) + [step] for lam, st, step in zip(lambdas, states, steps)]
 
@@ -336,8 +347,7 @@ def cmd_verify_invariants(cfg, outdir):
 
 def _limit_mult_rep(args):
     seed, n, lam = args
-    _, sizes, _ = graph_route(n, [lam], np.random.default_rng(seed))[0]
-    return float(sizes[0]) / n ** (2.0 / 3.0)
+    return float(largest_component(n, lam, np.random.default_rng(seed))) / n ** (2.0 / 3.0)
 
 
 def _limit_mult_brownian(args):

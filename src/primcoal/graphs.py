@@ -39,12 +39,14 @@ def _first_repeat(x: np.ndarray):
 
 
 class ProperlyWeightedGraph:
-    """Graph on vertices 1..n with distinct weights in (0, 1].
+    """Graph on vertices 1..n with distinct finite positive weights.
 
     Vertices are 1-based.  The edges are held as read-only arrays: endpoints
     `u < v` (int64) and weights `w` (float64), edge k being (u[k], v[k],
     w[k]).  Construction rejects self-loops, out-of-range vertices, parallel
-    edges, non-positive or duplicate weights.
+    edges, non-finite, non-positive or duplicate weights.  A weight of +inf
+    would tie with the +inf that marks Prim's root and a dense matrix's
+    non-edges.
     """
 
     n: int
@@ -80,6 +82,9 @@ class ProperlyWeightedGraph:
         pair = None if (key[1:] > key[:-1]).all() else _first_repeat(key)
         if pair is not None:
             raise GraphError(f"parallel edge ({pair // (n + 1)}, {pair % (n + 1)})")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if len(bad):
+            raise GraphError(f"non-finite weight {w[bad[0]]} on edge ({a[bad[0]]}, {b[bad[0]]})")
         bad = np.flatnonzero(~(w > 0.0))
         if len(bad):
             raise GraphError(

@@ -74,9 +74,6 @@ def reorder_field_from_graph(g: ProperlyWeightedGraph, ordering: PrimOrdering) -
     n = g.n
     if g.m != n * (n - 1) // 2:
         raise ValueError("field reordering requires a complete graph")
-    if np.isinf(g.w).any():
-        # an infinite key would tie with the padding
-        raise ValueError("field reordering requires finite weights")
     _check_ordering(g, ordering)
     rank = ordering.rank
     wr = _weight_matrix(n, rank[g.u], rank[g.v], g.w)
@@ -525,6 +522,56 @@ def _singletons_last(n: int, reps: int, rep, sizes, extra):
     return out
 
 
+def _level_forests(n: int, levels, rng, reps: int):
+    """For each of the distinct levels p, in increasing order, the flat
+    union-find forest r of `reps` copies of G(n, p) on one coupled draw,
+    and the lower ends u of the edges kept so far.
+
+    The edges are drawn once, up to the highest level, and each is merged
+    once, at the first level that keeps it, into one forest whose roots are
+    their components' lowest vertices.  The edges are put in order of the
+    index of their first level by a stable radix sort (_radix_order), so
+    each level keeps the sampler's (u, v) order (one level needs no sort).
+    The forest is flat: every r[x] is the root of x's component.  It is the
+    generator's own, and the next level merges into it in place, so a
+    reader takes what it needs before asking for the next level.
+    """
+    u, v, w = sample_edge_weights(n, max(levels), rng, reps)
+    stops = [len(w)]  # one level keeps every edge, in the sampler's order
+    if len(levels) > 1:
+        # edges grouped by the first level that keeps them
+        first = np.searchsorted(levels, w)
+        by_level = _radix_order(first)
+        u, v = u[by_level], v[by_level]
+        stops = np.cumsum(np.bincount(first, minlength=len(levels)))
+    r = np.arange(reps * n)
+    start = 0
+    for stop in stops:
+        a, b = u[start:stop], v[start:stop]
+        # until an edge is merged every vertex is its own root, and u > v
+        _merge(r, *(_roots(r, a, b) if start else (b, a)))
+        yield r, u[:stop]
+        start = stop
+
+
+def _read_level(n: int, reps: int, r: np.ndarray, kept: np.ndarray):
+    """One level (rep, sizes, excess) of the flat forest r of `reps` graphs
+    on n vertices, whose kept edges have lower ends `kept`.
+
+    One count of the vertices under each root gives the sizes: the roots are
+    the vertices of nonzero count.  Only the components with more than one
+    vertex gather their excess and are ordered, by rep, then decreasing
+    size, as _level makes them, so size ties keep root order.  The
+    singletons, size 1 and excess 0, go last in their rep, placed by
+    position (_singletons_last), never sorted.
+    """
+    size = np.bincount(r, minlength=len(r))
+    big = np.flatnonzero(size > 1)
+    sizes = size[big]
+    excess = np.bincount(r[kept], minlength=len(r))[big] - sizes + 1
+    return _singletons_last(n, reps, *_level(big // n, sizes, excess))
+
+
 def graph_route(n: int, lambdas, rng, reps: int = 1):
     """Component sizes and excesses of G(n, p_lambda) on a coupled grid.
 
@@ -536,44 +583,26 @@ def graph_route(n: int, lambdas, rng, reps: int = 1):
     + 1 aligned to it; ties in size break by the component's lowest vertex,
     so reruns are deterministic.
 
-    The levels are visited in increasing p and each edge is merged once, at
-    the first level that keeps it, into one union-find forest whose roots
-    are their components' lowest vertices.  This union-find is the route's
-    own: it never reads the walk route's intervals, so each route checks
-    the other.  The edges are put in order of the index of their first
-    level by a stable radix sort (_radix_order), so each level keeps the
-    sampler's (u, v) order (one distinct level needs no sort).  The forest
-    is kept flat, so a level comes from one count of the vertices under
-    each root: the roots are the vertices of nonzero count.  Only the
-    components with more than one vertex gather their excess and are
-    ordered, by rep, then decreasing size, as _level makes them, so size
-    ties keep root order.  The singletons, size 1 and excess 0, go last in
-    their rep, placed by position (_singletons_last), never sorted.
+    Each distinct level is a union-find forest (_level_forests), visited in
+    increasing p, and read by one readout (_read_level); equal lambdas share
+    their result.  This union-find is the route's own: it never reads the
+    walk route's intervals, so each route checks the other.
     """
     ps = [p_lambda(n, lam) for lam in lambdas]
-    u, v, w = sample_edge_weights(n, max(ps), rng, reps)
     levels, back = np.unique(ps, return_inverse=True)
-    stops = [len(w)]  # one level keeps every edge, in the sampler's order
-    if len(levels) > 1:
-        # edges grouped by the first level that keeps them
-        first = np.searchsorted(levels, w)
-        by_level = _radix_order(first)
-        u, v = u[by_level], v[by_level]
-        stops = np.cumsum(np.bincount(first, minlength=len(levels)))
-    r = np.arange(reps * n)
-    found, start = [], 0
-    for stop in stops:
-        a, b = u[start:stop], v[start:stop]
-        # until an edge is merged every vertex is its own root, and u > v
-        _merge(r, *(_roots(r, a, b) if start else (b, a)))
-        # r is flat: size[x] > 0 exactly at the roots x
-        size = np.bincount(r, minlength=len(r))
-        big = np.flatnonzero(size > 1)
-        sizes = size[big]
-        excess = np.bincount(r[u[:stop]], minlength=len(r))[big] - sizes + 1
-        found.append(_singletons_last(n, reps, *_level(big // n, sizes, excess)))
-        start = stop
+    found = [_read_level(n, reps, r, kept) for r, kept in _level_forests(n, levels, rng, reps)]
     return [found[k] for k in back]
+
+
+def largest_component(n: int, lam: float, rng) -> int:
+    """Size of the largest component of G(n, p_lambda): graph_route(n, [lam],
+    rng)[0][1][0], from the same draws, with rng left in the same state.
+
+    The one level's forest is read by one count of the vertices under each
+    root; no other component is built.
+    """
+    ((r, _),) = _level_forests(n, [p_lambda(n, lam)], rng, 1)
+    return int(np.bincount(r).max())
 
 
 def replicate_rows(rep: np.ndarray, values: np.ndarray, reps: int, width: int) -> np.ndarray:

@@ -12,9 +12,9 @@ import pytest
 
 import primcoal
 import primcoal.cli
-from primcoal.cli import WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _run_replicates, _trace_name, _write_rows, main
+from primcoal.cli import TOP, WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _run_replicates, _trace_name, _write_rows, main
 from primcoal.graphs import GraphError
-from primcoal.multiplicative import SparseField, p_lambda, sparse_z_trace
+from primcoal.multiplicative import SparseField, augmented_state, graph_route, p_lambda, sparse_z_trace, walk_route
 from primcoal.walks import LatticePath
 
 
@@ -150,6 +150,45 @@ class TestSimulate:
         assert [k for k, _ in rows] == list(range(5002))
         z = np.array([v for _, v in rows])
         assert z[0] == 0 and (z >= 0).all() and (np.diff(z) >= -1).all()
+
+
+def _whole_level_rows(n, lambdas, levels):
+    """State rows built through augmented_state over every component."""
+    return [
+        primcoal.cli._state_row(lam, augmented_state(n, sizes, extra)) for lam, (_, sizes, extra) in zip(lambdas, levels)
+    ]
+
+
+class TestTopPrefixRows:
+    @pytest.mark.parametrize("route", ["graph", "walk"])
+    def test_rows_match_whole_level_states(self, route):
+        # at n = 12..60 size ties often cross the TOP cut
+        route_fn = graph_route if route == "graph" else walk_route
+        lambdas = [-2.0, -1.0, 0.0, 1.0, 2.0, 4.0]
+        crossed = 0
+        for n in (12, 20, 33, 60):
+            for seed in range(8):
+                got = primcoal.cli._multiplicative_rep((seed, n, lambdas, route))
+                levels = route_fn(n, lambdas, np.random.default_rng(seed))
+                assert got == _whole_level_rows(n, lambdas, levels), (n, seed)
+                crossed += sum(primcoal.cli._top_prefix(sizes) > TOP for _, sizes, _ in levels)
+        assert crossed > 0, "no tie crossed the cut"
+
+    def test_surplus_order_inside_a_tie_decides_the_row(self, monkeypatch):
+        # five components of size 3 tie at the cut: the row keeps the four
+        # of least surplus, which the first TOP components would not give
+        sizes = np.array([4, 3, 3, 3, 3, 3, 2])
+        extra = np.array([1, 2, 1, 3, 3, 0, 0])
+        level = (np.zeros(7, dtype=np.int64), sizes, extra)
+        monkeypatch.setattr(primcoal.cli, "graph_route", lambda n, lambdas, rng: [level] * len(lambdas))
+        assert primcoal.cli._top_prefix(sizes) == 6
+        got = primcoal.cli._multiplicative_rep((0, 8, [0.0], "graph"))
+        assert got == _whole_level_rows(8, [0.0], [level])
+        assert got[0][6:] == [1, 0, 1, 2, 3]
+
+    def test_short_levels_keep_every_component(self):
+        assert primcoal.cli._top_prefix(np.array([3, 1, 1])) == 3
+        assert primcoal.cli._top_prefix(np.array([2, 2, 2, 2, 2, 2, 1])) == 6
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
@@ -674,6 +713,24 @@ class TestLimitCompare:
         assert json.loads((out / "manifest.json").read_text())["config"]["lam"] == lam
         samples = (out / "samples.csv").read_text().splitlines()[1:]
         assert not any(row.endswith(",1.0,1.0") for row in samples)
+
+    def test_multiplicative_draws_are_stable(self, tmp_path):
+        # recorded off graph_route's whole level, before the discrete side
+        # read the largest size off the level's forest (largest_component)
+        out = tmp_path / "run"
+        argv = ["limit-compare", "--kind", "multiplicative", "--n", "2000", "--replicates", "8", "--seed", "3"]
+        assert run(argv + ["--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO((out / "samples.csv").read_text())))
+        assert [row["discrete"] for row in rows] == [
+            "0.497668814708475",
+            "0.6110617091990136",
+            "0.31498026247371835",
+            "1.423710786381207",
+            "0.9197423664232576",
+            "0.7874506561842959",
+            "0.9008435506748346",
+            "0.6047621039495392",
+        ]
 
 
     def test_brownian_side_not_capped_at_ten(self, tmp_path):

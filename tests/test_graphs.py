@@ -151,6 +151,21 @@ class TestConstruction:
         with pytest.raises(GraphError):
             ProperlyWeightedGraph(2, [(1, 2, 0.0)])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("build", ["edges", "arrays"])
+    def test_rejects_non_finite_weight(self, bad, build):
+        edges = [(1, 2, 0.1), (1, 3, bad), (2, 3, 0.2)]
+        with pytest.raises(GraphError, match=rf"non-finite weight {bad} on edge \(1, 3\)"):
+            if build == "edges":
+                ProperlyWeightedGraph(3, edges)
+            else:
+                ProperlyWeightedGraph.from_arrays(3, *zip(*edges))
+
+    def test_accepts_weights_above_one(self):
+        # weight orders are enumerated on graphs weighted 1..m
+        g = ProperlyWeightedGraph(3, [(1, 2, 1.0), (1, 3, 2.0), (2, 3, 3.0)])
+        assert g.w.tolist() == [1.0, 2.0, 3.0]
+
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(GraphError):
             ProperlyWeightedGraph(2, [(1, 3, 0.5)])

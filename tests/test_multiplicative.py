@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from primcoal.additive import pitman_forest
 from primcoal.graphs import (
+    GraphError,
     PrimOrdering,
     ProperlyWeightedGraph,
     _interval_blocks,
@@ -31,6 +32,7 @@ from primcoal.multiplicative import (
     component_surpluses,
     gamma_times,
     graph_route,
+    largest_component,
     p_lambda,
     reorder_field_from_graph,
     replicate_rows,
@@ -335,9 +337,10 @@ class TestReorderedField:
                 self._assert_literal(g, root)
 
     def test_infinite_weight_refused(self):
-        g = ProperlyWeightedGraph(3, [(1, 2, 0.1), (1, 3, np.inf), (2, 3, 0.2)])
-        with pytest.raises(ValueError, match="field reordering requires finite weights"):
-            reorder_field_from_graph(g, prim_order(g))
+        # refused when the graph is built, so no field reordering ever sees
+        # an infinite key that would tie with the padding
+        with pytest.raises(GraphError, match=r"non-finite weight inf on edge \(1, 3\)"):
+            ProperlyWeightedGraph(3, [(1, 2, 0.1), (1, 3, np.inf), (2, 3, 0.2)])
 
     def test_reordering_memory_gate(self, rng):
         # the weight matrix, the shifted key rows and their argsort, each
@@ -565,6 +568,41 @@ class TestGraphRoute:
             assert np.array_equal(np.bincount(rep, weights=sizes, minlength=reps), np.full(reps, n))
             assert (np.diff(sizes)[np.diff(rep) == 0] <= 0).all()
             assert (excess >= 0).all()
+
+
+def _valid_lambdas(n, lambdas):
+    """The lambdas whose p_lambda(n, .) lies in [0, 1]."""
+    return [lam for lam in lambdas if 0.0 <= 1.0 / n + lam / n ** (4.0 / 3.0) <= 1.0]
+
+
+class TestLargestComponent:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 50, 2000, 100000])
+    def test_matches_graph_route_and_leaves_the_same_state(self, n):
+        # subcritical to supercritical; at n = 1 and 2 only the lambdas
+        # whose p lies in [0, 1]
+        for lam in _valid_lambdas(n, [-(n ** (1 / 3)), -2.0, -1.0, 0.0, 1.0, 3.0, 30.0]):
+            for seed in (1, 2, 3):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = largest_component(n, lam, ours)
+                _, sizes, _ = graph_route(n, [lam], theirs)[0]
+                assert type(got) is int and got == sizes[0], (n, lam, seed)
+                assert ours.random() == theirs.random(), (n, lam, seed)
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 300])
+    def test_matches_union_find_oracle_on_same_edges(self, n):
+        # the same seed gives the same edges to level_components
+        for lam in _valid_lambdas(n, [-1.0, 0.0, 1.0, 4.0]):
+            for seed in (5, 6, 7):
+                p = p_lambda(n, lam)
+                u, v, w = sample_edge_weights(n, p, np.random.default_rng(seed))
+                g = ProperlyWeightedGraph.from_arrays(n, u + 1, v + 1, w)
+                want = max(len(c) for c in level_components(g, p))
+                assert largest_component(n, lam, np.random.default_rng(seed)) == want, (n, lam, seed)
+
+    def test_p_one_and_p_zero(self):
+        # p = 1 keeps every pair, and p = 0 none
+        assert largest_component(5, 5 ** (4 / 3) * (1 - 1 / 5), np.random.default_rng(0)) == 5
+        assert largest_component(5, -(5 ** (1 / 3)), np.random.default_rng(0)) == 1
 
 
 class TestWalkRoute:
