@@ -398,8 +398,12 @@ def cmd_limit_compare(cfg, outdir):
     return [verdict], verdict.passed
 
 
-# replicates per ml-oracle batch; larger batches gain no speed, only memory
-ORACLE_BLOCK = 1024
+# replicates per ml-oracle batch: a larger block makes fewer calls of each
+# sampler's per-round numpy work, a smaller one keeps the process's peak low.
+# ml-oracle --n 6 --replicates 20000 per pass and peak (BENCH_pr35.json):
+# 75 ms and 40.0 MB at 1024, 60 ms and 40.5 MB at 2048, 56 ms and 41.8 MB
+# at 4096, 56 ms and 45.3 MB at 8192
+ORACLE_BLOCK = 4096
 # ml-oracle's additive observation time, criterion 9's
 S_OBS = 0.5
 # ml-oracle's largest n: at n = 8 (22 partitions against 15 at 7), 200
@@ -408,7 +412,11 @@ ORACLE_MAX_N = 7
 
 
 def _block_counts(sample, reps: int) -> Counter:
-    """Count the distinct rows of sample(b) over blocks of b <= ORACLE_BLOCK."""
+    """Count the distinct rows of sample(b) over blocks of b <= ORACLE_BLOCK.
+
+    Each block is one call of the sampler, so its fixed per-round cost is paid
+    once per ORACLE_BLOCK replicates, and the block's rows are the most the
+    command holds at once."""
     counts = Counter()
     for k in range(0, reps, ORACLE_BLOCK):
         counts.update(row_counts(sample(min(ORACLE_BLOCK, reps - k))))

@@ -768,12 +768,21 @@ class TestMlOracle:
         assert run(["ml-oracle", "--replicates", "8", "--out", str(tmp_path / "run")]) == 0
 
     def test_statistics_are_stable(self, tmp_path):
-        # two full blocks of ORACLE_BLOCK replicates and a 452-row tail; the
-        # statistics were recorded before the samplers' rounds went slot-major
+        # two full blocks of ORACLE_BLOCK = 4096 replicates and a 452-row
+        # tail; the statistics were recorded when the block grew from 1024
         out = tmp_path / "run"
-        assert run(["ml-oracle", "--n", "6", "--replicates", "2500", "--seed", "3", "--out", str(out)]) == 0
+        assert run(["ml-oracle", "--n", "6", "--replicates", "8644", "--seed", "3", "--out", str(out)]) == 0
         lines = (out / "verdicts.json").read_text().splitlines()
-        assert [json.loads(line)["statistic"] for line in lines] == [0.03280000000000001, 0.020800000000000013]
+        assert [json.loads(line)["statistic"] for line in lines] == [0.017237390097177233, 0.02198056455344749]
+
+    @pytest.mark.parametrize("bench_seed", [1, 2, 3, 4, 5])
+    def test_benchmark_seeds_pass(self, tmp_path, bench_seed):
+        # the small-oracles workload runs this at the seed it derives from its
+        # own; TV 0.02 leaves little room over same-law noise (about 0.012),
+        # so a change of draw order can fail it with no fault in the code
+        seed = int(np.random.SeedSequence([bench_seed, 0]).generate_state(1)[0])
+        argv = ["ml-oracle", "--n", "6", "--replicates", "20000", "--seed", str(seed)]
+        assert run(argv + ["--out", str(tmp_path / "run")]) == 0
 
 
 class _SerialPool:
