@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import primcoal
 import primcoal.cli
-from primcoal.cli import TOP, WRITE_BLOCK, _COMMON, _DEFAULTS, _KEYS, _run_replicates, _trace_name, _write_rows, main
+from primcoal.cli import TOP, WRITE_BLOCK, _COMMON, _DEFAULTS, _HANDLERS, _KEYS, _run_replicates, _trace_name, _write_rows, main
 from primcoal.graphs import GraphError
 from primcoal.multiplicative import SparseField, augmented_state, graph_route, p_lambda, sparse_z_trace, walk_route
 from primcoal.walks import LatticePath
@@ -913,3 +914,106 @@ print(json.dumps([before, code, mapped(24 << 20), mapped(40 << 20)]))
         if result is None:
             pytest.skip("C library without mallinfo2")
         assert result == [True, 0, False, True]
+
+
+# sha256 of every file each command writes at seed 5 and 8 replicates,
+# recorded before excursions became plain arrays; a change of draws by
+# design re-records them and says so
+_DIGESTS = [
+    (
+        ["simulate-additive", "--n", "300", "--lambdas=0.5,1"],
+        {
+            "gamma_plus.csv": "74f835400b523a753acf77a87e46ac5cf89955a6a53be124a2c008a3da0b65c3",
+            "manifest.json": "502cd52e780c33130dc78c0229598f1b9f2d77d97bf6be7fc2a4266be3cccca4",
+        },
+    ),
+    (
+        ["simulate-multiplicative", "--n", "300", "--lambdas=-1,0,1", "--route", "graph"],
+        {
+            "gamma_times.csv": "a3471670f6f7c9008624c1e850c87f2e32aaea773dbdd986c649b6636945250d",
+            "manifest.json": "71b742eb2374cd541df28de1f0eaf2064064425eaae37de12c23419b94606bde",
+        },
+    ),
+    (
+        ["simulate-multiplicative", "--n", "300", "--lambdas=-1,0,1", "--route", "walk"],
+        {
+            "gamma_times.csv": "f57a9312a3632afe8beef05cbd7e6ffcc2fd52de8c20227368defe16d5309439",
+            "manifest.json": "89f1577929f1bd2d9dbf9b7b6c8a28d31ff79aedfe9637dfe136747d6141a84e",
+        },
+    ),
+    (
+        ["augmented", "--n", "120", "--lambdas=-1,0,1"],
+        {
+            "augmented.csv": "2d7494c027d227197d58b8f5e1db056add068db1a641a07dbbab100659c7f153",
+            "manifest.json": "1863a3a45c2dd22b17bfaaa94fd625a954ae80591734589d68d5fd89edd8f100",
+        },
+    ),
+    (
+        ["compare-orders"],
+        {
+            "compare_orders.json": "535d5da2de79049531d7769fab4f151d65faf81c96a672b5db7f82973ccd89f6",
+            "manifest.json": "25a1c7d02d41bc82becac1c2801ab010752b14f53b14c320730bbbf52c82b1db",
+        },
+    ),
+    (
+        ["verify-invariants"],
+        {
+            "invariants.json": "39ffee1f40df2d8da6d801fdb1484a4e49bc69e0b24fe795b63d4eb21d6664d5",
+            "manifest.json": "5df1f3fb8ca1ab902b867b2ec7c6fb7247f98039d4cb9d295a21535eb66c915d",
+        },
+    ),
+    (
+        ["limit-compare", "--n", "300", "--lam", "0"],
+        {
+            "manifest.json": "4e482e69929ad5a7b865ac090865f361d546ba0bac716d759cc106d896a1477e",
+            "samples.csv": "9fb2d6ea771804bd2835c5c0c44032abed2534c81dfed8aa6eb21f8207ba47fd",
+            "verdict.json": "cf3fef376dfc7837f8ac97b45e5c310f43c256177dc17c04ed9e4a1f6ba958aa",
+        },
+    ),
+    (
+        ["limit-compare", "--kind", "additive", "--n", "300", "--lam", "1"],
+        {
+            "manifest.json": "b7509bc739392431fcc8dd6927716c774deab5a4398accde44ed1cac4a2f8cd9",
+            "samples.csv": "dc7fa04b279f14ced18567ab401ac5f4ee0dfa50495422936e2059a329c9925e",
+            "verdict.json": "80d0ce7f659cd12ee4bc6d9d9925f248e6563231601b6f8f62c3cf2a4684b110",
+        },
+    ),
+    (
+        ["ml-oracle", "--n", "6"],
+        {
+            "manifest.json": "02278e82ffaf6b640eb00e9df031d19b8f454a3bacb3e33120f21c83ea98a822",
+            "verdicts.json": "9103a9aa4b91de20559950cf32e236bd2646d98d7a6dbc168785abd96befc578",
+        },
+    ),
+    (
+        ["trace", "--n", "2000", "--lambdas=-1,0,1"],
+        {
+            "manifest.json": "a64c604da405dbcafa89f2eb755715be7f8ff3a4cd273ce21f59c50d895981f9",
+            "trace_lambda_m1_000.csv": "e7f45367d0974ac23116085faecbd9e3c2c05cc10da226e8814bbd307854cef3",
+            "trace_lambda_p0_000.csv": "08e3d612c4435b1f653b6b79da6b6c8d41ea70f0614b9928422dfa9fc644182d",
+            "trace_lambda_p1_000.csv": "a833920058a7f59fc0da9e1697d79b3d3e98faa27d8b8d07e147754076476042",
+        },
+    ),
+]
+
+
+class TestOutputDigests:
+    def test_every_command_is_pinned(self):
+        assert {argv[0] for argv, _ in _DIGESTS} == set(_HANDLERS)
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        _DIGESTS,
+        ids=[
+            "simulate-additive", "simulate-multiplicative-graph", "simulate-multiplicative-walk", "augmented",
+            "compare-orders", "verify-invariants", "limit-compare-multiplicative", "limit-compare-additive",
+            "ml-oracle", "trace",
+        ],
+    )
+    def test_outputs_byte_identical(self, tmp_path, argv, digests):
+        if argv[0] not in ("compare-orders", "trace"):
+            argv = argv + ["--replicates", "8"]
+        if argv[0] != "compare-orders":
+            argv = argv + ["--seed", "5"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == digests
