@@ -40,8 +40,8 @@ print("Y(k):", "".join(f"{v:4d}" for v in y.values))
 print("PsiY:", "".join(f"{v:4d}" for v in psi(y).values))
 
 print("\ncomponent sizes from zero gaps of Z:", walk_component_sizes(z))
-ladder = excursions_above_min(y)
-print("ladder interval lengths of Y:       ", [b - a for a, b in ladder.intervals])
+starts, ends = excursions_above_min(y)
+print("ladder interval lengths of Y:       ", (ends - starts).tolist())
 
 s = surplus_field(params, z, field)
 graph_pairs = [(size, exc) for _, size, exc in component_filtration(g, o).components_at(params.p)]

@@ -20,7 +20,6 @@ from .graphs import (
 )
 from .states import AugmentedState, MassVector, MergeHistory, d_U
 from .walks import (
-    ExcursionSet,
     LatticePath,
     excursions_above_min,
     explore,

@@ -121,8 +121,8 @@ def gamma_plus(family: ThinnedWalkFamily, lam: float) -> MassVector:
     the running minimum, one-unit-drop convention); masses sum to 1.
     """
     t = retention_level(family.n, lam)
-    exc = excursions_above_min(family.path(t))
-    return MassVector(exc.lengths() / family.n)
+    starts, ends = excursions_above_min(family.path(t))
+    return MassVector((ends - starts) / family.n)
 
 
 # ---------------------------------------------------------------------------

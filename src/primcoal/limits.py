@@ -50,7 +50,8 @@ def simulate_excursion(lam: float, rng, dx: float = 1e-3) -> LatticePath:
 
 def limit_gamma(path: LatticePath) -> MassVector:
     """Sorted excursion lengths of path above its running minimum, in x units."""
-    return MassVector(excursions_above_min(path, weak=True).lengths() * path.x_step)
+    starts, ends = excursions_above_min(path, weak=True)
+    return MassVector((ends - starts) * path.x_step)
 
 
 SURPLUS_MARGIN = 0.5
@@ -65,7 +66,7 @@ def limit_surplus(path: LatticePath, rng) -> list[tuple[float, int]]:
     reflected path Psi(path) over its interval; the height is the reflected
     path's maximum plus SURPLUS_MARGIN so no point is clipped.
     """
-    exc = excursions_above_min(path, weak=True)
+    starts, ends = excursions_above_min(path, weak=True)
     reflected = psi(path).values
     dx = path.x_step
     width = (len(reflected) - 1) * dx
@@ -75,11 +76,11 @@ def limit_surplus(path: LatticePath, rng) -> list[tuple[float, int]]:
     under = ys < reflected[np.minimum((xs / dx).astype(int), len(reflected) - 1)]
     # the intervals are disjoint and ordered, so x can only lie in the first
     # one ending at or after it
-    k = np.searchsorted(exc.ends * dx, xs)
-    hit = np.flatnonzero(under & (k < len(exc.ends)))
-    hit = hit[exc.starts[k[hit]] * dx < xs[hit]]
-    surplus = np.bincount(k[hit], minlength=len(exc.ends))
-    lengths = exc.lengths() * dx
+    k = np.searchsorted(ends * dx, xs)
+    hit = np.flatnonzero(under & (k < len(ends)))
+    hit = hit[starts[k[hit]] * dx < xs[hit]]
+    surplus = np.bincount(k[hit], minlength=len(ends))
+    lengths = (ends - starts) * dx
     order = np.lexsort((surplus, -lengths))
     return list(zip(lengths[order].tolist(), surplus[order].tolist()))
 

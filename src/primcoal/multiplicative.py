@@ -305,9 +305,8 @@ def z_walk(params: CriticalWindowParams, field: SparseField):
         raise AssertionError("Psi Y must equal max(Z - 1, 0) pointwise")
     if (np.diff(z) < -1).any():
         raise AssertionError("Z steps must be >= -1")
-    ladder = excursions_above_min(y)
     z_zeros = np.flatnonzero(z == 0)
-    if not (np.array_equal(ladder.starts, z_zeros[:-1]) and np.array_equal(ladder.ends, z_zeros[1:])):
+    if not np.array_equal(excursions_above_min(y), (z_zeros[:-1], z_zeros[1:])):
         raise AssertionError("ladder intervals of Y must match zero gaps of Z")
     return LatticePath(np.append(z, 0)), y
 
@@ -363,6 +362,15 @@ def _level(rep, sizes, extra):
     return rep[order], sizes[order], extra[order]
 
 
+def _grid_levels(n: int, lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct levels p_lambda over `lambdas`, increasing, and each
+    lambda's index among them; an empty grid is refused before any draw."""
+    ps = [p_lambda(n, lam) for lam in lambdas]
+    if not ps:
+        raise ValueError("lambdas is empty: a route needs at least one lambda")
+    return np.unique(ps, return_inverse=True)
+
+
 def walk_route(n: int, lambdas, rng, reps: int = 1):
     """Component sizes and surpluses of the walk route on a coupled grid.
 
@@ -375,9 +383,8 @@ def walk_route(n: int, lambdas, rng, reps: int = 1):
     (_level); the singletons, size 1 and surplus 0, go last in their rep,
     placed by position (_singletons_last).  Any n, O(n reps) memory.
     """
-    ps = [p_lambda(n, lam) for lam in lambdas]
-    field = SparseField.sample(n, max(ps), rng, reps)
-    levels, back = np.unique(ps, return_inverse=True)
+    levels, back = _grid_levels(n, lambdas)
+    field = SparseField.sample(n, float(levels[-1]), rng, reps)
     found = []
     for p in levels:
         z, _, s = field.walk(p)
@@ -588,8 +595,7 @@ def graph_route(n: int, lambdas, rng, reps: int = 1):
     their result.  This union-find is the route's own: it never reads the
     walk route's intervals, so each route checks the other.
     """
-    ps = [p_lambda(n, lam) for lam in lambdas]
-    levels, back = np.unique(ps, return_inverse=True)
+    levels, back = _grid_levels(n, lambdas)
     found = [_read_level(n, reps, r, kept) for r, kept in _level_forests(n, levels, rng, reps)]
     return [found[k] for k in back]
 

@@ -43,8 +43,16 @@ class TestVerdict:
         )
 
 
+def _refuse_empty(**sizes: int) -> None:
+    """Refuse an empty sample, named by its parameter: it has no empirical law."""
+    for side, size in sizes.items():
+        if size == 0:
+            raise ValueError(f"{side} is an empty sample: a two-sample statistic needs draws on each side")
+
+
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    _refuse_empty(a=len(a), b=len(b))
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     grid = np.concatenate([a, b])
@@ -70,12 +78,10 @@ def ks_two_sample(a, b, description: str, seeds=()) -> TestVerdict:
 
 def tv_distance(counts_a: dict, counts_b: dict) -> float:
     """Total variation between two empirical laws given as count dicts."""
-    na = sum(counts_a.values())
-    nb = sum(counts_b.values())
+    na, nb = sum(counts_a.values()), sum(counts_b.values())
+    _refuse_empty(counts_a=na, counts_b=nb)
     keys = set(counts_a) | set(counts_b)
-    return 0.5 * sum(
-        abs(counts_a.get(k, 0) / na - counts_b.get(k, 0) / nb) for k in keys
-    )
+    return 0.5 * sum(abs(counts_a.get(k, 0) / na - counts_b.get(k, 0) / nb) for k in keys)
 
 
 # same-law TV of two N-sized samples of a small-support law is near sqrt(2 / N)

@@ -34,36 +34,15 @@ class LatticePath:
         object.__setattr__(self, "values", arr.copy())
         object.__setattr__(self, "x_step", float(x_step))
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def running_min(self) -> np.ndarray:
-        return np.minimum.accumulate(self.values)
-
 
 def psi(f: LatticePath) -> LatticePath:
     """Reflection above the running minimum: f(x) - min_{y<=x} f(y)."""
-    return LatticePath(f.values - f.running_min(), x_step=f.x_step)
+    return LatticePath(f.values - np.minimum.accumulate(f.values), x_step=f.x_step)
 
 
-@dataclass(frozen=True, eq=False)
-class ExcursionSet:
-    """Disjoint ordered excursion intervals (starts[k], ends[k]] in index units."""
-
-    starts: np.ndarray
-    ends: np.ndarray
-
-    @property
-    def intervals(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.starts.tolist(), self.ends.tolist()))
-
-    def lengths(self) -> np.ndarray:
-        """Lengths in index units."""
-        return self.ends - self.starts
-
-
-def excursions_above_min(f: LatticePath, weak: bool = False) -> ExcursionSet:
-    """Excursions of f above its running minimum.
+def excursions_above_min(f: LatticePath, weak: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Excursions of f above its running minimum, as (starts, ends) int
+    arrays: excursion k is the index interval (starts[k], ends[k]], in order.
 
     By default an excursion closes at the first later index one unit or
     more below the running minimum, a strict new minimum of an integer walk:
@@ -87,54 +66,34 @@ def excursions_above_min(f: LatticePath, weak: bool = False) -> ExcursionSet:
         a, b = a[b - a >= 2], b[b - a >= 2]
     if boundaries[-1] != len(vals) - 1:
         a, b = np.append(a, boundaries[-1]), np.append(b, len(vals) - 1)
-    return ExcursionSet(a, b)
+    return a, b
 
 
-def explore(
-    g: ProperlyWeightedGraph,
-    t: float,
-    order: PrimOrdering | str = "labels",
-) -> LatticePath:
+def explore(g: ProperlyWeightedGraph, t: float, ordering: PrimOrdering | None = None) -> LatticePath:
     """Neighbourhood-size walk Z of the level graph G_t under a total order.
 
-    `order` is either the string "labels" (compare vertex labels) or a
-    PrimOrdering of g (compare Prim ranks).  Returns Z(0..n+1) with the
-    boundary zeros Z(0) = Z(n+1) = 0; when the frontier empties the
-    exploration restarts at the smallest unvisited vertex.
+    Without an ordering, vertices compare by label; with a PrimOrdering of
+    g, by Prim rank.  Returns Z(0..n+1) with the boundary zeros Z(0) =
+    Z(n+1) = 0; when the frontier empties the exploration restarts at the
+    least unvisited vertex.
     """
-    n = g.n
-    if isinstance(order, PrimOrdering):
-        _check_ordering(g, order)
-        key = order.rank.tolist()
-    elif order == "labels":
-        key = list(range(n + 1))
-    else:
-        raise ValueError(f"unknown order spec {order!r}")
+    n, key = g.n, None  # without an ordering, labels compare as they are
+    if ordering is not None:
+        _check_ordering(g, ordering)
+        key = ordering.rank.tolist().__getitem__
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     keep = g.w <= t
     for u, v in zip(g.u[keep].tolist(), g.v[keep].tolist()):
         adj[u].append(v)
         adj[v].append(u)
-    visited = [False] * (n + 1)
     unvisited = set(range(1, n + 1))
     frontier: set[int] = set()
     z = np.zeros(n + 2, dtype=int)
-
-    def visit(v: int) -> None:
-        visited[v] = True
+    for k in range(1, n + 1):
+        v = min(frontier or unvisited, key=key)
         unvisited.discard(v)
         frontier.discard(v)
-        for x in adj[v]:
-            if not visited[x]:
-                frontier.add(x)
-
-    v1 = min(unvisited, key=key.__getitem__)
-    visit(v1)
-    z[1] = len(frontier)
-    for k in range(2, n + 1):
-        pool = frontier if frontier else unvisited
-        v = min(pool, key=key.__getitem__)
-        visit(v)
+        frontier.update(x for x in adj[v] if x in unvisited)
         z[k] = len(frontier)
     return LatticePath(z)
 
@@ -146,6 +105,4 @@ def walk_component_sizes(z: LatticePath) -> list[int]:
     between successive zeros are the component sizes.  The sentinel Z(n+1)
     is ignored.
     """
-    vals = z.values[:-1]
-    zeros = np.flatnonzero(vals == 0)
-    return np.diff(zeros).astype(int).tolist()
+    return np.diff(np.flatnonzero(z.values[:-1] == 0)).tolist()

@@ -9,11 +9,12 @@ import numpy as np
 
 from primcoal.multiplicative import graph_route, replicate_rows, walk_route
 from primcoal.oracles import row_counts
-from primcoal.walks import ExcursionSet, LatticePath
+from primcoal.walks import LatticePath
 
 
-def excursions_above_zero(f: LatticePath) -> ExcursionSet:
-    """Maximal intervals between successive zeros of a non-negative path.
+def excursions_above_zero(f: LatticePath) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal intervals between successive zeros of a non-negative path, as
+    (starts, ends) int arrays, the form `excursions_above_min` returns.
 
     Requires f >= 0 and f(0) = 0.  A trailing stretch that never returns to
     zero is reported as a final (incomplete) excursion.
@@ -32,7 +33,7 @@ def excursions_above_zero(f: LatticePath) -> ExcursionSet:
     if zeros[-1] != len(vals) - 1:
         intervals.append((int(zeros[-1]), len(vals) - 1))
     starts, ends = np.array(intervals, dtype=np.int64).reshape(-1, 2).T
-    return ExcursionSet(starts, ends)
+    return starts, ends
 
 
 # ---------------------------------------------------------------------------

@@ -278,11 +278,8 @@ class TestParking:
             # place n is empty: the walk's first-passage property says cars
             # choosing 1..k never overflow past place k onto n
             assert not cfg.occupied[n - 1]
-            ladder = sorted(
-                excursions_above_min(walk.path()).lengths().astype(int),
-                reverse=True,
-            )
-            assert cfg.block_sizes() == ladder
+            starts, ends = excursions_above_min(walk.path())
+            assert cfg.block_sizes() == sorted((ends - starts).tolist(), reverse=True)
 
     def test_thinned_walk_is_parking_of_kept_units(self, rng):
         # unit j of the base walk is a car choosing place _owner[j] + 1; at
@@ -293,8 +290,8 @@ class TestParking:
             for t in [0.0, 1.0, *rng.random(3).tolist()]:
                 kept = fam._uniforms <= t
                 cfg = park(n, int(kept.sum()), choices=fam._owner[kept] + 1)
-                ladder = excursions_above_min(fam.path(t)).lengths().tolist()
-                assert sorted(ladder, reverse=True) == cfg.block_sizes()
+                starts, ends = excursions_above_min(fam.path(t))
+                assert sorted((ends - starts).tolist(), reverse=True) == cfg.block_sizes()
 
 
 # (times, i, j) of pitman_forest(n, default_rng(7), reps) at key (n, reps).

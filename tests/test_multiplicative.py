@@ -106,6 +106,15 @@ def test_reps_below_one_refused_before_any_draw(call, reps):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("route", [graph_route, walk_route], ids=["graph_route", "walk_route"])
+def test_empty_lambda_grid_refused_before_any_draw(route):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="lambdas is empty"):
+        route(50, [], rng)
+    assert rng.bit_generator.state == state
+
+
 def _dense_field(n, rng):
     """The dense i.i.d. field U(i, k), 1 <= i < k <= n, drawn as an (n+1) x
     (n+1) matrix and held as the p_max = 1 field of all its entries."""

@@ -59,6 +59,11 @@ class TestKS:
         b = rng.normal(size=2000) + 0.5
         assert not ks_two_sample(a, b, "shifted").passed
 
+    @pytest.mark.parametrize("a, b, side", [([], [1.0], "a"), (np.ones(3), np.array([]), "b")], ids=["a", "b"])
+    def test_empty_sample_refused(self, a, b, side):
+        with pytest.raises(ValueError, match=f"^{side} is an empty sample"):
+            ks_two_sample(a, b, "empty")
+
 
 class TestTV:
     def test_identical_counts_zero(self):
@@ -103,6 +108,15 @@ class TestTV:
         assert all(v.threshold == pytest.approx(0.0632, abs=1e-4) for v in same + shifted)
         assert [v.passed for v in same] == [True, True]
         assert [v.passed for v in shifted] == [False, False]
+
+    @pytest.mark.parametrize(
+        "counts_a, counts_b, side",
+        [({}, {"a": 2}, "counts_a"), ({"a": 2}, {"a": 0}, "counts_b")],
+        ids=["counts_a", "counts_b"],
+    )
+    def test_empty_sample_refused(self, counts_a, counts_b, side):
+        with pytest.raises(ValueError, match=f"^{side} is an empty sample"):
+            tv_two_sample(counts_a, counts_b, "empty")
 
 
 class TestWeightOrderEnumeration:

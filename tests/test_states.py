@@ -7,7 +7,7 @@ from primcoal.graphs import component_filtration, prim_order, random_complete_gr
 from primcoal.limits import marcus_lushnikov
 from primcoal.multiplicative import SparseField
 from primcoal.states import AugmentedState, MassVector, MergeHistory, d_U
-from primcoal.walks import LatticePath, excursions_above_min
+from primcoal.walks import LatticePath
 
 
 class TestMassVector:
@@ -157,11 +157,10 @@ def _filtration(rng):
     lambda rng: LatticePath([0, 1, 0]),
     lambda rng: _TraceRows(np.arange(3)),
     lambda rng: prim_order(random_complete_graph(4, rng)),
-    lambda rng: excursions_above_min(LatticePath([0, 1, 0, -1])),
     _filtration,
 ], ids=["ConditionedWalk", "ParkingConfiguration", "SparseField", "MassVector", "AugmentedState",
         "MergeHistory", "ForestProcess", "MLTrajectory", "LatticePath", "_TraceRows", "PrimOrdering",
-        "ExcursionSet", "ComponentFiltration"])
+        "ComponentFiltration"])
 def test_array_records_compare_and_hash(make):
     # records holding arrays compare by identity: == gives a bool, never an
     # elementwise array, and hash works; two records built alike are unequal
