@@ -35,7 +35,7 @@ z, y = z_walk(params, field)
 
 print(f"n={n}, lambda={params.lam}, p={params.p:.4f}\n")
 print("k   :", "".join(f"{k:4d}" for k in range(n + 1)))
-print("Z(k):", "".join(f"{v:4d}" for v in z.values[:-1]))
+print("Z(k):", "".join(f"{v:4d}" for v in z))
 print("Y(k):", "".join(f"{v:4d}" for v in y.values))
 print("PsiY:", "".join(f"{v:4d}" for v in psi(y).values))
 

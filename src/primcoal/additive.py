@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, ProperlyWeightedGraph, PrimOrdering, _check_ordering, component_filtration, prim_order
+from .graphs import (
+    GraphError,
+    ProperlyWeightedGraph,
+    PrimOrdering,
+    _check_level,
+    _check_ordering,
+    component_filtration,
+    prim_order,
+)
 from .states import MassVector, MergeHistory, _check_reps, _running_sum
 from .walks import LatticePath, excursions_above_min
 
@@ -235,8 +243,6 @@ def prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
     """Labelled tree on 1..n from a Prufer sequence (length n-2)."""
     if n == 1:
         return []
-    if n == 2:
-        return [(1, 2)]
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
@@ -270,8 +276,10 @@ def percolate_cayley(n: int, t: float, rng):
 
     Returns (weighted tree, Prim ordering from root 1, component sizes of
     the level graph at t sorted in decreasing order).  The components are
-    the Prim-rank intervals split where the attach weight exceeds t.
+    the Prim-rank intervals split where the attach weight exceeds t.  A NaN
+    t is refused before any draw.
     """
+    _check_level(t)
     g = weighted_cayley_tree(n, rng)
     ordering = prim_order(g, root=1)
     comps = component_filtration(g, ordering).components_at(t)
@@ -279,8 +287,9 @@ def percolate_cayley(n: int, t: float, rng):
     return g, ordering, sizes
 
 
-def rooted_children(edges: list[tuple[int, int]], n: int, root: int = 1) -> list[list[int]]:
-    """Children lists of the tree rooted at `root` (BFS orientation)."""
+def _bfs_tree(edges: list[tuple[int, int]], n: int, root: int) -> tuple[list[int], list[list[int]]]:
+    """Breadth-first order of the tree from `root`, neighbours by label, and
+    its children lists, from one pass: the order is read while it grows."""
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
@@ -288,26 +297,24 @@ def rooted_children(edges: list[tuple[int, int]], n: int, root: int = 1) -> list
     children: list[list[int]] = [[] for _ in range(n + 1)]
     seen = [False] * (n + 1)
     seen[root] = True
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
+    order = [root]
+    for v in order:
         for x in sorted(adj[v]):
             if not seen[x]:
                 seen[x] = True
                 children[v].append(x)
-                queue.append(x)
-    return children
+                order.append(x)
+    return order, children
+
+
+def rooted_children(edges: list[tuple[int, int]], n: int, root: int = 1) -> list[list[int]]:
+    """Children lists of the tree rooted at `root` (BFS orientation)."""
+    return _bfs_tree(edges, n, root)[1]
 
 
 def bfs_outdegrees(edges: list[tuple[int, int]], n: int) -> tuple[int, ...]:
     """Out-degree sequence in breadth-first order from vertex 1, children by label."""
-    children = rooted_children(edges, n)
-    order = []
-    queue = [1]
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        queue.extend(children[v])
+    order, children = _bfs_tree(edges, n, 1)
     return tuple(len(children[v]) for v in order)
 
 
@@ -316,8 +323,9 @@ def prim_thinned_outdegrees(g: ProperlyWeightedGraph, ordering: PrimOrdering, t:
 
     The tree is rooted at the Prim root; children point away from it, so a
     node's children are the nodes it attached, each by its attach edge.
-    Raises GraphError unless g is a tree.
+    Raises GraphError unless g is a tree, or if t is NaN.
     """
+    _check_level(t)
     if g.m != g.n - 1:
         raise GraphError(f"{g.m} edges on {g.n} vertices: not a tree")
     _check_ordering(g, ordering)

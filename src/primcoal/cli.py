@@ -333,7 +333,7 @@ def cmd_verify_invariants(cfg, outdir):
         if walk_pairs != graph_pairs:
             failures.append(f"surplus identity trial {trial}")
         zx = explore(g, params.p, o)
-        if not np.array_equal(zx.values, z.values):
+        if not np.array_equal(zx, z):
             failures.append(f"explore/z_walk mismatch trial {trial}")
         sizes_walk = sorted(walk_component_sizes(z), reverse=True)
         sizes_graph = sorted((size for (_, size, _) in components), reverse=True)
@@ -444,7 +444,7 @@ def cmd_ml_oracle(cfg, outdir):
 
 
 def cmd_trace(cfg, outdir):
-    """Z(0..n+1) at each lambda, walked on one coupled sparse field."""
+    """Z(0..n) at each lambda on one coupled sparse field; _TraceRows adds the row n + 1, 0."""
     ps = [p_lambda(cfg["n"], lam) for lam in cfg["lambdas"]]
     field = SparseField.sample(cfg["n"], max(ps), np.random.default_rng(cfg["seed"]))
     for lam, p in zip(cfg["lambdas"], ps):

@@ -151,6 +151,12 @@ class PrimOrdering:
             object.__setattr__(self, name, arr)
 
 
+def _check_level(t: float) -> None:
+    """Refuse a NaN level, which compares false with every weight."""
+    if np.isnan(t):
+        raise GraphError(f"level t={t} is not a number")
+
+
 def _check_ordering(g: ProperlyWeightedGraph, ordering: PrimOrdering) -> None:
     """Refuse an ordering of another number of vertices than g's."""
     if len(ordering.order) != g.n:
@@ -345,10 +351,14 @@ class ComponentFiltration:
         return len(self.attach_weight)
 
     def components_at(self, t: float) -> list[tuple[tuple[int, int], int, int]]:
-        """State at level t: list of (rank interval, size, excess)."""
+        """State at level t: list of (rank interval, size, excess).  At or
+        above every weight, +inf included, it is one block; NaN is refused."""
+        _check_level(t)
         # a level edge lies in the interval that holds its smaller rank
         level_edges = np.bincount(self.edge_rank[self.edge_weight <= t], minlength=self.n)
-        starts, sizes, edges = _interval_blocks(self.attach_weight > t, level_edges)
+        opens = self.attach_weight > t
+        opens[0] = True  # the root opens the first block, also at t = +inf
+        starts, sizes, edges = _interval_blocks(opens, level_edges)
         excess = edges - sizes + 1
         return [
             ((a + 1, a + size), size, exc)

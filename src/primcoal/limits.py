@@ -16,15 +16,30 @@ from .states import MassVector, MergeHistory, _check_reps, _running_sum
 from .walks import LatticePath, excursions_above_min, psi
 
 
+def _grid_steps(lam: float, horizon: float, dx: float) -> int:
+    """Steps of width dx on [0, horizon], horizon / dx rounded.  Refuses,
+    before any draw, a lambda that is not finite, a dx or horizon that is
+    not finite and > 0, and a grid of no step or of too many to count."""
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got lam = {lam}")
+    for name, value in (("dx", dx), ("horizon", horizon)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {name} = {value}")
+    if not 0.5 < horizon / dx < np.inf:  # round(0.5) is 0
+        raise ValueError(f"horizon / dx = {horizon} / {dx} must round to a finite count of steps >= 1")
+    return int(round(horizon / dx))
+
+
 def simulate_parabolic(lam: float, rng, horizon: float | None = None, dx: float = 1e-3) -> LatticePath:
     """B(x) + lambda x - x^2/2 on [0, horizon], steps N(0, dx).
 
     Default horizon max(10, 2 lambda + 10): past 2 lambda the drift is
-    negative and excursions straddling the cutoff become negligible.
+    negative and excursions straddling the cutoff become negligible.  A
+    bad grid or lambda is refused before any draw (_grid_steps).
     """
     if horizon is None:
         horizon = max(10.0, 2.0 * lam + 10.0)
-    steps = int(round(horizon / dx))
+    steps = _grid_steps(lam, horizon, dx)
     x = np.arange(steps + 1) * dx
     noise = np.concatenate([[0.0], rng.normal(0.0, np.sqrt(dx), size=steps)])
     return LatticePath(np.cumsum(noise) + lam * x - x**2 / 2.0, x_step=dx)
@@ -34,9 +49,10 @@ def simulate_excursion(lam: float, rng, dx: float = 1e-3) -> LatticePath:
     """Tilted normalised Brownian excursion e(x) - lambda x on [0, 1].
 
     The excursion comes from the Vervaat rotation of a Brownian bridge at
-    its argmin; endpoints are pinned to 0 exactly.
+    its argmin; endpoints are pinned to 0 exactly.  A bad grid or lambda is
+    refused before any draw (_grid_steps).
     """
-    steps = int(round(1.0 / dx))
+    steps = _grid_steps(lam, 1.0, dx)
     noise = rng.normal(0.0, np.sqrt(dx), size=steps)
     w = np.concatenate([[0.0], np.cumsum(noise)])
     x = np.arange(steps + 1) * dx

@@ -289,14 +289,14 @@ def _check_field(params: CriticalWindowParams, field: SparseField) -> None:
 def z_walk(params: CriticalWindowParams, field: SparseField):
     """Walk-route exploration on a single field (reps = 1) at params.p.
 
-    Returns (z, y): the neighbourhood-size walk Z(0..n+1) and the drifting
-    walk Y(0..n) with increments X(i) - 1.  Two exact identities are
-    asserted on every call: Psi Y = max(Z - 1, 0) pointwise, and the
-    one-unit-drop ladder intervals of Y coincide with the intervals between
-    zeros of Z (so Y and Z carry the same component structure).  Note that
-    Z itself is one above Psi Y strictly inside components: Y loses only
-    its drift unit at a restart while Z also picks up the restart vertex.
-    Every step of Z is >= -1, also checked.
+    Returns (z, y): the neighbourhood-size walk Z(0..n), the int array of
+    field.walk(p), and the drifting walk Y(0..n) with increments X(i) - 1.
+    Two exact identities are asserted on every call: Psi Y = max(Z - 1, 0)
+    pointwise, and the one-unit-drop ladder intervals of Y coincide with
+    the intervals between zeros of Z (so Y and Z carry the same component
+    structure).  Note that Z itself is one above Psi Y strictly inside
+    components: Y loses only its drift unit at a restart while Z also picks
+    up the restart vertex.  Every step of Z is >= -1, also checked.
     """
     _check_field(params, field)
     z, x, _ = field.walk(params.p)
@@ -308,10 +308,10 @@ def z_walk(params: CriticalWindowParams, field: SparseField):
     z_zeros = np.flatnonzero(z == 0)
     if not np.array_equal(excursions_above_min(y), (z_zeros[:-1], z_zeros[1:])):
         raise AssertionError("ladder intervals of Y must match zero gaps of Z")
-    return LatticePath(np.append(z, 0)), y
+    return z, y
 
 
-def surplus_field(params: CriticalWindowParams, z: LatticePath, field: SparseField) -> np.ndarray:
+def surplus_field(params: CriticalWindowParams, z: np.ndarray, field: SparseField) -> np.ndarray:
     """Per-step surplus S(i): field entries <= p among the skipped frontier slots.
 
     S(i) counts k with U(i, k) <= p and i < k <= i + (Z(i-1) - 1)_+; summing
@@ -321,16 +321,16 @@ def surplus_field(params: CriticalWindowParams, z: LatticePath, field: SparseFie
     """
     _check_field(params, field)
     walk_z, _, s = field.walk(params.p)
-    if not np.array_equal(z.values[: params.n + 1], walk_z):
+    if not np.array_equal(z, walk_z):
         raise ValueError("z is not the walk of this field at p")
     return s
 
 
-def component_surpluses(z: LatticePath, s: np.ndarray) -> list[tuple[int, int]]:
+def component_surpluses(z: np.ndarray, s: np.ndarray) -> list[tuple[int, int]]:
     """(size, surplus) per component in exploration order, from z_walk's
-    Z(0..n+1) and surplus_field's S.  Step k + 1 opens a component where
+    Z(0..n) and surplus_field's S.  Step k + 1 opens a component where
     Z(k) = 0."""
-    _, sizes, surplus = _interval_blocks(z.values[:-2] == 0, s[1:])
+    _, sizes, surplus = _interval_blocks(z[:-1] == 0, s[1:])
     return list(zip(sizes.tolist(), surplus.tolist()))
 
 
@@ -621,9 +621,9 @@ def replicate_rows(rep: np.ndarray, values: np.ndarray, reps: int, width: int) -
 
 
 def sparse_z_trace(n: int, lam: float, rng) -> np.ndarray:
-    """Walk-route Z(0..n+1) of a sparse field at p_lambda: O(n) memory, one
+    """Walk-route Z(0..n) of a sparse field at p_lambda: O(n) memory, one
     geometric skip per hit, and a few whole-array rounds of the fixed point.
     """
     p = p_lambda(n, lam)
-    return np.append(SparseField.sample(n, p, rng).walk(p)[0], 0)
+    return SparseField.sample(n, p, rng).walk(p)[0]
 

@@ -119,7 +119,9 @@ class MergeHistory:
         every j at i for the merges made by s, and at j itself for the rest,
         a no-op that no made merge's write can meet; pointers only fall, so
         jumping own = own[own] reaches each block's lowest slot in
-        O(log slots) rounds."""
+        O(log slots) rounds.  A NaN s is refused."""
+        if np.isnan(s):
+            raise ValueError(f"time s={s} is not a number")
         reps, slots = self.values0.shape
         base = np.arange(0, reps * slots, slots)[:, None]
         own = np.arange(reps * slots)

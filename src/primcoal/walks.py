@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProperlyWeightedGraph, PrimOrdering, _check_ordering
+from .graphs import ProperlyWeightedGraph, PrimOrdering, _check_level, _check_ordering
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +69,15 @@ def excursions_above_min(f: LatticePath, weak: bool = False) -> tuple[np.ndarray
     return a, b
 
 
-def explore(g: ProperlyWeightedGraph, t: float, ordering: PrimOrdering | None = None) -> LatticePath:
+def explore(g: ProperlyWeightedGraph, t: float, ordering: PrimOrdering | None = None) -> np.ndarray:
     """Neighbourhood-size walk Z of the level graph G_t under a total order.
 
     Without an ordering, vertices compare by label; with a PrimOrdering of
-    g, by Prim rank.  Returns Z(0..n+1) with the boundary zeros Z(0) =
-    Z(n+1) = 0; when the frontier empties the exploration restarts at the
-    least unvisited vertex.
+    g, by Prim rank.  Returns Z(0..n) as an int array, Z(0) = Z(n) = 0;
+    when the frontier empties the exploration restarts at the least
+    unvisited vertex.  A NaN level is refused.
     """
+    _check_level(t)
     n, key = g.n, None  # without an ordering, labels compare as they are
     if ordering is not None:
         _check_ordering(g, ordering)
@@ -88,21 +89,17 @@ def explore(g: ProperlyWeightedGraph, t: float, ordering: PrimOrdering | None = 
         adj[v].append(u)
     unvisited = set(range(1, n + 1))
     frontier: set[int] = set()
-    z = np.zeros(n + 2, dtype=int)
+    z = np.zeros(n + 1, dtype=int)
     for k in range(1, n + 1):
         v = min(frontier or unvisited, key=key)
         unvisited.discard(v)
         frontier.discard(v)
         frontier.update(x for x in adj[v] if x in unvisited)
         z[k] = len(frontier)
-    return LatticePath(z)
+    return z
 
 
-def walk_component_sizes(z: LatticePath) -> list[int]:
-    """Component sizes in exploration order from a Z-walk over 0..n+1.
-
-    Counts zeros over k in {1..n} (with the implicit zero at k=0); the gaps
-    between successive zeros are the component sizes.  The sentinel Z(n+1)
-    is ignored.
-    """
-    return np.diff(np.flatnonzero(z.values[:-1] == 0)).tolist()
+def walk_component_sizes(z: np.ndarray) -> list[int]:
+    """Component sizes in exploration order from a Z-walk Z(0..n): the gaps
+    between its successive zeros."""
+    return np.diff(np.flatnonzero(z == 0)).tolist()

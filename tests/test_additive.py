@@ -448,6 +448,10 @@ class TestCayleyTrees:
         _, _, sizes = percolate_cayley(20, 0.4, rng)
         assert sum(sizes) == 20
 
+    def test_percolate_cayley_infinite_level_is_one_cluster(self):
+        for n in (1, 2, 9):
+            assert percolate_cayley(n, np.inf, np.random.default_rng(n))[2] == [n]
+
     def test_percolate_cayley_sizes_match_union_find(self):
         for seed in range(40):
             g, ordering, sizes = percolate_cayley(1 + seed, 0.6, np.random.default_rng(seed))

@@ -275,7 +275,8 @@ class TestWriteRows:
     def test_trace_matches_csv_writer(self, tmp_path):
         out = tmp_path / "run"
         assert run(["trace", "--n", "5000", "--lambdas=0", "--seed", "5", "--out", str(out)]) == 0
-        z = sparse_z_trace(5000, 0.0, np.random.default_rng(5)).tolist()
+        # Z(0..n), then the closing row n + 1, 0 that only the file holds
+        z = sparse_z_trace(5000, 0.0, np.random.default_rng(5)).tolist() + [0]
         expected = _csv_writer_bytes(["index", "z"], list(enumerate(z)))
         assert (out / "trace_lambda_p0_000.csv").read_bytes() == expected
 

@@ -12,7 +12,7 @@ from primcoal.graphs import (
     prim_order,
     random_complete_graph,
 )
-from primcoal.additive import prim_thinned_outdegrees, weighted_cayley_tree
+from primcoal.additive import percolate_cayley, prim_thinned_outdegrees, weighted_cayley_tree
 from primcoal.multiplicative import reorder_field_from_graph
 from primcoal.walks import explore
 
@@ -368,6 +368,15 @@ class TestFiltration:
         assert interval == (1, 5) and size == 5
         assert excess == g.m - g.n + 1
 
+    def test_level_at_or_above_every_weight_is_one_block(self, rng):
+        # the root's attach weight +inf is not above t = +inf, yet the root
+        # opens the one block there as at any level above the top weight
+        graphs = [random_complete_graph(6, rng), sparse_connected_graph(20, 15, rng), weighted_cayley_tree(9, rng)]
+        for g in graphs:
+            filt = component_filtration(g, prim_order(g))
+            for t in (float(g.w.max()), 2.0, np.inf):
+                assert filt.components_at(t) == [((1, g.n), g.n, g.m - g.n + 1)]
+
     def test_history_owner_is_level_interval_start(self, rng):
         # the filtration as a merge history: n - 1 merges in time order, each
         # joining adjacent ranks; its owners are the starts of the union-find
@@ -451,6 +460,28 @@ def test_every_reader_refuses_an_ordering_of_another_size(rng, read, make, other
     ordering = prim_order(make(other, rng))
     with pytest.raises(GraphError, match=f"ordering has {other} vertices, graph has 5"):
         read(g, ordering)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda g, o, rng: component_filtration(g, o).components_at(np.nan),
+        lambda g, o, rng: explore(g, np.nan),
+        lambda g, o, rng: explore(g, np.nan, o),
+        lambda g, o, rng: prim_thinned_outdegrees(g, o, np.nan),
+        lambda g, o, rng: percolate_cayley(5, np.nan, rng),
+    ],
+    ids=["components_at", "explore-labels", "explore-prim", "prim_thinned_outdegrees", "percolate_cayley"],
+)
+def test_every_level_reader_refuses_nan(rng, read):
+    # NaN compares false with every weight, so it would read as a level below
+    # all of them; each reader refuses it, percolate_cayley before its draw
+    g = weighted_cayley_tree(5, rng)
+    o = prim_order(g)
+    state = rng.bit_generator.state
+    with pytest.raises(GraphError, match="level t=nan is not a number"):
+        read(g, o, rng)
+    assert rng.bit_generator.state == state
 
 
 class _RepeatFirstDraw:

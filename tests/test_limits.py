@@ -70,6 +70,45 @@ class TestBrownianExcursion:
         assert e.values[-1] == pytest.approx(-2.0)
 
 
+# the refusal of a grid of no step, or of too many steps to count
+_NO_STEPS = "must round to a finite count of steps >= 1"
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (lambda rng: simulate_parabolic(0.0, rng, dx=0.0), "dx must be finite and > 0, got dx = 0.0"),
+        (lambda rng: simulate_parabolic(0.0, rng, dx=-0.01), "dx must be finite and > 0, got dx = -0.01"),
+        (lambda rng: simulate_parabolic(0.0, rng, dx=nan), "dx must be finite and > 0, got dx = nan"),
+        (
+            lambda rng: simulate_parabolic(0.0, rng, horizon=-1.0),
+            "horizon must be finite and > 0, got horizon = -1.0",
+        ),
+        (lambda rng: simulate_parabolic(0.0, rng, horizon=inf), "horizon must be finite and > 0, got horizon = inf"),
+        (lambda rng: simulate_parabolic(0.0, rng, horizon=0.4, dx=1.0), _NO_STEPS),
+        (lambda rng: simulate_parabolic(0.0, rng, horizon=1e300, dx=1e-10), _NO_STEPS),
+        (lambda rng: simulate_parabolic(nan, rng), "lambda must be finite, got lam = nan"),
+        (lambda rng: simulate_parabolic(inf, rng), "lambda must be finite, got lam = inf"),
+        (lambda rng: simulate_excursion(0.0, rng, dx=0.0), "dx must be finite and > 0, got dx = 0.0"),
+        (lambda rng: simulate_excursion(0.0, rng, dx=-0.01), "dx must be finite and > 0, got dx = -0.01"),
+        (lambda rng: simulate_excursion(0.0, rng, dx=nan), "dx must be finite and > 0, got dx = nan"),
+        (lambda rng: simulate_excursion(0.0, rng, dx=2.0), _NO_STEPS),
+        (lambda rng: simulate_excursion(nan, rng), "lambda must be finite, got lam = nan"),
+    ],
+    ids=[
+        "parabolic-dx-zero", "parabolic-dx-negative", "parabolic-dx-nan", "parabolic-horizon-negative",
+        "parabolic-horizon-inf", "parabolic-no-step", "parabolic-steps-overflow", "parabolic-lam-nan",
+        "parabolic-lam-inf", "excursion-dx-zero", "excursion-dx-negative", "excursion-dx-nan",
+        "excursion-no-step", "excursion-lam-nan",
+    ],
+)
+def test_brownian_samplers_refuse_a_bad_grid_before_any_draw(rng, sample, message):
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample(rng)
+    assert rng.bit_generator.state == state
+
+
 class TestGridExcursions:
     def test_lengths_sum_bounded_by_domain(self, rng):
         p = simulate_parabolic(0.0, rng, horizon=5.0, dx=0.01)

@@ -139,7 +139,7 @@ class TestZWalk:
         params = CriticalWindowParams(n, lam)
         assert params.p == pytest.approx(0.0)
         z, y = z_walk(params, _dense_field(n, rng))
-        assert (z.values == 0).all()
+        assert len(z) == n + 1 and (z == 0).all()
         assert y.values.tolist() == list(range(0, -(n + 1), -1))
 
     def test_t_one(self, rng):
@@ -158,7 +158,7 @@ class TestZWalk:
             lam = float(rng.uniform(-0.9, 2.0)) * n ** (1.0 / 3.0)
             params = CriticalWindowParams(n, min(lam, (1 - 1 / n) * n ** (4 / 3)))
             z, y = z_walk(params, _dense_field(n, rng))
-            assert (np.diff(z.values[:-1]) >= -1).all()
+            assert (np.diff(z) >= -1).all()
             assert sum(walk_component_sizes(z)) == n
 
     @pytest.mark.parametrize(
@@ -179,7 +179,7 @@ class TestZWalk:
         params = CriticalWindowParams(4, 0.0)
         field = SparseField.sample(4, params.p, rng)
         if message is None:
-            assert z_walk(params, field)[0].values.tolist() == z + [0]
+            assert z_walk(params, field)[0].tolist() == z
         else:
             with pytest.raises(AssertionError, match=message):
                 z_walk(params, field)
@@ -217,7 +217,7 @@ class TestFieldRecursion:
     def _check(self, params, field):
         z, y = z_walk(params, field)
         want_z, want_y, want_s = _literal_field_walk(params.n, params.p, field)
-        assert np.array_equal(z.values, want_z)
+        assert np.array_equal(z, want_z[:-1])
         assert np.array_equal(y.values, want_y)
         assert np.array_equal(surplus_field(params, z, field), want_s)
         # its hits below a smaller p_max walk to the literal loop at every p <= p_max
@@ -643,7 +643,7 @@ class TestWalkRoute:
             (4, 1, 0, 0, 0, 0, 0, 0): 1,
         }
         z = sparse_z_trace(30, 1.0, np.random.default_rng(2026))
-        assert z.tolist() == [0, 1, 2, 3, 3, 4, 4, 4, 3, 3, 2, 1, 1, 0, 2, 2, 2, 2, 2, 1, 1, 0] + [0] * 10
+        assert z.tolist() == [0, 1, 2, 3, 3, 4, 4, 4, 3, 3, 2, 1, 1, 0, 2, 2, 2, 2, 2, 1, 1, 0] + [0] * 9
 
     def test_each_level_walked_once(self, monkeypatch):
         # both grids top out at lambda 1, so one seed gives them the same field
@@ -1002,9 +1002,9 @@ class TestSparseWalk:
 class TestSparseTrace:
     def test_walk_shape_and_steps(self, rng):
         z = sparse_z_trace(2000, 0.0, rng)
-        assert len(z) == 2002
+        assert len(z) == 2001
         assert z[0] == 0 and z[-1] == 0
-        assert (np.diff(z[:-1]) >= -1).all()
+        assert (np.diff(z) >= -1).all()
 
     def test_matches_field_walk_in_law(self, rng):
         # largest component and total surplus at lambda 0: sparse fields drawn

@@ -140,6 +140,14 @@ class TestMergeHistory:
         assert np.array_equal(traj.masses_at(np.inf).sum(axis=1), masses.sum(axis=1))
 
 
+@pytest.mark.parametrize("read", [MergeHistory.owner_at, MergeHistory.values_at], ids=["owner_at", "values_at"])
+def test_history_refuses_nan_time(rng, read):
+    # NaN compares false with every merge time, so it would read as the start
+    history = pitman_forest(5, rng, reps=2)
+    with pytest.raises(ValueError, match="time s=nan is not a number"):
+        read(history, np.nan)
+
+
 def _filtration(rng):
     g = random_complete_graph(5, rng)
     return component_filtration(g, prim_order(g))

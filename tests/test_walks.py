@@ -43,8 +43,9 @@ class TestPsi:
     @given(lattice_steps)
     def test_fixes_nonnegative_paths(self, steps):
         f = from_steps(steps)
-        if (f.values >= 0).all() and (f.values == 0).any():
-            pass  # psi may still shift if the running min dips; skip analysis
+        # a non-negative path from 0 has running minimum 0: psi fixes it
+        nonneg = LatticePath(np.abs(f.values))
+        assert np.array_equal(psi(nonneg).values, nonneg.values)
         g = psi(f)
         # psi leaves a path starting at its own minimum untouched up to the
         # first strict new minimum
@@ -160,7 +161,7 @@ class TestExplore:
             expected = sorted((len(c) for c in level_components(g, t)), reverse=True)
             for ordering in (None, prim_order(g)):
                 z = explore(g, t, ordering)
-                assert len(z.values) == n + 2
+                assert len(z) == n + 1 and z[0] == z[-1] == 0
                 got = sorted(walk_component_sizes(z), reverse=True)
                 assert got == expected
 
